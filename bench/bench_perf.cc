@@ -3,8 +3,6 @@
 // determine how many trials a campaign can afford.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "common.h"
@@ -123,84 +121,6 @@ void BM_SimExecutionDispatch(benchmark::State& state) {
   state.SetLabel(machine::dispatch_mode_name(mode));
 }
 BENCHMARK(BM_SimExecutionDispatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// Lockstep lane scaling on the VM: N resident interpreters resumed from
-// one shared snapshot and driven by a single decoded micro-op fetch loop
-// (vm::Interpreter::run_lockstep). No fault hooks are armed, so no lane
-// ever diverges — this is the pure fetch/dispatch amortization ceiling
-// the campaign's grouped trials approach at a ~97% checkpoint hit rate.
-// lane_instr/s counts every lane's instructions, so the ratio to Arg(1)
-// is the speedup per decoded uop.
-void BM_VmExecutionLanes(benchmark::State& state) {
-  const auto lane_n = static_cast<std::size_t>(state.range(0));
-  const machine::DispatchMode saved = machine::dispatch_mode();
-  machine::set_dispatch_mode(machine::DispatchMode::Threaded);
-  auto prog = driver::compile(kKernel, "bench");
-  std::optional<vm::Snapshot> snap;
-  vm::RunLimits capture_limits;
-  capture_limits.snapshot_stride = 1000;
-  capture_limits.snapshot_sink = [&snap](vm::Snapshot&& s) {
-    if (!snap) snap = std::move(s);
-  };
-  vm::Interpreter(prog.module()).run("main", capture_limits);
-  std::vector<std::unique_ptr<vm::Interpreter>> owned;
-  std::vector<vm::Interpreter*> lanes;
-  for (std::size_t i = 0; i < lane_n; ++i) {
-    owned.push_back(std::make_unique<vm::Interpreter>(prog.module()));
-    lanes.push_back(owned.back().get());
-  }
-  std::vector<vm::RunResult> results(lane_n);
-  std::uint64_t instructions = 0;
-  for (auto _ : state) {
-    vm::Interpreter::run_lockstep(lanes.data(), lane_n, *snap, {},
-                                  results.data());
-    for (const vm::RunResult& r : results)
-      instructions += r.dynamic_instructions - snap->executed;
-    benchmark::DoNotOptimize(results[0].exit_value);
-  }
-  machine::set_dispatch_mode(saved);
-  state.counters["lane_instr/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_VmExecutionLanes)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// The same scaling on the machine simulator (x86::Simulator::run_lockstep).
-void BM_SimExecutionLanes(benchmark::State& state) {
-  const auto lane_n = static_cast<std::size_t>(state.range(0));
-  const machine::DispatchMode saved = machine::dispatch_mode();
-  machine::set_dispatch_mode(machine::DispatchMode::Threaded);
-  auto prog = driver::compile(kKernel, "bench");
-  std::optional<x86::SimSnapshot> snap;
-  x86::SimLimits capture_limits;
-  capture_limits.snapshot_stride = 1000;
-  capture_limits.snapshot_sink = [&snap](x86::SimSnapshot&& s) {
-    if (!snap) snap = std::move(s);
-  };
-  x86::Simulator(prog.program()).run(capture_limits);
-  std::vector<std::unique_ptr<x86::Simulator>> owned;
-  std::vector<x86::Simulator*> lanes;
-  for (std::size_t i = 0; i < lane_n; ++i) {
-    owned.push_back(std::make_unique<x86::Simulator>(prog.program()));
-    lanes.push_back(owned.back().get());
-  }
-  std::vector<x86::SimResult> results(lane_n);
-  std::uint64_t instructions = 0;
-  for (auto _ : state) {
-    x86::Simulator::run_lockstep(lanes.data(), lane_n, *snap, {},
-                                 results.data());
-    for (const x86::SimResult& r : results)
-      instructions += r.dynamic_instructions - snap->executed;
-    benchmark::DoNotOptimize(results[0].exit_value);
-  }
-  machine::set_dispatch_mode(saved);
-  state.counters["lane_instr/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimExecutionLanes)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
 
 // Trace-decode cost: building the simulator's pre-decoded uop array for
 // the whole kernel program. Paid once per resident engine, then amortized

@@ -187,9 +187,6 @@ void write_perf_entry(const std::string& experiment,
   // process coexists in the manifest; threaded owns the plain key.
   if (run.manifest.dispatch_mode != "threaded")
     key += "_" + run.manifest.dispatch_mode + "dispatch";
-  // Likewise single-lane runs: the lockstep multi-lane configuration owns
-  // the plain key, a lanes=1 leg is suffixed so the A/B pair coexists.
-  if (run.manifest.lanes == 1) key += "_lanes1";
   // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path for
   // the whole post-injection suffix; keep them under their own key so the
   // untraced baseline is never overwritten by the traced leg.
@@ -222,14 +219,9 @@ void write_perf_entry(const std::string& experiment,
         << "\"trace_hits\": " << run.manifest.trace_hits << ", "
         << "\"trace_invalidations\": " << run.manifest.trace_invalidations
         << ", "
-        << "\"decoded_blocks\": " << run.manifest.decoded_blocks << ", "
-        << "\"lanes\": " << run.manifest.lanes << ", "
-        << "\"pack_groups\": " << run.manifest.pack_groups << ", "
-        << "\"pack_lanes\": " << run.manifest.pack_lanes << ", "
-        << "\"mean_pack_lanes\": " << run.manifest.mean_pack_lanes() << ", "
-        << "\"pack_uops\": " << run.manifest.pack_uops << ", "
-        << "\"pack_lane_uops\": " << run.manifest.pack_lane_uops << ", "
-        << "\"pack_divergences\": " << run.manifest.pack_divergences << ", "
+        << "\"converged_trials\": " << cp.converged_trials << ", "
+        << "\"converged_instructions\": " << cp.converged_instructions
+        << ", "
         << "\"restore_seconds\": " << run.phases.restore_seconds << ", "
         << "\"execute_seconds\": " << run.phases.execute_seconds << ", "
         << "\"classify_seconds\": " << run.phases.classify_seconds << ", "

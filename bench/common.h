@@ -71,12 +71,10 @@ void save_results(const ExperimentRun& run, const std::string& filename);
 /// object keyed by experiment name, one entry per line, so successive bench
 /// binaries sharing a working directory accumulate into one manifest.
 /// Records wall time, trials/sec, thread count, seed, the checkpoint
-/// layer's stride/snapshot/hit-rate counters, dispatch provenance (mode +
-/// trace-cache counters), lockstep-lane provenance (lane cap + pack
-/// occupancy/divergence counters), and the restore/execute/classify phase
-/// split. Runs under a non-default dispatch mode are keyed
-/// `<experiment>_<mode>dispatch`, and lanes=1 runs `<experiment>_lanes1`,
-/// so A/B pairs coexist.
+/// layer's stride/snapshot/hit-rate and golden-convergence counters,
+/// dispatch provenance (mode + trace-cache counters), and the
+/// restore/execute/classify phase split. Runs under a non-default dispatch
+/// mode are keyed `<experiment>_<mode>dispatch`, so A/B pairs coexist.
 void write_perf_entry(const std::string& experiment, const ExperimentRun& run);
 
 }  // namespace faultlab::benchx

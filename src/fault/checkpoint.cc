@@ -16,6 +16,8 @@ CheckpointMetrics& checkpoint_metrics() {
         registry.counter("checkpoint.delta_restores"),
         registry.counter("checkpoint.delta_pages"),
         registry.counter("checkpoint.evictions"),
+        registry.counter("checkpoint.converged_trials"),
+        registry.counter("checkpoint.converged_instructions"),
         registry.histogram("checkpoint.dirty_pages"),
     };
   }();

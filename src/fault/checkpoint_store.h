@@ -3,23 +3,27 @@
 // Both LLFI and PINFI capture the same thing during profile_all(): an
 // execution snapshot every stride instructions plus the per-category
 // instance counters at that point. This template owns that sequence, the
-// "nearest resumable point before the k-th instance" query, and the
-// snapshot memory budget: when the summed mapped-page counts of live
-// snapshots exceed the budget, entries are evicted — least-recently-used
-// first, interval thinning (smallest coverage gap left behind) as the
-// tie-break — and a trial whose ideal window was evicted transparently
-// falls back to the nearest earlier live one (or a from-scratch run).
+// "nearest resumable point before the k-th instance" query, the "next
+// golden state after instruction n" query behind the golden-convergence
+// early exit, and the snapshot memory budget: when the summed mapped-page
+// counts of live snapshots exceed the budget, entries are evicted —
+// least-recently-used first, interval thinning (smallest coverage gap left
+// behind) as the tie-break — and a trial whose ideal window was evicted
+// transparently falls back to the nearest earlier live one (or a
+// from-scratch run).
 //
 // Thread-safety contract: add()/clear()/set_budget() are capture/setup
-// operations and must not run concurrently with trials; before() and
-// window_of() are safe to call from many trial workers at once (the only
-// mutation is the per-entry LRU stamp, a relaxed atomic).
+// operations and must not run concurrently with trials; before(), after()
+// and window_of() are safe to call from many trial workers at once (the
+// only mutation is the per-entry LRU stamp, a relaxed atomic).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <string>
 
 #include "fault/engine.h"
 #include "ir/category.h"
@@ -105,6 +109,17 @@ class CheckpointStore {
     const std::size_t idx = index_before_time(t);
     return idx == entries_.size() ? kNoWindow
                                   : static_cast<std::uint64_t>(idx);
+  }
+
+  /// Snapshot of the first live entry captured strictly after dynamic
+  /// instruction `executed`, or nullptr: the next golden state a trial
+  /// standing at `executed` can converge on (evicted entries are skipped).
+  const SnapshotT* after(std::uint64_t executed) const {
+    auto it = std::upper_bound(
+        entries_.begin(), entries_.end(), executed,
+        [](std::uint64_t t, const Entry& e) { return t < e.executed; });
+    while (it != entries_.end() && !it->alive) ++it;
+    return it != entries_.end() ? &it->snapshot : nullptr;
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -209,5 +224,24 @@ class CheckpointStore {
   std::uint64_t evictions_ = 0;
   mutable std::atomic<std::uint64_t> clock_{0};
 };
+
+/// Completes a run that stopped on golden snapshot `r.converged` (DESIGN
+/// §4): the rest would have replayed the golden suffix, so the total is the
+/// golden total and the output continues with the golden output past the
+/// snapshot's. Mirrors the trial into the checkpoint metrics and returns
+/// the golden-suffix instructions that were skipped.
+template <typename RunResultT>
+std::uint64_t complete_converged(RunResultT& r,
+                                 const std::string& golden_output,
+                                 std::uint64_t golden_instructions) {
+  r.output.append(golden_output, r.converged->runtime.output.size());
+  const std::uint64_t suffix = golden_instructions - r.dynamic_instructions;
+  r.dynamic_instructions = golden_instructions;
+  if (obs::metrics_enabled()) {
+    checkpoint_metrics().converged_trials.add();
+    checkpoint_metrics().converged_instructions.add(suffix);
+  }
+  return suffix;
+}
 
 }  // namespace faultlab::fault

@@ -78,6 +78,8 @@ struct CheckpointMetrics {
   obs::Counter delta_restores;        ///< restores that walked only dirty pages
   obs::Counter delta_pages;           ///< pages rewritten by delta restores
   obs::Counter evictions;             ///< snapshots evicted by the budget
+  obs::Counter converged_trials;      ///< trials stopped on the golden state
+  obs::Counter converged_instructions;  ///< golden suffix not simulated
   obs::Histogram dirty_pages;         ///< dirty-set size per delta restore
 };
 
@@ -96,6 +98,11 @@ struct CheckpointStats {
   std::uint64_t delta_restores = 0;   ///< restores on the O(dirty) path
   std::uint64_t restored_pages = 0;   ///< page-table entries rewritten
   std::uint64_t evictions = 0;        ///< snapshots evicted by the budget
+  /// Trials that stopped early because their state converged on a golden
+  /// snapshot (DESIGN §4), and the golden-suffix instructions they did not
+  /// simulate. TrialRecord totals still count those instructions.
+  std::uint64_t converged_trials = 0;
+  std::uint64_t converged_instructions = 0;
 
   double hit_rate() const noexcept {
     return trials != 0
@@ -121,6 +128,8 @@ struct CheckpointStats {
     delta_restores += o.delta_restores;
     restored_pages += o.restored_pages;
     evictions += o.evictions;
+    converged_trials += o.converged_trials;
+    converged_instructions += o.converged_instructions;
     return *this;
   }
 };
@@ -210,27 +219,6 @@ class InjectorEngine {
                                 std::uint64_t k, Rng& rng) {
     (void)context;
     return inject(category, k, rng);
-  }
-
-  /// One trial of a lane group: the dynamic target, the trial's own
-  /// pre-forked rng stream, and the record slot to fill. Every trial
-  /// draws only from its own rng, so grouping never perturbs the streams.
-  struct GroupTrial {
-    std::uint64_t k = 0;
-    Rng* rng = nullptr;
-    TrialRecord* record = nullptr;
-  };
-
-  /// Runs `count` same-window trials against one context. Engines that
-  /// support lockstep lane packing override this to execute the group
-  /// batched; records are identical to calling inject_in() per trial in
-  /// array order either way. The default implementation is exactly that
-  /// loop.
-  virtual void inject_group(TrialContext* context, ir::Category category,
-                            GroupTrial* trials, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i)
-      *trials[i].record =
-          inject_in(context, category, trials[i].k, *trials[i].rng);
   }
 
   /// Index of the snapshot window trial (category, k) resumes from, or

@@ -14,13 +14,14 @@
 // captures copy-on-write interpreter snapshots every `CheckpointPolicy`
 // stride (with the per-category instance counters at each point), and
 // inject() resumes from the nearest snapshot before its injection point
-// instead of re-running the golden prefix from main(). Results are
-// bit-identical to direct execution.
+// instead of re-running the golden prefix from main(); a trial whose state
+// later equals a golden snapshot's stops there instead of re-running the
+// golden suffix (the golden-convergence early exit, DESIGN §4). Results
+// are bit-identical to direct execution.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <vector>
 
 #include "fault/checkpoint_store.h"
 #include "fault/engine.h"
@@ -47,8 +48,6 @@ class LlfiEngine final : public InjectorEngine {
                      Rng& rng) override;
   TrialRecord inject_in(TrialContext* context, ir::Category category,
                         std::uint64_t k, Rng& rng) override;
-  void inject_group(TrialContext* context, ir::Category category,
-                    GroupTrial* trials, std::size_t count) override;
   std::unique_ptr<TrialContext> make_context() override;
   std::uint64_t window_of(ir::Category category,
                           std::uint64_t k) const override;
@@ -77,28 +76,16 @@ class LlfiEngine final : public InjectorEngine {
  private:
   /// Per-worker resident interpreter: its address space persists between
   /// trials, so same-window trials reset via the O(dirty) delta path.
-  /// Grouped trials add extra resident lane interpreters on demand (lane 0
-  /// is the original `interp`); each lane's address space also persists,
-  /// so lanes ride the delta path across groups too.
   struct Context final : TrialContext {
-    explicit Context(const ir::Module& m) : module(m), interp(m) {}
-    vm::Interpreter* lane(std::size_t i) {
-      if (i == 0) return &interp;
-      while (extra.size() < i)
-        extra.push_back(std::make_unique<vm::Interpreter>(module));
-      return extra[i - 1].get();
-    }
-    const ir::Module& module;
+    explicit Context(const ir::Module& m) : interp(m) {}
     vm::Interpreter interp;
-    std::vector<std::unique_ptr<vm::Interpreter>> extra;
   };
 
   vm::RunLimits faulty_limits() const;
   TrialRecord run_trial(Context& context, ir::Category category,
                         std::uint64_t k, Rng& rng);
-  /// Restore-side accounting shared by the single-lane and grouped paths:
-  /// engine atomics plus the checkpoint-metrics mirror. Call only for
-  /// trials that actually resumed from a snapshot.
+  /// Restore-side accounting: engine atomics plus the checkpoint-metrics
+  /// mirror. Call only for trials that actually resumed from a snapshot.
   void account_restore(const vm::RunResult& r,
                        std::uint64_t snapshot_executed) const;
   /// Dynamic instruction index at which a time-triggered fault arms for
@@ -130,6 +117,8 @@ class LlfiEngine final : public InjectorEngine {
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> delta_restores_{0};
   mutable std::atomic<std::uint64_t> restored_pages_{0};
+  mutable std::atomic<std::uint64_t> converged_trials_{0};
+  mutable std::atomic<std::uint64_t> converged_instructions_{0};
   mutable std::atomic<std::uint64_t> restore_nanos_{0};
   mutable std::atomic<std::uint64_t> execute_nanos_{0};
   mutable std::atomic<std::uint64_t> classify_nanos_{0};

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "machine/dispatch.h"
 #include "obs/metrics.h"
 #include "obs/propagation.h"
 #include "obs/trace.h"
@@ -423,9 +422,8 @@ std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Record-fill tail shared by the single-lane and grouped paths: the
-/// hook's injection facts plus the run's terminal state — everything
-/// except outcome classification.
+/// Record-fill tail: the hook's injection facts plus the run's terminal
+/// state — everything except outcome classification.
 void fill_record(TrialRecord& record, const PinfiHook& hook,
                  const x86::SimResult& r, std::uint64_t k, bool restored) {
   record.dynamic_target = k;
@@ -486,7 +484,9 @@ PinfiEngine::PinfiEngine(const x86::Program& program, FaultModel model,
 }
 
 x86::SimLimits PinfiEngine::faulty_limits() const {
-  return {golden_instructions_ * 10 + 100'000};
+  x86::SimLimits limits;
+  limits.max_instructions = golden_instructions_ * 10 + 100'000;
+  return limits;
 }
 
 std::uint64_t PinfiEngine::profile(ir::Category category) {
@@ -595,6 +595,14 @@ TrialRecord PinfiEngine::run_trial(Context& context, ir::Category category,
                  trace_prop_ ? &journal_ : nullptr);
   context.sim.set_hook(&hook);
   trials_.fetch_add(1, std::memory_order_relaxed);
+  x86::SimLimits limits = faulty_limits();
+  // Golden-convergence early exit (DESIGN §4). It can only fire once the
+  // hook has detached for good, which a propagation tracer never lets
+  // happen, so traced trials skip the lookup altogether.
+  if (!trace_prop_)
+    limits.golden_after = [this](std::uint64_t executed) {
+      return checkpoints_.after(executed);
+    };
   x86::SimResult r;
   {
     obs::ScopedSpan exec_span(tracer, "execute", "phase");
@@ -603,9 +611,9 @@ TrialRecord PinfiEngine::run_trial(Context& context, ir::Category category,
       restored_trials_.fetch_add(1, std::memory_order_relaxed);
       skipped_instructions_.fetch_add(cp->snapshot.executed,
                                       std::memory_order_relaxed);
-      r = context.sim.run_from(cp->snapshot, faulty_limits());
+      r = context.sim.run_from(cp->snapshot, limits);
     } else {
-      r = context.sim.run(faulty_limits());
+      r = context.sim.run(limits);
     }
     execute_nanos_.fetch_add(nanos_since(phase_t0),
                              std::memory_order_relaxed);
@@ -616,6 +624,12 @@ TrialRecord PinfiEngine::run_trial(Context& context, ir::Category category,
   }
   context.sim.set_hook(nullptr);  // the hook dies with this call
   if (cp != nullptr) account_restore(r, cp->snapshot.executed);
+  if (r.converged != nullptr) {
+    const std::uint64_t suffix =
+        complete_converged(r, golden_output_, golden_instructions_);
+    converged_trials_.fetch_add(1, std::memory_order_relaxed);
+    converged_instructions_.fetch_add(suffix, std::memory_order_relaxed);
+  }
 
   TrialRecord record;
   fill_record(record, hook, r, k, cp != nullptr);
@@ -648,97 +662,6 @@ void PinfiEngine::account_restore(const x86::SimResult& r,
   }
 }
 
-void PinfiEngine::inject_group(TrialContext* context, ir::Category category,
-                               GroupTrial* trials, std::size_t count) {
-  Context* ctx = static_cast<Context*>(context);
-  if (ctx == nullptr || count == 0) {
-    InjectorEngine::inject_group(context, category, trials, count);
-    return;
-  }
-  // Lane packing needs every trial of the group to resume from the same
-  // snapshot. Checkpoint lookup consumes no rng draws, so deciding
-  // between the grouped and sequential paths first leaves each trial's
-  // stream exactly where run_trial would read it.
-  obs::Tracer& tracer = obs::Tracer::global();
-  std::uint64_t arm_times[machine::kMaxLanes];
-  const CheckpointStore<x86::SimSnapshot>::Entry* cp = nullptr;
-  bool groupable = count > 1 && count <= machine::kMaxLanes;
-  if (groupable) {
-    obs::ScopedSpan restore_span(tracer, "restore", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < count; ++i) {
-      arm_times[i] = fault_model_.trigger == FaultTrigger::Time
-                         ? time_trigger_point(category, trials[i].k)
-                         : 0;
-      const auto* entry = arm_times[i] != 0
-                              ? checkpoints_.before_time(arm_times[i])
-                              : checkpoints_.before(category, trials[i].k);
-      if (i == 0) cp = entry;
-      if (entry == nullptr || entry != cp) {
-        groupable = false;
-        break;
-      }
-    }
-    if (restore_span.active())
-      restore_span.tag("checkpoint", groupable ? "group-hit" : "group-miss");
-    restore_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-  }
-  if (!groupable) {
-    for (std::size_t i = 0; i < count; ++i)
-      *trials[i].record =
-          run_trial(*ctx, category, trials[i].k, *trials[i].rng);
-    return;
-  }
-
-  // Per-lane plan + hook, each from its own pre-forked rng stream; the
-  // reserve keeps hook addresses stable while lanes register them.
-  std::vector<PinfiHook> hooks;
-  hooks.reserve(count);
-  x86::Simulator* lanes[machine::kMaxLanes];
-  x86::SimResult results[machine::kMaxLanes];
-  for (std::size_t i = 0; i < count; ++i) {
-    const FaultPlan plan(fault_model_, *trials[i].rng, 128);
-    hooks.emplace_back(program_, category, trials[i].k, plan, model_,
-                       cp->seen[category], cp->snapshot.executed,
-                       arm_times[i], trace_prop_ ? &journal_ : nullptr);
-    lanes[i] = ctx->lane(i);
-    lanes[i]->set_hook(&hooks.back());
-  }
-  trials_.fetch_add(count, std::memory_order_relaxed);
-  restored_trials_.fetch_add(count, std::memory_order_relaxed);
-  skipped_instructions_.fetch_add(count * cp->snapshot.executed,
-                                  std::memory_order_relaxed);
-  {
-    obs::ScopedSpan exec_span(tracer, "execute", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    x86::Simulator::run_lockstep(lanes, count, cp->snapshot, faulty_limits(),
-                                 results);
-    execute_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-    if (exec_span.active()) {
-      exec_span.tag("lanes", static_cast<std::uint64_t>(count));
-      exec_span.tag("instructions", results[0].dynamic_instructions -
-                                        cp->snapshot.executed);
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    lanes[i]->set_hook(nullptr);
-    account_restore(results[i], cp->snapshot.executed);
-    fill_record(*trials[i].record, hooks[i], results[i], trials[i].k, true);
-  }
-  {
-    obs::ScopedSpan classify_span(tracer, "classify", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < count; ++i)
-      trials[i].record->outcome = classify(
-          hooks[i].injected(), hooks[i].activated(), results[i].trapped,
-          results[i].timed_out, results[i].output, golden_output_);
-    classify_nanos_.fetch_add(nanos_since(phase_t0),
-                              std::memory_order_relaxed);
-  }
-}
-
 CheckpointStats PinfiEngine::checkpoint_stats() const {
   CheckpointStats stats;
   stats.snapshots = checkpoints_.size();
@@ -750,6 +673,9 @@ CheckpointStats PinfiEngine::checkpoint_stats() const {
   stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
   stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
   stats.evictions = checkpoints_.evictions();
+  stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
+  stats.converged_instructions =
+      converged_instructions_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -17,12 +17,13 @@
 // profile_all()'s instrumented golden run captures copy-on-write simulator
 // snapshots every `CheckpointPolicy` stride (with per-category instance
 // counters), and inject() resumes from the nearest snapshot before its
-// injection point. Results are bit-identical to direct execution.
+// injection point; a trial whose state later equals a golden snapshot's
+// stops there (the golden-convergence early exit, DESIGN §4). Results are
+// bit-identical to direct execution.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <vector>
 
 #include "fault/checkpoint_store.h"
 #include "fault/engine.h"
@@ -50,8 +51,6 @@ class PinfiEngine final : public InjectorEngine {
                      Rng& rng) override;
   TrialRecord inject_in(TrialContext* context, ir::Category category,
                         std::uint64_t k, Rng& rng) override;
-  void inject_group(TrialContext* context, ir::Category category,
-                    GroupTrial* trials, std::size_t count) override;
   std::unique_ptr<TrialContext> make_context() override;
   std::uint64_t window_of(ir::Category category,
                           std::uint64_t k) const override;
@@ -80,28 +79,16 @@ class PinfiEngine final : public InjectorEngine {
  private:
   /// Per-worker resident simulator: its address space persists between
   /// trials, so same-window trials reset via the O(dirty) delta path.
-  /// Grouped trials add extra resident lane simulators on demand (lane 0
-  /// is the original `sim`); each lane's address space also persists, so
-  /// lanes ride the delta path across groups too.
   struct Context final : TrialContext {
-    explicit Context(const x86::Program& p) : program(p), sim(p) {}
-    x86::Simulator* lane(std::size_t i) {
-      if (i == 0) return &sim;
-      while (extra.size() < i)
-        extra.push_back(std::make_unique<x86::Simulator>(program));
-      return extra[i - 1].get();
-    }
-    const x86::Program& program;
+    explicit Context(const x86::Program& p) : sim(p) {}
     x86::Simulator sim;
-    std::vector<std::unique_ptr<x86::Simulator>> extra;
   };
 
   x86::SimLimits faulty_limits() const;
   TrialRecord run_trial(Context& context, ir::Category category,
                         std::uint64_t k, Rng& rng);
-  /// Restore-side accounting shared by the single-lane and grouped paths:
-  /// engine atomics plus the checkpoint-metrics mirror. Call only for
-  /// trials that actually resumed from a snapshot.
+  /// Restore-side accounting: engine atomics plus the checkpoint-metrics
+  /// mirror. Call only for trials that actually resumed from a snapshot.
   void account_restore(const x86::SimResult& r,
                        std::uint64_t snapshot_executed) const;
   /// Dynamic instruction index at which a time-triggered fault arms for
@@ -133,6 +120,8 @@ class PinfiEngine final : public InjectorEngine {
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
   mutable std::atomic<std::uint64_t> delta_restores_{0};
   mutable std::atomic<std::uint64_t> restored_pages_{0};
+  mutable std::atomic<std::uint64_t> converged_trials_{0};
+  mutable std::atomic<std::uint64_t> converged_instructions_{0};
   mutable std::atomic<std::uint64_t> restore_nanos_{0};
   mutable std::atomic<std::uint64_t> execute_nanos_{0};
   mutable std::atomic<std::uint64_t> classify_nanos_{0};

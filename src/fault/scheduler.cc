@@ -242,11 +242,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   manifest_.model = options_.model;
   manifest_.dispatch_mode =
       machine::dispatch_mode_name(machine::dispatch_mode());
-  manifest_.lanes = machine::lane_count();
   const machine::DispatchCountersSnapshot dispatch_before =
       machine::dispatch_counters_snapshot();
-  const machine::PackCountersSnapshot pack_before =
-      machine::pack_counters_snapshot();
 
   // Phase 1 — profiling: one single-pass instrumented golden run per
   // distinct engine covers every category it appears with.
@@ -260,6 +257,14 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       profiles.emplace_back(entry.engine, entry.engine->profile_all());
   }
   manifest_.profile_seconds = profile_timer.seconds();
+  // Engine checkpoint counters are cumulative across runs; the manifest
+  // keeps this run's share.
+  const auto checkpoint_totals = [&profiles] {
+    CheckpointStats sum;
+    for (const auto& p : profiles) sum += p.first->checkpoint_stats();
+    return sum;
+  };
+  const CheckpointStats checkpoints_before = checkpoint_totals();
 
   // Phase 2 — draws: generated sequentially per campaign from its seed, so
   // the trial stream is independent of worker count and scheduling order.
@@ -387,6 +392,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         aux.checkpoint_restores += ck.restored_trials;
         aux.delta_restores += ck.delta_restores;
         aux.snapshot_evictions += ck.evictions;
+        aux.converged_trials += ck.converged_trials;
+        aux.converged_instructions += ck.converged_instructions;
       }
       const machine::DispatchCountersSnapshot now =
           machine::dispatch_counters_snapshot();
@@ -538,116 +545,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       if (!c.started.exchange(true, std::memory_order_relaxed))
         c.timer.reset();
       TrialContext* context = context_for(c.entry->engine);
-      // Lane grouping: consecutive k-sorted trials of this chunk share a
-      // checkpoint window, so up to lane_count() of them can run as one
-      // lockstep group through inject_group(). gn == 1 (FAULTLAB_LANES=1,
-      // a chunk tail, or an engine without contexts) takes the exact
-      // pre-lanes per-trial path. Purely an execution grouping: each
-      // trial draws only from its own rng, so records are byte-identical
-      // at any lane count.
-      const std::size_t lane_cap =
-          context != nullptr ? machine::lane_count() : 1;
-      std::size_t p = chunk.begin;
-      while (p < chunk.end) {
+      for (std::size_t p = chunk.begin; p < chunk.end; ++p) {
         if (failed.load(std::memory_order_relaxed)) return;
-        const std::size_t gn = std::min(lane_cap, chunk.end - p);
-        if (gn > 1) {
-          try {
-            if (monitor) monitor->begin_group(worker, index, gn);
-            InjectorEngine::GroupTrial group[machine::kMaxLanes];
-            for (std::size_t j = 0; j < gn; ++j) {
-              const std::size_t trial = c.order[p + j];
-              group[j] = {c.draws[trial].k, &c.draws[trial].trial_rng,
-                          &c.records[trial]};
-            }
-            double group_ms = 0.0;
-            {
-              WallTimer group_timer;
-              obs::ScopedSpan span(tracer, "trial_group", "scheduler");
-              c.entry->engine->inject_group(
-                  context, c.entry->config.category, group, gn);
-              group_ms = group_timer.seconds() * 1000.0;
-              if (span.active()) {
-                span.tag("app", c.result.app);
-                span.tag("tool", c.result.tool);
-                span.tag("category", ir::category_name(c.result.category));
-                span.tag("lanes", static_cast<std::uint64_t>(gn));
-                span.tag("checkpoint",
-                         c.records[c.order[p]].restored ? "hit" : "miss");
-              }
-            }
-            // The group's wall time is shared work: split it evenly so
-            // the manifest latency percentiles stay comparable to
-            // lanes=1.
-            const double per_ms = group_ms / static_cast<double>(gn);
-            for (std::size_t j = 0; j < gn; ++j) {
-              const std::size_t trial = c.order[p + j];
-              const TrialRecord& record = c.records[trial];
-              c.latency_ms[trial] = per_ms;
-              if (monitor)
-                monitor->record(worker, index,
-                                to_monitor_outcome(record.outcome), per_ms);
-              if (events_on) {
-                obs::TrialEvent ev;
-                ev.app = c.result.app.c_str();
-                ev.tool = c.result.tool.c_str();
-                ev.category = ir::category_name(c.result.category);
-                ev.fault_model = c.result.fault_model.c_str();
-                ev.worker = static_cast<std::uint32_t>(worker);
-                ev.seq = seq++;
-                ev.trial = trial;
-                ev.k = c.draws[trial].k;
-                ev.bit = record.bit;
-                ev.static_site = record.static_site;
-                ev.opcode = record.site_opcode;
-                ev.function = record.site_function;
-                ev.injected = record.injected;
-                ev.activated = record.injected &&
-                               record.outcome != Outcome::NotActivated;
-                ev.outcome = outcome_name(record.outcome);
-                if (record.outcome == Outcome::Crash) {
-                  ev.trap = machine::trap_kind_name(record.trap);
-                  ev.trap_pc = record.trap_pc;
-                }
-                ev.inject_instruction = record.inject_instruction;
-                ev.instructions_total = record.total_instructions;
-                ev.instructions_after_injection =
-                    record.instructions_after_injection();
-                ev.checkpoint_hit = record.restored;
-                ev.latency_ms = per_ms;
-                if (record.prop.traced) ev.prop = &record.prop;
-                obs::EventLog::global().append(ev);
-              }
-              if (progress_line) {
-                progress_counters
-                    .outcomes[static_cast<std::size_t>(record.outcome)]
-                    .fetch_add(1, std::memory_order_relaxed);
-                progress_counters.busy_us[worker].fetch_add(
-                    static_cast<std::uint64_t>(per_ms * 1000.0),
-                    std::memory_order_relaxed);
-              }
-            }
-            const std::size_t done =
-                trials_done.fetch_add(gn, std::memory_order_relaxed) + gn;
-            if (c.remaining.fetch_sub(gn, std::memory_order_acq_rel) == gn) {
-              std::lock_guard<std::mutex> lock(mutex);
-              finalize(index);
-            } else if (progress_line && done % 64 < gn) {
-              std::lock_guard<std::mutex> lock(mutex);
-              emit_progress(done, campaigns_done);
-            }
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (first_error == nullptr) {
-              first_error = std::current_exception();
-              error_campaign = index;
-            }
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-          p += gn;
-          continue;
-        }
         const std::size_t trial = c.order[p];
         try {
           if (monitor) monitor->begin_trial(worker, index);
@@ -731,7 +630,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
           failed.store(true, std::memory_order_relaxed);
           return;
         }
-        ++p;
       }
     }
   };
@@ -760,14 +658,12 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   manifest_.trace_invalidations = dispatch_after.trace_invalidations -
                                   dispatch_before.trace_invalidations;
   manifest_.decoded_blocks = dispatch_after.decoded_blocks;
-  const machine::PackCountersSnapshot pack_after =
-      machine::pack_counters_snapshot();
-  manifest_.pack_groups = pack_after.groups - pack_before.groups;
-  manifest_.pack_lanes = pack_after.lanes - pack_before.lanes;
-  manifest_.pack_uops = pack_after.uops - pack_before.uops;
-  manifest_.pack_lane_uops = pack_after.lane_uops - pack_before.lane_uops;
-  manifest_.pack_divergences =
-      pack_after.divergences - pack_before.divergences;
+  const CheckpointStats checkpoints_after = checkpoint_totals();
+  manifest_.converged_trials =
+      checkpoints_after.converged_trials - checkpoints_before.converged_trials;
+  manifest_.converged_instructions =
+      checkpoints_after.converged_instructions -
+      checkpoints_before.converged_instructions;
 
   // Persist spans/metrics/events now rather than only at exit, so
   // long-lived processes (benches running several grids) leave a trace per
@@ -802,9 +698,8 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  "llfi_gep_as_arithmetic", "dispatch_mode", "trace_decodes",
                  "trace_hits", "trace_invalidations", "decoded_blocks",
                  "converged", "ci_halfwidth", "watchdog_flags",
-                 "ci_target", "lanes", "pack_groups", "pack_lanes",
-                 "pack_uops", "pack_lane_uops", "pack_divergences",
-                 "mean_pack_lanes"});
+                 "ci_target", "converged_trials",
+                 "converged_instructions"});
   for (const CampaignTiming& t : manifest.campaigns) {
     csv.add_row({t.app, t.tool, ir::category_name(t.category), t.fault_model,
                  std::to_string(t.seed), std::to_string(t.trials),
@@ -835,13 +730,8 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  fmt_double4(t.ci_halfwidth),
                  std::to_string(t.watchdog_flags),
                  fmt_double4(manifest.ci_target),
-                 std::to_string(manifest.lanes),
-                 std::to_string(manifest.pack_groups),
-                 std::to_string(manifest.pack_lanes),
-                 std::to_string(manifest.pack_uops),
-                 std::to_string(manifest.pack_lane_uops),
-                 std::to_string(manifest.pack_divergences),
-                 fmt_double(manifest.mean_pack_lanes())});
+                 std::to_string(manifest.converged_trials),
+                 std::to_string(manifest.converged_instructions)});
   }
   return csv;
 }

@@ -131,21 +131,11 @@ struct RunManifest {
   /// Convergence threshold the per-campaign `converged` flags were judged
   /// against (FAULTLAB_CI_TARGET or SchedulerOptions::monitor).
   double ci_target = 0.05;
-  /// Lockstep lane cap in effect (FAULTLAB_LANES / machine::lane_count),
-  /// plus the pack activity attributable to this run (process-wide
-  /// pack-counter deltas across run(); see machine/dispatch.h).
-  std::size_t lanes = 1;
-  std::uint64_t pack_groups = 0;       ///< lockstep groups launched
-  std::uint64_t pack_lanes = 0;        ///< lanes summed over groups
-  std::uint64_t pack_uops = 0;         ///< micro-op fetches in pack mode
-  std::uint64_t pack_lane_uops = 0;    ///< lane-executions those fetches drove
-  std::uint64_t pack_divergences = 0;  ///< lanes masked off mid-group
-  /// Mean lanes per lockstep group (pack occupancy); 0 when none ran.
-  double mean_pack_lanes() const noexcept {
-    return pack_groups != 0 ? static_cast<double>(pack_lanes) /
-                                  static_cast<double>(pack_groups)
-                            : 0.0;
-  }
+  /// Trials of this run that stopped early on a golden snapshot, and the
+  /// golden-suffix instructions they did not simulate (deltas of the
+  /// engines' CheckpointStats across run(); DESIGN §4).
+  std::uint64_t converged_trials = 0;
+  std::uint64_t converged_instructions = 0;
   std::vector<CampaignTiming> campaigns;  ///< in add() order
 };
 

@@ -45,24 +45,6 @@ void set_dispatch_mode(DispatchMode mode) noexcept;
 /// Canonical spelling, matching the FAULTLAB_DISPATCH values.
 const char* dispatch_mode_name(DispatchMode mode) noexcept;
 
-/// Hard ceiling on lockstep lanes per pack: one snapshot window's chunk is
-/// at most 64 trials (the scheduler's kMaxChunk), so more lanes could
-/// never fill.
-inline constexpr std::size_t kMaxLanes = 64;
-
-/// Process-wide lockstep lane count. First call reads FAULTLAB_LANES
-/// (default 8, clamped to 1..kMaxLanes with a stderr warning); later calls
-/// return the cached or programmatically overridden value. A count of 1
-/// disables lane packing entirely — the scheduler and both engines then
-/// take exactly the historical single-trial path.
-std::size_t lane_count() noexcept;
-
-/// Overrides the lane count for the rest of the process (or until the next
-/// override). Benches use this to run interleaved lanes-on/off A/B pairs
-/// in one process; it affects runs started after the call. Values are
-/// clamped to 1..kMaxLanes.
-void set_lane_count(std::size_t lanes) noexcept;
-
 /// Trace-cache counters, accumulated process-wide across both engines.
 struct DispatchCounters {
   /// Basic blocks (VM) / instruction slots (x86) decoded into micro-ops.
@@ -88,48 +70,9 @@ struct DispatchCountersSnapshot {
 
 DispatchCountersSnapshot dispatch_counters_snapshot() noexcept;
 
-/// Lockstep lane-pack counters, accumulated process-wide across both
-/// engines. Touched once per pack entry / lane exit (the hot loops
-/// accumulate locally and flush on exit), so they stay always-on like the
-/// trace counters above.
-struct PackCounters {
-  /// Lane groups that entered a lockstep pack (≥2 lanes).
-  std::atomic<std::uint64_t> groups{0};
-  /// Lanes summed over those groups (groups ? lanes / groups : 0 is the
-  /// mean group size).
-  std::atomic<std::uint64_t> lanes{0};
-  /// Micro-ops fetched + dispatched by pack fast loops (one fetch serves
-  /// every active lane).
-  std::atomic<std::uint64_t> uops{0};
-  /// Per-lane executions those dispatches drove; lane_uops / uops is the
-  /// mean number of active lanes per dispatched micro-op.
-  std::atomic<std::uint64_t> lane_uops{0};
-  /// Lanes masked off a pack because their control flow diverged from the
-  /// leader (each finishes on the single-lane slow path).
-  std::atomic<std::uint64_t> divergences{0};
-};
-
-PackCounters& pack_counters() noexcept;
-
-/// Plain-value copy for manifest deltas, benches, and tests.
-struct PackCountersSnapshot {
-  std::uint64_t groups = 0;
-  std::uint64_t lanes = 0;
-  std::uint64_t uops = 0;
-  std::uint64_t lane_uops = 0;
-  std::uint64_t divergences = 0;
-};
-
-PackCountersSnapshot pack_counters_snapshot() noexcept;
-
-/// Records the in-pack position (executed instructions past the shared
-/// snapshot) at which a lane's control flow left the pack. Feeds the
-/// pack.divergence_offset histogram; no-op while FAULTLAB_METRICS is off.
-void record_pack_divergence_offset(std::uint64_t offset);
-
 /// Mirrors the counters into the global obs registry
-/// (dispatch.trace_hits / trace_decodes / trace_invalidations counters,
-/// the dispatch.decoded_blocks gauge, and the pack.* lane counters).
+/// (dispatch.trace_hits / trace_decodes / trace_invalidations counters
+/// and the dispatch.decoded_blocks gauge).
 /// Publishes deltas since the previous publish, so repeated calls — one
 /// per scheduler run — stay cumulative. No-op while FAULTLAB_METRICS is
 /// off.

@@ -226,6 +226,24 @@ Memory::RestoreStats Memory::restore_delta(const Snapshot& snapshot) {
   return {touched, true};
 }
 
+bool Memory::same_image(const Snapshot& snapshot) const {
+  if (pages_.size() != snapshot.pages_.size()) return false;
+  const auto same_page = [&snapshot](std::uint64_t page_num,
+                                     const PageRef& page) {
+    const auto it = snapshot.pages_.find(page_num);
+    return it != snapshot.pages_.end() &&
+           (it->second == page ||
+            std::memcmp(it->second->bytes, page->bytes, kPageSize) == 0);
+  };
+  for (const std::uint64_t page_num : dirty_) {
+    const auto it = pages_.find(page_num);
+    if (it != pages_.end() && !same_page(page_num, it->second)) return false;
+  }
+  for (const auto& [page_num, page] : pages_)
+    if (!same_page(page_num, page)) return false;
+  return true;
+}
+
 void PageShadowSet::taint(std::uint64_t addr, std::uint64_t size,
                           std::uint32_t depth) {
   if (size == 0) size = 1;

@@ -109,6 +109,11 @@ class Memory {
   /// first use, after reset(), on a base mismatch, or when
   /// delta_restore_enabled() is off (env FAULTLAB_DELTA_RESTORE=0).
   RestoreStats restore_delta(const Snapshot& snapshot);
+  /// True when the image holds exactly the snapshot's pages: the same
+  /// page numbers with the same bytes. Pages still shared with the
+  /// snapshot compare by pointer; only the others are memcmp'ed, dirty
+  /// pages first, since a page that differs is usually one of them.
+  bool same_image(const Snapshot& snapshot) const;
 
   std::size_t mapped_pages() const noexcept { return pages_.size(); }
   /// Pages diverged from the current delta base (0 when tracking is

@@ -57,6 +57,13 @@ class Runtime {
     heap_next_ = state.heap_next;
     live_allocations_ = state.live_allocations;
   }
+  /// Whether the heap allocator's bookkeeping equals `state`'s. Output is
+  /// left out: the program only ever appends to it, so it cannot steer
+  /// the rest of a run.
+  bool same_heap(const State& state) const {
+    return heap_next_ == state.heap_next &&
+           live_allocations_ == state.live_allocations;
+  }
 
   /// Bump allocation with 16-byte alignment; returns 0 when the request
   /// cannot be satisfied (mirroring malloc's null return).

@@ -160,21 +160,12 @@ void CampaignMonitor::finish() {
 
 void CampaignMonitor::begin_trial(std::size_t worker,
                                   std::size_t cell) noexcept {
-  begin_group(worker, cell, 1);
-}
-
-void CampaignMonitor::begin_group(std::size_t worker, std::size_t cell,
-                                  std::size_t group) noexcept {
   if (worker >= workers_.size() || cell >= cells_.size()) return;
   WorkerSlot& slot = workers_[worker];
   slot.started_us.store(now_us(), std::memory_order_relaxed);
   slot.flagged.store(false, std::memory_order_relaxed);
-  const auto lanes = static_cast<std::uint64_t>(std::max<std::size_t>(
-      group, 1));
-  slot.in_flight.store(lanes, std::memory_order_relaxed);
-  slot.group_size.store(lanes, std::memory_order_relaxed);
   // Release-publish the busy marker so a watchdog scan that sees the cell
-  // also sees its start time and lane count.
+  // also sees its start time.
   slot.busy_cell.store(static_cast<std::uint64_t>(cell) + 1,
                        std::memory_order_release);
 }
@@ -197,15 +188,7 @@ void CampaignMonitor::record(std::size_t worker, std::size_t cell,
   if (worker < workers_.size()) {
     WorkerSlot& slot = workers_[worker];
     slot.trials_done.fetch_add(1, std::memory_order_relaxed);
-    // Only the owning worker writes in_flight, so a plain load/store pair
-    // is race-free; the slot stays busy until the whole group is recorded.
-    const std::uint64_t left = slot.in_flight.load(std::memory_order_relaxed);
-    if (left <= 1) {
-      slot.in_flight.store(0, std::memory_order_relaxed);
-      slot.busy_cell.store(0, std::memory_order_release);
-    } else {
-      slot.in_flight.store(left - 1, std::memory_order_relaxed);
-    }
+    slot.busy_cell.store(0, std::memory_order_release);
   }
 }
 
@@ -259,8 +242,7 @@ MonitorCellStatus CampaignMonitor::cell_status_locked(
   s.watchdog_flags = c.watchdog_flags.load(std::memory_order_relaxed);
   for (const WorkerSlot& slot : workers_)
     if (slot.busy_cell.load(std::memory_order_acquire) == cell + 1)
-      s.in_flight += static_cast<std::size_t>(
-          slot.in_flight.load(std::memory_order_relaxed));
+      ++s.in_flight;
   return s;
 }
 
@@ -285,7 +267,7 @@ std::vector<MonitorWorkerStatus> CampaignMonitor::worker_status() const {
           slot.started_us.load(std::memory_order_relaxed);
       s.trial_age_ms =
           now > started ? static_cast<double>(now - started) / 1000.0 : 0.0;
-      s.in_flight = slot.in_flight.load(std::memory_order_relaxed);
+      s.in_flight = 1;
       s.flagged = slot.flagged.load(std::memory_order_relaxed);
     }
     s.trials_done = slot.trials_done.load(std::memory_order_relaxed);
@@ -352,12 +334,7 @@ void CampaignMonitor::scan_watchdog() {
     if (c.done.load(std::memory_order_relaxed) < kWatchdogMinSamples)
       continue;  // p99 not yet trustworthy
     const MonitorCellStatus cs = cell_status_locked(cell);
-    // A lane group legitimately occupies the slot for up to group_size
-    // trial latencies (diverged lanes finish sequentially), so scale the
-    // stall threshold by the group's lane count.
-    const auto group = static_cast<double>(std::max<std::uint64_t>(
-        slot.group_size.load(std::memory_order_relaxed), 1));
-    const double threshold_ms = options_.watchdog_factor * cs.p99_ms * group;
+    const double threshold_ms = options_.watchdog_factor * cs.p99_ms;
     if (threshold_ms <= 0.0) continue;
     const std::uint64_t started =
         slot.started_us.load(std::memory_order_relaxed);
@@ -469,6 +446,10 @@ std::string CampaignMonitor::status_json_locked(bool final_snapshot) const {
   append_u64(out, aux.delta_restores);
   out += ", \"snapshot_evictions\": ";
   append_u64(out, aux.snapshot_evictions);
+  out += ", \"converged_trials\": ";
+  append_u64(out, aux.converged_trials);
+  out += ", \"converged_instructions\": ";
+  append_u64(out, aux.converged_instructions);
   out += ", \"trace_decodes\": ";
   append_u64(out, aux.trace_decodes);
   out += ", \"trace_hits\": ";

@@ -149,9 +149,7 @@ struct MonitorWorkerStatus {
   std::size_t cell = 0;  ///< valid when running
   double trial_age_ms = 0.0;
   std::uint64_t trials_done = 0;
-  /// Trials of the current lane group still unrecorded (0 when idle, 1
-  /// for a plain in-flight trial).
-  std::uint64_t in_flight = 0;
+  std::uint64_t in_flight = 0;  ///< 1 while a trial runs, 0 when idle
   bool flagged = false;  ///< current trial tripped the watchdog
 };
 
@@ -188,6 +186,8 @@ struct MonitorAux {
   std::uint64_t checkpoint_restores = 0;
   std::uint64_t delta_restores = 0;
   std::uint64_t snapshot_evictions = 0;
+  std::uint64_t converged_trials = 0;
+  std::uint64_t converged_instructions = 0;
   std::uint64_t trace_decodes = 0;
   std::uint64_t trace_hits = 0;
   std::uint64_t trace_invalidations = 0;
@@ -229,17 +229,10 @@ class CampaignMonitor {
 
   // -- trial hot path (scheduler workers) ------------------------------
   /// Registers worker's in-flight trial. One clock read + one relaxed
-  /// store. Equivalent to begin_group(worker, cell, 1).
+  /// store.
   void begin_trial(std::size_t worker, std::size_t cell) noexcept;
-  /// Registers a lockstep lane group: `group` trials of `cell` now in
-  /// flight on `worker` at once. The slot stays busy until record() has
-  /// been called once per trial, and the stall watchdog scales its
-  /// threshold by the group size (a group legitimately ages up to
-  /// group × one trial's latency when lanes diverge).
-  void begin_group(std::size_t worker, std::size_t cell,
-                   std::size_t group) noexcept;
-  /// Folds a finished trial into the cell tallies; the worker's in-flight
-  /// slot clears once every trial of its group is recorded.
+  /// Folds a finished trial into the cell tallies and clears the worker's
+  /// in-flight slot.
   void record(std::size_t worker, std::size_t cell, MonitorOutcome outcome,
               double latency_ms) noexcept;
 
@@ -279,16 +272,11 @@ class CampaignMonitor {
     std::atomic<std::uint64_t> watchdog_flags{0};
   };
   struct WorkerSlot {
-    /// Cell index + 1 of the in-flight trial/group; 0 = idle. Written by
-    /// the owning worker, read by the watchdog.
+    /// Cell index + 1 of the in-flight trial; 0 = idle. Written by the
+    /// owning worker, read by the watchdog.
     std::atomic<std::uint64_t> busy_cell{0};
     std::atomic<std::uint64_t> started_us{0};
     std::atomic<std::uint64_t> trials_done{0};
-    /// Trials of the current lane group still unrecorded (1 for a plain
-    /// trial). Only the owning worker writes it.
-    std::atomic<std::uint64_t> in_flight{0};
-    /// Lane count the current group started with (watchdog scaling).
-    std::atomic<std::uint64_t> group_size{1};
     std::atomic<bool> flagged{false};
   };
 

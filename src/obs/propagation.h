@@ -98,7 +98,7 @@ inline std::uint32_t sim_pc_fingerprint(std::size_t index) noexcept {
 /// IR-level taint tracker, driven by the LLFI injection hook's ExecHook
 /// callbacks. Positions (`pos`) are absolute 1-based dynamic instruction
 /// indices aligned with the golden journal, so trials resumed from a
-/// checkpoint and lockstep lanes trace identically to from-scratch runs.
+/// checkpoint trace identically to from-scratch runs.
 class VmPropTracer {
  public:
   /// `journal` may be null (no divergence detection). Not owned.

@@ -99,19 +99,6 @@ class Interpreter::Impl {
   }
 
   RunResult run_from(const Snapshot& snapshot) {
-    const machine::Memory::RestoreStats restore = restore_from(snapshot);
-    // Snapshots already past this run's budget time out on the next
-    // instruction, matching where the non-checkpointed run would stop.
-    RunResult result = drive();
-    result.restored_pages = restore.pages;
-    result.delta_restored = restore.delta;
-    return result;
-  }
-
-  /// run_from()'s restore half: rebuilds the resident execution state from
-  /// `snapshot` without running anything. run_lockstep() restores every
-  /// lane through this before entering the shared pack loop.
-  machine::Memory::RestoreStats restore_from(const Snapshot& snapshot) {
     assert(!snapshot.frames.empty() && "snapshot of a finished run");
     const machine::Memory::RestoreStats restore =
         memory_.restore_delta(snapshot.memory);
@@ -123,29 +110,29 @@ class Interpreter::Impl {
     sp_ = snapshot.sp;
     executed_ = snapshot.executed;
     next_frame_id_ = snapshot.next_frame_id;
-    return restore;
+    // Snapshots already past this run's budget time out on the next
+    // instruction, matching where the non-checkpointed run would stop.
+    RunResult result = drive();
+    result.restored_pages = restore.pages;
+    result.delta_restored = restore.delta;
+    return result;
   }
-
-  /// Runs `count` restored, prepared lane impls to completion in lockstep.
-  /// Every lane must already stand at the exact restore point that
-  /// restore_from(snapshot) produces. results[i] receives the lane's
-  /// RunResult (restore provenance is filled in by the caller).
-  static void pack_run(Impl* const* lanes, std::size_t count,
-                       RunResult* results);
 
  private:
   RunResult drive() {
     if (limits_.snapshot_stride != 0)
       next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    return resume_finish();
-  }
-
-  /// Runs the already-positioned state to completion: drive() without the
-  /// snapshot-stride priming. Lanes masked off a pack finish through this.
-  RunResult resume_finish() {
+    golden_next_ =
+        limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
+    converged_ = nullptr;
     const ir::Function* entry_fn = frames_.front().function;
     try {
       const std::uint64_t ret = exec_loop();
+      if (converged_ != nullptr) {
+        RunResult result;
+        result.converged = converged_;
+        return finish_common(std::move(result));
+      }
       return exit_fill(entry_fn, ret);
     } catch (const TrapException& trap) {
       return trap_fill(trap);
@@ -319,9 +306,29 @@ class Interpreter::Impl {
     limits_.snapshot_sink(std::move(snap));
   }
 
-  /// Runs the frame stack to completion; returns the entry's return value.
-  /// Switch mode is the pure historical loop; threaded mode alternates
-  /// trace execution with single hooked slow steps at window boundaries.
+  /// Golden-convergence check between two instructions (see
+  /// RunLimits::golden_after); call with golden_next_ set. It applies only
+  /// once the hook is gone (dropped when it detaches for good). True when
+  /// the live state equals the golden snapshot captured at exactly this
+  /// position: the rest of the run would replay the golden suffix, so the
+  /// caller stops with converged_ set.
+  bool converges() {
+    if (hook_ != nullptr || executed_ < golden_next_->executed) return false;
+    const Snapshot& golden = *golden_next_;
+    golden_next_ = limits_.golden_after(executed_);
+    if (golden.executed != executed_ || sp_ != golden.sp ||
+        next_frame_id_ != golden.next_frame_id || frames_ != golden.frames ||
+        !runtime_.same_heap(golden.runtime) ||
+        !memory_.same_image(golden.memory))
+      return false;
+    converged_ = &golden;
+    return true;
+  }
+
+  /// Runs the frame stack to completion (or to golden convergence);
+  /// returns the entry's return value. Switch mode is the pure historical
+  /// loop; threaded mode alternates trace execution with single hooked
+  /// slow steps at window boundaries.
   std::uint64_t exec_loop() {
     std::uint64_t ret = 0;
     if (mode_ == machine::DispatchMode::Switch) {
@@ -344,9 +351,11 @@ class Interpreter::Impl {
   ///  * hook re-arm: a dormant hook re-arms on the instruction that brings
   ///    executed_ to rearm_at, which must run hooked → stop at rearm_at-1;
   ///  * snapshots: captured before the instruction that has
-  ///    executed_ >= next_snapshot_at_ → stop there.
+  ///    executed_ >= next_snapshot_at_ → stop there;
+  ///  * golden convergence: checked at the next golden snapshot's position
+  ///    once the hook is gone → stop there too.
   /// One slow step at the boundary then performs the actual throw /
-  /// re-arm / capture with unchanged semantics.
+  /// re-arm / capture / compare with unchanged semantics.
   bool fast_eligible(std::uint64_t* stop) {
     if (hook_ != nullptr) {
       if (!hook_->detached()) return false;
@@ -359,13 +368,17 @@ class Interpreter::Impl {
     }
     if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
       *stop = std::min(*stop, next_snapshot_at_);
+    if (hook_ == nullptr && golden_next_ != nullptr)
+      *stop = std::min(*stop, golden_next_->executed);
     return executed_ < *stop;
   }
 
   /// One iteration of the hooked slow path. Returns true when the entry
-  /// frame returned, with the raw return value in *ret.
+  /// frame returned, with the raw return value in *ret, or when the run
+  /// converged on the golden state (converged_ set).
   bool slow_step(std::uint64_t* ret) {
     maybe_snapshot();
+    if (golden_next_ != nullptr && converges()) return true;
     Frame& frame = frames_.back();
     const ir::Instruction& instr = *frame.block->instr(frame.index);
     bump_instruction_count();
@@ -881,8 +894,8 @@ class Interpreter::Impl {
         const GepTerm* term = tb->gep_terms.data() + u->pool;
         for (std::uint16_t k = 0; k < u->n; ++k, ++term)
           addr += static_cast<std::uint64_t>(
-              sign_extend(slot(*frame, term->slot), term->bits) *
-              term->scale);
+                      sign_extend(slot(*frame, term->slot), term->bits)) *
+                  term->scale;
         frame->regs[u->dst] = addr & u->mask;
         ++ip;
         VM_NEXT();
@@ -1030,791 +1043,6 @@ class Interpreter::Impl {
       if (!frames_.empty()) frames_.back().index = ip;
       throw;
     }
-  }
-
-  // -- lockstep lane pack ------------------------------------------------
-  //
-  // All active lanes of a pack share one structural position — call-frame
-  // depth, current block, instruction index, and phi predecessor — and one
-  // executed-instruction count: they were restored from the same snapshot
-  // and step together. Frame layout, the stack pointer, and call structure
-  // are pure control state, so they stay identical across lanes until a
-  // fault actually changes a branch decision; only register and memory
-  // *values* differ. The pack fast loop fetches each micro-op once from
-  // the leader's trace cache and applies its body to every lane; armed
-  // windows take pack_slow_step (each lane's own hooked slow_step, with
-  // full callback semantics), and any lane whose control flow leaves the
-  // leader's path is masked off and finishes alone on the historical
-  // single-lane path.
-
-  /// Drops lanes flagged in `dead` from the active set.
-  static void pack_compact(std::vector<Impl*>& act,
-                           std::vector<std::size_t>& slots, const char* dead) {
-    std::size_t out = 0;
-    for (std::size_t j = 0; j < act.size(); ++j) {
-      if (dead[j]) continue;
-      act[out] = act[j];
-      slots[out] = slots[j];
-      ++out;
-    }
-    act.resize(out);
-    slots.resize(out);
-  }
-
-  /// Structural-position equality: the lockstep invariant. prev_block is
-  /// part of the tuple because phi evaluation reads through it.
-  static bool pack_same_pos(const Impl& a, const Impl& b) {
-    if (a.frames_.size() != b.frames_.size()) return false;
-    const Frame& fa = a.frames_.back();
-    const Frame& fb = b.frames_.back();
-    return fa.block == fb.block && fa.index == fb.index &&
-           fa.prev_block == fb.prev_block;
-  }
-
-  /// Masks off every running lane whose position differs from the leader's
-  /// and finishes it solo. `base` is the shared snapshot's executed count
-  /// (for the divergence-offset histogram).
-  static void pack_resolve(std::vector<Impl*>& act,
-                           std::vector<std::size_t>& slots, RunResult* results,
-                           std::uint64_t base) {
-    if (act.size() <= 1) return;
-    char dead[machine::kMaxLanes] = {};
-    std::uint64_t masked = 0;
-    for (std::size_t j = 1; j < act.size(); ++j) {
-      Impl& m = *act[j];
-      if (pack_same_pos(*act[0], m)) continue;
-      machine::record_pack_divergence_offset(m.executed_ - base);
-      results[slots[j]] = m.resume_finish();
-      dead[j] = 1;
-      ++masked;
-    }
-    if (masked == 0) return;
-    machine::pack_counters().divergences.fetch_add(masked,
-                                                   std::memory_order_relaxed);
-    pack_compact(act, slots, dead);
-  }
-
-  /// fast_eligible across the pack: every lane's hook must be gone or
-  /// dormant, and the nearest re-arm point clamps the shared stop.
-  static bool pack_fast_eligible(std::vector<Impl*>& act,
-                                 std::uint64_t* stop) {
-    for (Impl* m : act) {
-      if (m->hook_ == nullptr) continue;
-      if (!m->hook_->detached()) return false;
-      const std::uint64_t at = m->hook_->rearm_at();
-      if (at == 0)
-        m->hook_ = nullptr;  // finally detached: same nulling as slow loop
-      else
-        *stop = std::min(*stop, at - 1);
-    }
-    // pack_run never engages with a snapshot sink armed, so the
-    // next_snapshot_at_ clamp from the single-lane path is moot here.
-    return act[0]->executed_ < *stop;
-  }
-
-  /// One hooked slow step per active lane (boundary instructions: re-arm
-  /// points, injection windows, timeouts), then a divergence check.
-  static void pack_slow_step(std::vector<Impl*>& act,
-                             std::vector<std::size_t>& slots,
-                             RunResult* results, std::uint64_t base) {
-    char dead[machine::kMaxLanes] = {};
-    bool any_dead = false;
-    for (std::size_t j = 0; j < act.size(); ++j) {
-      Impl& m = *act[j];
-      const ir::Function* entry_fn = m.frames_.front().function;
-      std::uint64_t raw = 0;
-      try {
-        if (m.slow_step(&raw)) {
-          results[slots[j]] = m.exit_fill(entry_fn, raw);
-          dead[j] = 1;
-          any_dead = true;
-        }
-      } catch (const TrapException& trap) {
-        results[slots[j]] = m.trap_fill(trap);
-        dead[j] = 1;
-        any_dead = true;
-      } catch (const machine::TimeoutException&) {
-        results[slots[j]] = m.timeout_fill();
-        dead[j] = 1;
-        any_dead = true;
-      }
-    }
-    if (any_dead) pack_compact(act, slots, dead);
-    pack_resolve(act, slots, results, base);
-  }
-
-  /// The pack fast loop: one fetch + dispatch per micro-op drives every
-  /// active lane's body. Trace position (function, block, ip) is shared
-  /// and resolved against the leader's cache; per-lane state is each
-  /// lane's own frame stack, registers, and memory. The shared `executed`
-  /// count mirrors each lane's executed_ (written back at every exit).
-  /// Returns false on a side exit that needs one slow step (stop boundary,
-  /// untraceable block), true when the active set changed (trap, exit, or
-  /// control divergence) so the driver re-evaluates eligibility.
-  static bool pack_fast_run(std::vector<Impl*>& act,
-                            std::vector<std::size_t>& slots,
-                            RunResult* results, std::uint64_t stop,
-                            std::uint64_t base) {
-    Impl& lead = *act[0];
-    machine::DispatchCounters& dc = machine::dispatch_counters();
-    TraceFunction* tf = &lead.cache_.function(*lead.frames_.back().function);
-    TraceBlock* tb = lead.cache_.block(*tf, lead.frames_.back().block);
-    std::size_t ip = lead.frames_.back().index;
-    if (tb == nullptr || ip >= tb->uops.size()) {
-      dc.trace_invalidations.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    dc.trace_hits.fetch_add(1, std::memory_order_relaxed);
-    // Local trace shadow: the (function, block) trace pointers for every
-    // frame entered during this pack run. Structure is lockstep, so one
-    // stack serves all lanes.
-    std::vector<std::pair<TraceFunction*, TraceBlock*>> shadow;
-    shadow.push_back({tf, tb});
-    const std::size_t nact = act.size();
-    // Per-lane top-of-stack frame pointers, refreshed whenever a call or
-    // return changes the stack (push_frame_fast may reallocate frames_).
-    Frame* fr[machine::kMaxLanes];
-    for (std::size_t j = 0; j != nact; ++j) fr[j] = &act[j]->frames_.back();
-    std::uint64_t executed = lead.executed_;
-    std::uint64_t dispatched = 0;
-    const VUOp* u = nullptr;
-    std::size_t li = 0;
-    const auto sync = [&](std::size_t j) {
-      act[j]->executed_ = executed;
-      fr[j]->index = ip;
-    };
-    const auto flush = [&]() {
-      machine::PackCounters& pc = machine::pack_counters();
-      pc.uops.fetch_add(dispatched, std::memory_order_relaxed);
-      pc.lane_uops.fetch_add(dispatched * nact, std::memory_order_relaxed);
-    };
-    const auto side_exit = [&]() {
-      for (std::size_t j = 0; j != nact; ++j) sync(j);
-      dc.trace_invalidations.fetch_add(1, std::memory_order_relaxed);
-      flush();
-    };
-
-// Plain (non-control) micro-op: the single-lane fast body with every
-// state access routed through lane `m` / its top frame, applied to each
-// active lane in turn.
-#define VM_PACK_CASE(name, ...)      \
-  case VOp::name: {                  \
-    for (li = 0; li != nact; ++li) { \
-      Impl& m = *act[li];            \
-      Frame* frame = fr[li];         \
-      (void)m;                       \
-      (void)frame;                   \
-      __VA_ARGS__                    \
-    }                                \
-    ++ip;                            \
-    break;                           \
-  }
-
-    try {
-      for (;;) {
-        if (executed >= stop) {
-          side_exit();
-          return false;
-        }
-        u = &tb->uops[ip];
-        ++executed;
-        ++dispatched;
-        switch (u->op) {
-          VM_PACK_CASE(Add, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) +
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(Sub, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) -
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(Mul, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) *
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(SDiv, {
-            const std::uint64_t mm = u->imm;
-            const std::int64_t sa =
-                sign_extend(slot(*frame, u->a) & mm, u->bits);
-            const std::int64_t sb =
-                sign_extend(slot(*frame, u->b) & mm, u->bits);
-            if (sb == 0) trap(TrapKind::DivideByZero, 0);
-            if (sb == -1 && sa == int_min_of(u->bits))
-              trap(TrapKind::DivideByZero, 0, "division overflow");  // #DE
-            frame->regs[u->dst] =
-                static_cast<std::uint64_t>(sa / sb) & u->mask;
-          })
-          VM_PACK_CASE(UDiv, {
-            const std::uint64_t mm = u->imm;
-            const std::uint64_t a = slot(*frame, u->a) & mm;
-            const std::uint64_t b = slot(*frame, u->b) & mm;
-            if (b == 0) trap(TrapKind::DivideByZero, 0);
-            frame->regs[u->dst] = (a / b) & u->mask;
-          })
-          VM_PACK_CASE(SRem, {
-            const std::uint64_t mm = u->imm;
-            const std::int64_t sa =
-                sign_extend(slot(*frame, u->a) & mm, u->bits);
-            const std::int64_t sb =
-                sign_extend(slot(*frame, u->b) & mm, u->bits);
-            if (sb == 0) trap(TrapKind::DivideByZero, 0);
-            if (sb == -1 && sa == int_min_of(u->bits))
-              trap(TrapKind::DivideByZero, 0, "division overflow");  // #DE
-            frame->regs[u->dst] =
-                static_cast<std::uint64_t>(sa % sb) & u->mask;
-          })
-          VM_PACK_CASE(URem, {
-            const std::uint64_t mm = u->imm;
-            const std::uint64_t a = slot(*frame, u->a) & mm;
-            const std::uint64_t b = slot(*frame, u->b) & mm;
-            if (b == 0) trap(TrapKind::DivideByZero, 0);
-            frame->regs[u->dst] = (a % b) & u->mask;
-          })
-          VM_PACK_CASE(And, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) &
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(Or, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) |
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(Xor, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] = ((slot(*frame, u->a) & mm) ^
-                                   (slot(*frame, u->b) & mm)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(Shl, {
-            const std::uint64_t mm = u->imm;
-            const std::uint64_t a = slot(*frame, u->a) & mm;
-            const unsigned amount =
-                shift_amount(slot(*frame, u->b) & mm, u->bits);
-            frame->regs[u->dst] = (a << amount) & u->mask;
-          })
-          VM_PACK_CASE(LShr, {
-            const std::uint64_t mm = u->imm;
-            const std::uint64_t a = slot(*frame, u->a) & mm;
-            const unsigned amount =
-                shift_amount(slot(*frame, u->b) & mm, u->bits);
-            frame->regs[u->dst] = (a >> amount) & u->mask;
-          })
-          VM_PACK_CASE(AShr, {
-            const std::uint64_t mm = u->imm;
-            const std::int64_t sa =
-                sign_extend(slot(*frame, u->a) & mm, u->bits);
-            const unsigned amount =
-                shift_amount(slot(*frame, u->b) & mm, u->bits);
-            frame->regs[u->dst] =
-                static_cast<std::uint64_t>(sa >> amount) & u->mask;
-          })
-          VM_PACK_CASE(FAdd, {
-            frame->regs[u->dst] = bits_of(double_of(slot(*frame, u->a)) +
-                                          double_of(slot(*frame, u->b))) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FSub, {
-            frame->regs[u->dst] = bits_of(double_of(slot(*frame, u->a)) -
-                                          double_of(slot(*frame, u->b))) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FMul, {
-            frame->regs[u->dst] = bits_of(double_of(slot(*frame, u->a)) *
-                                          double_of(slot(*frame, u->b))) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FDiv, {
-            // IEEE: inf/NaN, no trap.
-            frame->regs[u->dst] = bits_of(double_of(slot(*frame, u->a)) /
-                                          double_of(slot(*frame, u->b))) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(IcmpEq, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) == (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpNe, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) != (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpSlt, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                (sign_extend(slot(*frame, u->a) & mm, u->bits) <
-                         sign_extend(slot(*frame, u->b) & mm, u->bits)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpSle, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                (sign_extend(slot(*frame, u->a) & mm, u->bits) <=
-                         sign_extend(slot(*frame, u->b) & mm, u->bits)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpSgt, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                (sign_extend(slot(*frame, u->a) & mm, u->bits) >
-                         sign_extend(slot(*frame, u->b) & mm, u->bits)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpSge, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                (sign_extend(slot(*frame, u->a) & mm, u->bits) >=
-                         sign_extend(slot(*frame, u->b) & mm, u->bits)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpUlt, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) < (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpUle, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) <= (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpUgt, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) > (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(IcmpUge, {
-            const std::uint64_t mm = u->imm;
-            frame->regs[u->dst] =
-                ((slot(*frame, u->a) & mm) >= (slot(*frame, u->b) & mm)
-                     ? 1
-                     : 0) &
-                u->mask;
-          })
-          VM_PACK_CASE(FcmpOeq, {
-            frame->regs[u->dst] = (double_of(slot(*frame, u->a)) ==
-                                           double_of(slot(*frame, u->b))
-                                       ? 1
-                                       : 0) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FcmpOne, {
-            const double a = double_of(slot(*frame, u->a));
-            const double b = double_of(slot(*frame, u->b));
-            frame->regs[u->dst] = ((a < b || a > b) ? 1 : 0) & u->mask;
-          })
-          VM_PACK_CASE(FcmpOlt, {
-            frame->regs[u->dst] = (double_of(slot(*frame, u->a)) <
-                                           double_of(slot(*frame, u->b))
-                                       ? 1
-                                       : 0) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FcmpOle, {
-            frame->regs[u->dst] = (double_of(slot(*frame, u->a)) <=
-                                           double_of(slot(*frame, u->b))
-                                       ? 1
-                                       : 0) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FcmpOgt, {
-            frame->regs[u->dst] = (double_of(slot(*frame, u->a)) >
-                                           double_of(slot(*frame, u->b))
-                                       ? 1
-                                       : 0) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FcmpOge, {
-            frame->regs[u->dst] = (double_of(slot(*frame, u->a)) >=
-                                           double_of(slot(*frame, u->b))
-                                       ? 1
-                                       : 0) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(MaskCast, {
-            frame->regs[u->dst] = slot(*frame, u->a) & u->mask;
-          })
-          VM_PACK_CASE(SExt, {
-            frame->regs[u->dst] = static_cast<std::uint64_t>(sign_extend(
-                                      slot(*frame, u->a), u->bits)) &
-                                  u->mask;
-          })
-          VM_PACK_CASE(FpToSi, {
-            const double d = double_of(slot(*frame, u->a));
-            std::int64_t out;
-            // cvttsd2si semantics: out-of-range / NaN -> "integer
-            // indefinite".
-            if (std::isnan(d) || d >= 9.2233720368547758e18 ||
-                d < -9.2233720368547758e18) {
-              out = std::numeric_limits<std::int64_t>::min();
-            } else {
-              out = static_cast<std::int64_t>(d);
-            }
-            frame->regs[u->dst] = static_cast<std::uint64_t>(out) & u->mask;
-          })
-          VM_PACK_CASE(SiToFp, {
-            frame->regs[u->dst] =
-                bits_of(static_cast<double>(
-                    sign_extend(slot(*frame, u->a), u->bits))) &
-                u->mask;
-          })
-          VM_PACK_CASE(Select, {
-            // Both arms are read (data dependences, not control) —
-            // matching the slow path, though reads have no side effects
-            // unhooked.
-            const std::uint64_t cond = slot(*frame, u->a) & 1;
-            const std::uint64_t tv = slot(*frame, u->b);
-            const std::uint64_t fv = slot(*frame, u->c);
-            frame->regs[u->dst] = (cond ? tv : fv) & u->mask;
-          })
-          VM_PACK_CASE(Alloca, {
-            // Address pre-assigned at frame setup; re-mask like set_result.
-            frame->regs[u->dst] &= u->mask;
-          })
-          VM_PACK_CASE(Load, {
-            frame->regs[u->dst] =
-                m.memory_.read(slot(*frame, u->a), u->size) & u->mask;
-          })
-          VM_PACK_CASE(Store, {
-            const std::uint64_t value = slot(*frame, u->a);
-            m.memory_.write(slot(*frame, u->b), u->size, value & u->mask);
-          })
-          VM_PACK_CASE(Gep, {
-            std::uint64_t addr = slot(*frame, u->a) + u->imm;
-            const GepTerm* term = tb->gep_terms.data() + u->pool;
-            for (std::uint16_t k = 0; k < u->n; ++k, ++term)
-              addr += static_cast<std::uint64_t>(
-                  sign_extend(slot(*frame, term->slot), term->bits) *
-                  term->scale);
-            frame->regs[u->dst] = addr & u->mask;
-          })
-
-          case VOp::PhiGroup: {
-            // The interior bumps (one per phi after the first) are shared
-            // state, so a timeout lands on every lane at the same phi,
-            // before any write — exactly like the single-lane
-            // read-then-write group, whose one-by-one increments leave the
-            // count at max_instructions + 1 when the throw fires.
-            const std::uint64_t max = lead.limits_.max_instructions;
-            if (u->n > 1 && executed + (u->n - 1) > max) {
-              executed = max + 1;
-              flush();
-              for (std::size_t j = 0; j != nact; ++j) {
-                sync(j);
-                results[slots[j]] = act[j]->timeout_fill();
-              }
-              act.clear();
-              slots.clear();
-              return true;
-            }
-            executed += u->n > 1 ? u->n - 1 : 0;
-            const PhiEntry* entries = tb->phi_entries.data() + u->pool;
-            for (li = 0; li != nact; ++li) {
-              Impl& m = *act[li];
-              Frame* frame = fr[li];
-              m.phi_scratch_.clear();
-              for (std::uint16_t k = 0; k < u->n; ++k) {
-                const PhiEntry& e = entries[k];
-                const PhiEdge* edge = tb->phi_edges.data() + e.edges_at;
-                std::uint64_t v = 0;
-                bool found = false;
-                for (std::uint32_t j = 0; j < e.edges_n; ++j, ++edge) {
-                  if (edge->pred == frame->prev_block) {
-                    v = slot(*frame, edge->slot);
-                    found = true;
-                    break;
-                  }
-                }
-                assert(found && "phi has no edge for predecessor");
-                (void)found;
-                m.phi_scratch_.push_back(v);
-              }
-              for (std::uint16_t k = 0; k < u->n; ++k)
-                frame->regs[entries[k].dst] =
-                    m.phi_scratch_[k] & entries[k].mask;
-            }
-            ip += u->n;
-            break;
-          }
-          case VOp::Pad: {
-            // Unreachable by construction (PhiGroup jumps past its pads);
-            // defensively hand the state to the slow path. The bump this
-            // dispatch did must be undone: the op executed nothing.
-            --executed;
-            --dispatched;
-            side_exit();
-            return false;
-          }
-          case VOp::Br: {
-            for (std::size_t j = 0; j != nact; ++j) {
-              Frame* frame = fr[j];
-              frame->prev_block = frame->block;
-              frame->block = u->bb0;
-            }
-            ip = 0;
-            TraceBlock* nt = u->tb0;
-            if (nt->state != TraceBlock::State::Ready) {
-              nt = lead.cache_.block(*tf, u->bb0);
-              if (nt == nullptr) {
-                side_exit();
-                return false;
-              }
-            }
-            tb = nt;
-            shadow.back().second = tb;
-            break;
-          }
-          case VOp::BrCond: {
-            const std::uint64_t cond0 = slot(*fr[0], u->a) & 1;
-            bool mixed = false;
-            for (std::size_t j = 1; j != nact; ++j)
-              if ((slot(*fr[j], u->a) & 1) != cond0) {
-                mixed = true;
-                break;
-              }
-            if (!mixed) {
-              const ir::BasicBlock* bb = cond0 ? u->bb0 : u->bb1;
-              TraceBlock* nt = cond0 ? u->tb0 : u->tb1;
-              for (std::size_t j = 0; j != nact; ++j) {
-                Frame* frame = fr[j];
-                frame->prev_block = frame->block;
-                frame->block = bb;
-              }
-              ip = 0;
-              if (nt->state != TraceBlock::State::Ready) {
-                nt = lead.cache_.block(*tf, bb);
-                if (nt == nullptr) {
-                  side_exit();
-                  return false;
-                }
-              }
-              tb = nt;
-              shadow.back().second = tb;
-              break;
-            }
-            // Control divergence: park every lane at its own successor and
-            // let the driver re-form the pack around the leader.
-            flush();
-            for (std::size_t j = 0; j != nact; ++j) {
-              Frame* frame = fr[j];
-              const std::uint64_t cond = slot(*frame, u->a) & 1;
-              frame->prev_block = frame->block;
-              frame->block = cond ? u->bb0 : u->bb1;
-              frame->index = 0;
-              act[j]->executed_ = executed;
-            }
-            pack_resolve(act, slots, results, base);
-            return true;
-          }
-          case VOp::Ret: {
-            if (lead.frames_.size() == 1) {
-              // Shared depth: every lane's entry frame returns here.
-              flush();
-              for (std::size_t j = 0; j != nact; ++j) {
-                Impl& m = *act[j];
-                Frame& frame = *fr[j];
-                const std::uint64_t raw =
-                    u->n != 0 ? slot(frame, u->a) : 0;
-                const ir::Function* entry_fn = frame.function;
-                m.sp_ = frame.saved_sp;
-                m.frames_.pop_back();
-                m.executed_ = executed;
-                results[slots[j]] = m.exit_fill(entry_fn, raw);
-              }
-              act.clear();
-              slots.clear();
-              return true;
-            }
-            for (std::size_t j = 0; j != nact; ++j) {
-              Impl& m = *act[j];
-              Frame& frame = *fr[j];
-              const std::uint64_t raw = u->n != 0 ? slot(frame, u->a) : 0;
-              m.sp_ = frame.saved_sp;
-              const ir::Instruction* site = frame.call_site;
-              m.frames_.pop_back();
-              Frame& caller = m.frames_.back();
-              if (site->has_result())
-                caller.regs[site->id()] = raw & type_mask(site->type());
-              ++caller.index;
-              fr[j] = &caller;
-            }
-            shadow.pop_back();
-            ip = fr[0]->index;
-            if (shadow.empty()) {
-              // Returned past the pack-entry frame: re-resolve the
-              // caller's trace (it was entered before this pack run
-              // began).
-              tf = &lead.cache_.function(*fr[0]->function);
-              TraceBlock* nt = lead.cache_.block(*tf, fr[0]->block);
-              if (nt == nullptr || ip >= nt->uops.size()) {
-                side_exit();
-                return false;
-              }
-              tb = nt;
-              shadow.push_back({tf, tb});
-            } else {
-              tf = shadow.back().first;
-              tb = shadow.back().second;
-            }
-            break;
-          }
-          case VOp::Call: {
-            // The caller resumes via ++index at Ret.
-            for (std::size_t j = 0; j != nact; ++j) fr[j]->index = ip;
-            // Stack-overflow traps in push_frame_fast are structural (sp_
-            // and depth evolve in lockstep), so they hit every lane
-            // together; the per-lane guard keeps masking exact regardless.
-            char dead[machine::kMaxLanes] = {};
-            bool any_dead = false;
-            const VSlot* arg_slots = tb->call_args.data() + u->pool;
-            for (std::size_t j = 0; j != nact; ++j) {
-              Impl& m = *act[j];
-              try {
-                std::vector<std::uint64_t> args;
-                args.reserve(u->n);
-                for (std::uint16_t k = 0; k < u->n; ++k)
-                  args.push_back(slot(*fr[j], arg_slots[k]));
-                m.push_frame_fast(*u->callee_tf, std::move(args),
-                                  static_cast<const ir::CallInst*>(u->instr));
-              } catch (const TrapException& trap) {
-                m.executed_ = executed;
-                results[slots[j]] = m.trap_fill(trap);
-                dead[j] = 1;
-                any_dead = true;
-              }
-            }
-            if (any_dead) {
-              flush();
-              for (std::size_t j = 0; j != nact; ++j)
-                if (!dead[j]) {
-                  act[j]->executed_ = executed;
-                  fr[j] = &act[j]->frames_.back();
-                }
-              pack_compact(act, slots, dead);
-              return true;
-            }
-            for (std::size_t j = 0; j != nact; ++j)
-              fr[j] = &act[j]->frames_.back();
-            tf = u->callee_tf;
-            TraceBlock* nt = lead.cache_.block(*tf, tf->fn->entry());
-            ip = 0;
-            if (nt == nullptr) {
-              side_exit();
-              return false;
-            }
-            tb = nt;
-            shadow.push_back({tf, tb});
-            break;
-          }
-          case VOp::CallBuiltin: {
-            char dead[machine::kMaxLanes] = {};
-            bool any_dead = false;
-            const VSlot* arg_slots = tb->call_args.data() + u->pool;
-            for (std::size_t j = 0; j != nact; ++j) {
-              Impl& m = *act[j];
-              try {
-                m.builtin_args_.clear();
-                for (std::uint16_t k = 0; k < u->n; ++k)
-                  m.builtin_args_.push_back(slot(*fr[j], arg_slots[k]));
-                const std::uint64_t raw = m.runtime_.call_builtin(
-                    u->callee->name(), m.builtin_args_);
-                if (u->instr->has_result())
-                  fr[j]->regs[u->dst] = raw & u->mask;
-              } catch (const TrapException& trap) {
-                m.executed_ = executed;
-                fr[j]->index = ip;
-                results[slots[j]] = m.trap_fill(trap);
-                dead[j] = 1;
-                any_dead = true;
-              }
-            }
-            if (!any_dead) {
-              ++ip;
-              break;
-            }
-            flush();
-            for (std::size_t j = 0; j != nact; ++j)
-              if (!dead[j]) {
-                act[j]->executed_ = executed;
-                fr[j]->index = ip + 1;
-              }
-            pack_compact(act, slots, dead);
-            return true;
-          }
-        }
-      }
-    } catch (const TrapException& trap) {
-      // A plain op trapped in lane `li` at `ip`: lanes before it completed
-      // the op (they stand at ip + 1), lanes after it have not run it yet
-      // and replay it through their own slow step — identical semantics,
-      // pinned by the DispatchEquiv fixtures.
-      flush();
-      char dead[machine::kMaxLanes] = {};
-      {
-        Impl& m = *act[li];
-        m.executed_ = executed;
-        m.frames_.back().index = ip;
-        results[slots[li]] = m.trap_fill(trap);
-        dead[li] = 1;
-      }
-      for (std::size_t j = 0; j != li; ++j) {
-        act[j]->executed_ = executed;
-        act[j]->frames_.back().index = ip + 1;
-      }
-      for (std::size_t j = li + 1; j != nact; ++j) {
-        Impl& m = *act[j];
-        m.executed_ = executed - 1;
-        m.frames_.back().index = ip;
-        const ir::Function* entry_fn = m.frames_.front().function;
-        std::uint64_t raw = 0;
-        try {
-          if (m.slow_step(&raw)) {
-            results[slots[j]] = m.exit_fill(entry_fn, raw);
-            dead[j] = 1;
-          }
-        } catch (const TrapException& again) {
-          results[slots[j]] = m.trap_fill(again);
-          dead[j] = 1;
-        } catch (const machine::TimeoutException&) {
-          results[slots[j]] = m.timeout_fill();
-          dead[j] = 1;
-        }
-      }
-      pack_compact(act, slots, dead);
-      return true;
-    }
-#undef VM_PACK_CASE
   }
 
   void set_result(Frame& frame, const ir::Instruction& instr,
@@ -2015,13 +1243,13 @@ class Interpreter::Impl {
       const std::uint64_t raw = read_operand(frame, instr, gep.index(i));
       const std::int64_t idx =
           sign_extend(raw, gep.index(i)->type()->register_bits());
+      // Scaled offsets multiply in uint64_t: a faulted index can overflow
+      // int64_t, and two's-complement wrap gives the same address bits.
       if (i == 0) {
-        addr += static_cast<std::uint64_t>(
-            idx * static_cast<std::int64_t>(current->size_in_bytes()));
+        addr += static_cast<std::uint64_t>(idx) * current->size_in_bytes();
       } else if (current->is_array()) {
         current = current->array_element();
-        addr += static_cast<std::uint64_t>(
-            idx * static_cast<std::int64_t>(current->size_in_bytes()));
+        addr += static_cast<std::uint64_t>(idx) * current->size_in_bytes();
       } else {  // struct: verifier guarantees constant index
         addr += current->struct_field_offset(static_cast<std::size_t>(idx));
         current = current->struct_fields()[static_cast<std::size_t>(idx)];
@@ -2046,6 +1274,8 @@ class Interpreter::Impl {
   std::uint64_t executed_ = 0;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t next_snapshot_at_ = 0;
+  const Snapshot* golden_next_ = nullptr;  // next convergence candidate
+  const Snapshot* converged_ = nullptr;    // set when converges() matched
   machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
   TraceCache cache_;
   /// Fast-path call-stack mirror: (function, block) trace pointers for
@@ -2054,27 +1284,6 @@ class Interpreter::Impl {
   std::vector<std::uint64_t> phi_scratch_;
   std::vector<std::uint64_t> builtin_args_;
 };
-
-void Interpreter::Impl::pack_run(Impl* const* lanes, std::size_t count,
-                                 RunResult* results) {
-  machine::PackCounters& pc = machine::pack_counters();
-  pc.groups.fetch_add(1, std::memory_order_relaxed);
-  pc.lanes.fetch_add(count, std::memory_order_relaxed);
-  std::vector<Impl*> act(lanes, lanes + count);
-  std::vector<std::size_t> slots(count);
-  for (std::size_t i = 0; i < count; ++i) slots[i] = i;
-  const std::uint64_t base = act[0]->executed_;
-  while (act.size() > 1) {
-    std::uint64_t stop = act[0]->limits_.max_instructions;
-    if (pack_fast_eligible(act, &stop) &&
-        pack_fast_run(act, slots, results, stop, base))
-      continue;
-    if (act.size() > 1) pack_slow_step(act, slots, results, base);
-  }
-  // The last lane left (if any) no longer shares work with anyone; finish
-  // it on the plain single-lane path.
-  if (!act.empty()) results[slots[0]] = act[0]->resume_finish();
-}
 
 Interpreter::Interpreter(const ir::Module& module, ExecHook* hook)
     : module_(module), hook_(hook), layout_(module) {}
@@ -2098,38 +1307,6 @@ RunResult Interpreter::run_from(const Snapshot& snapshot,
   // golden schedule); the histogram tracks work actually done here.
   record_run_instructions(r.dynamic_instructions - snapshot.executed);
   return r;
-}
-
-void Interpreter::run_lockstep(Interpreter* const* lanes, std::size_t count,
-                               const Snapshot& snapshot,
-                               const RunLimits& limits, RunResult* results) {
-  bool packable = count > 1 && count <= machine::kMaxLanes &&
-                  machine::dispatch_mode() == machine::DispatchMode::Threaded &&
-                  limits.snapshot_stride == 0;
-  for (std::size_t i = 1; packable && i < count; ++i)
-    if (&lanes[i]->module_ != &lanes[0]->module_) packable = false;
-  if (!packable) {
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = lanes[i]->run_from(snapshot, limits);
-    return;
-  }
-  Impl* impls[machine::kMaxLanes];
-  machine::Memory::RestoreStats restores[machine::kMaxLanes];
-  for (std::size_t i = 0; i < count; ++i) {
-    Interpreter& lane = *lanes[i];
-    if (lane.impl_ == nullptr)
-      lane.impl_ = std::make_unique<Impl>(lane.module_, lane.layout_);
-    lane.impl_->prepare(lane.hook_, limits);
-    restores[i] = lane.impl_->restore_from(snapshot);
-    impls[i] = lane.impl_.get();
-  }
-  Impl::pack_run(impls, count, results);
-  for (std::size_t i = 0; i < count; ++i) {
-    results[i].restored_pages = restores[i].pages;
-    results[i].delta_restored = restores[i].delta;
-    record_run_instructions(results[i].dynamic_instructions -
-                            snapshot.executed);
-  }
 }
 
 }  // namespace faultlab::vm

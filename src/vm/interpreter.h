@@ -127,6 +127,7 @@ struct Snapshot {
     std::size_t index = 0;          // next instruction within block
     std::uint64_t saved_sp = 0;     // caller's stack pointer
     const ir::Instruction* call_site = nullptr;  // caller instr receiving ret
+    bool operator==(const Frame&) const = default;
   };
 
   std::vector<Frame> frames;  // bottom (entry) first
@@ -147,6 +148,15 @@ struct RunLimits {
   /// instructions and hand it to `snapshot_sink`.
   std::uint64_t snapshot_stride = 0;
   std::function<void(Snapshot&&)> snapshot_sink;
+  /// Golden-convergence early exit. When set, returns the golden run's
+  /// snapshot captured at the first position strictly after `executed`
+  /// (nullptr when none is left). Once the hook has detached for good, the
+  /// run compares its live state with that snapshot on reaching its
+  /// position — frames, sp, next_frame_id, the runtime heap and the memory
+  /// image; output is write-only and excluded — and on a match stops
+  /// with RunResult::converged set: the rest would replay the golden
+  /// suffix instruction for instruction.
+  std::function<const Snapshot*(std::uint64_t executed)> golden_after;
 };
 
 struct RunResult {
@@ -168,6 +178,11 @@ struct RunResult {
   /// for run()).
   std::uint64_t restored_pages = 0;
   bool delta_restored = false;
+  /// The golden snapshot the run converged on (RunLimits::golden_after),
+  /// or nullptr when it ran to its end. A converged result stops there:
+  /// `dynamic_instructions` is the snapshot's position and `output` the
+  /// output so far; the caller completes both from the golden run.
+  const Snapshot* converged = nullptr;
 
   bool completed() const noexcept { return !trapped && !timed_out; }
 };
@@ -205,20 +220,6 @@ class Interpreter {
   /// O(pages the previous trial touched) path, and frame/register vectors
   /// reuse their allocations instead of being rebuilt per trial.
   RunResult run_from(const Snapshot& snapshot, const RunLimits& limits = {});
-
-  /// Resumes `count` interpreters (lanes) from the same snapshot and runs
-  /// them to completion in lockstep: one decoded micro-op fetch drives
-  /// every active lane, and a lane whose fault diverges control flow
-  /// (branch target, call depth, trap, or exit differs from the pack
-  /// leader) masks off and finishes on the existing single-lane path.
-  /// results[i] is byte-identical to what `lanes[i]->run_from(snapshot,
-  /// limits)` would produce — the pack only amortizes fetch/dispatch,
-  /// never semantics. Falls back to sequential run_from calls when packing
-  /// cannot apply (one lane, switch dispatch mode, a snapshot sink armed,
-  /// mismatched modules, or more than machine::kMaxLanes lanes).
-  static void run_lockstep(Interpreter* const* lanes, std::size_t count,
-                           const Snapshot& snapshot, const RunLimits& limits,
-                           RunResult* results);
 
  private:
   class Impl;

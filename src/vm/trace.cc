@@ -287,13 +287,13 @@ void TraceCache::decode(TraceFunction& tf, TraceBlock& tb) {
         for (unsigned k = 0; k < gep.num_indices() && ok; ++k) {
           const ir::Value* iv = gep.index(k);
           const unsigned ibits = iv->type()->register_bits();
-          std::int64_t scale = 0;
+          std::uint64_t scale = 0;
           bool is_struct_hop = false;
           if (k == 0) {
-            scale = static_cast<std::int64_t>(current->size_in_bytes());
+            scale = current->size_in_bytes();
           } else if (current->is_array()) {
             current = current->array_element();
-            scale = static_cast<std::int64_t>(current->size_in_bytes());
+            scale = current->size_in_bytes();
           } else if (current->is_struct()) {
             is_struct_hop = true;
           } else {
@@ -314,7 +314,7 @@ void TraceCache::decode(TraceFunction& tf, TraceBlock& tb) {
           } else if (iv->vkind() == ir::ValueKind::ConstantInt) {
             const std::int64_t idx = sign_extend(
                 static_cast<const ir::ConstantInt*>(iv)->raw(), ibits);
-            u.imm += static_cast<std::uint64_t>(idx * scale);
+            u.imm += static_cast<std::uint64_t>(idx) * scale;
           } else {
             tb.gep_terms.push_back({resolve_slot(layout_, iv), scale,
                                     static_cast<std::uint8_t>(ibits)});

@@ -75,7 +75,7 @@ struct VSlot {
 /// Variable getelementptr term: addr += sext(read, bits) * scale.
 struct GepTerm {
   VSlot slot;
-  std::int64_t scale = 0;
+  std::uint64_t scale = 0;  // element size; offsets wrap like addresses
   std::uint8_t bits = 64;
 };
 

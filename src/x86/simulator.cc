@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -87,44 +88,33 @@ class Machine {
   }
 
   SimResult run_from(const SimSnapshot& snapshot) {
-    const machine::Memory::RestoreStats restore = restore_from(snapshot);
+    const machine::Memory::RestoreStats restore =
+        memory_.restore_delta(snapshot.memory);
+    runtime_.restore(snapshot.runtime);
+    state_ = snapshot.state;
+    executed_ = snapshot.executed;
     SimResult result = drive();
     result.restored_pages = restore.pages;
     result.delta_restored = restore.delta;
     return result;
   }
 
-  /// Rewinds the resident machine to `snapshot` without driving it; the
-  /// lockstep pack restores every lane first, then runs them together.
-  machine::Memory::RestoreStats restore_from(const SimSnapshot& snapshot) {
-    const machine::Memory::RestoreStats restore =
-        memory_.restore_delta(snapshot.memory);
-    runtime_.restore(snapshot.runtime);
-    state_ = snapshot.state;
-    executed_ = snapshot.executed;
-    return restore;
-  }
-
-  /// Runs `count` prepared + restored machines in lockstep. All lanes must
-  /// share one program, identical limits with no snapshot sink, and the
-  /// exact restore point results from restore_from(snapshot). results[i]
-  /// gets precisely what lanes[i] would have produced via drive().
-  static void pack_run(Machine* const* lanes, std::size_t count,
-                       SimResult* results);
-
  private:
   SimResult drive() {
     if (limits_.snapshot_stride != 0)
       next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    return resume_finish();
-  }
-
-  /// Runs this lane to completion on the single-lane path and packages the
-  /// outcome: drive()'s historical body, reused verbatim by lanes that
-  /// leave a lockstep pack mid-trial.
-  SimResult resume_finish() {
+    golden_next_ =
+        limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
+    converged_ = nullptr;
     try {
       loop();
+      if (converged_ != nullptr) {
+        SimResult result;
+        result.converged = converged_;
+        result.dynamic_instructions = executed_;
+        result.output = runtime_.output();
+        return result;
+      }
       return halt_fill();
     } catch (const TrapException& trap) {
       return trap_fill(trap);
@@ -175,6 +165,24 @@ class Machine {
     snap.runtime = runtime_.save();
     next_snapshot_at_ = executed_ + limits_.snapshot_stride;
     limits_.snapshot_sink(std::move(snap));
+  }
+
+  /// Golden-convergence check between two instructions (see
+  /// SimLimits::golden_after and the interpreter's twin); call with
+  /// golden_next_ set. True when the hook is gone and the live state
+  /// equals the golden snapshot captured at exactly this position; the
+  /// caller then stops with converged_ set.
+  bool converges() {
+    if (hook_ != nullptr || executed_ < golden_next_->executed) return false;
+    const SimSnapshot& golden = *golden_next_;
+    golden_next_ = limits_.golden_after(executed_);
+    if (golden.executed != executed_ ||
+        std::memcmp(&state_, &golden.state, sizeof state_) != 0 ||
+        !runtime_.same_heap(golden.runtime) ||
+        !memory_.same_image(golden.memory))
+      return false;
+    converged_ = &golden;
+    return true;
   }
 
   [[noreturn]] void trap(TrapKind kind, std::uint64_t addr,
@@ -312,9 +320,9 @@ class Machine {
 
   // -- main loop -------------------------------------------------------------
 
-  /// Runs to the halt sentinel. Switch mode is the pure historical loop;
-  /// threaded mode alternates trace execution with single hooked slow
-  /// steps at window boundaries.
+  /// Runs to the halt sentinel (or to golden convergence). Switch mode is
+  /// the pure historical loop; threaded mode alternates trace execution
+  /// with single hooked slow steps at window boundaries.
   void loop() {
     if (mode_ == machine::DispatchMode::Switch) {
       while (!slow_step()) {
@@ -345,12 +353,16 @@ class Machine {
     }
     if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
       *stop = std::min(*stop, next_snapshot_at_);
+    if (hook_ == nullptr && golden_next_ != nullptr)
+      *stop = std::min(*stop, golden_next_->executed);
     return executed_ < *stop;
   }
 
-  /// One iteration of the hooked slow path; true when the program halted.
+  /// One iteration of the hooked slow path; true when the program halted
+  /// or converged on the golden state (converged_ set).
   bool slow_step() {
     maybe_snapshot();
+    if (golden_next_ != nullptr && converges()) return true;
     // trap_pc source: rip advances before execute(), so the faulting
     // instruction's index is tracked here. For the fetch-bounds trap the
     // recorded pc is the bad rip itself.
@@ -910,659 +922,6 @@ class Machine {
     }
   }
 
-  // -- lockstep lane pack ------------------------------------------------
-  //
-  // All active lanes of a pack share one position (rip) and one executed-
-  // instruction count: they were restored from the same snapshot and step
-  // together. The pack fast loop fetches each micro-op once and applies
-  // its body to every lane; armed windows take pack_slow_step (each lane's
-  // own hooked slow_step, with full callback semantics), and any lane
-  // whose control flow leaves the leader's path is masked off and finishes
-  // alone on the historical single-lane path.
-
-  /// Drops lanes flagged in `dead` from the active set.
-  static void pack_compact(std::vector<Machine*>& act,
-                           std::vector<std::size_t>& slot, const char* dead) {
-    std::size_t out = 0;
-    for (std::size_t j = 0; j < act.size(); ++j) {
-      if (dead[j]) continue;
-      act[out] = act[j];
-      slot[out] = slot[j];
-      ++out;
-    }
-    act.resize(out);
-    slot.resize(out);
-  }
-
-  /// Masks off every running lane whose rip differs from the leader's and
-  /// finishes it solo. `base` is the shared snapshot's executed count (for
-  /// the divergence-offset histogram).
-  static void pack_resolve(std::vector<Machine*>& act,
-                           std::vector<std::size_t>& slot, SimResult* results,
-                           std::uint64_t base) {
-    if (act.size() <= 1) return;
-    const std::uint64_t lead_rip = act[0]->state_.rip_index;
-    char dead[machine::kMaxLanes] = {};
-    std::uint64_t masked = 0;
-    for (std::size_t j = 1; j < act.size(); ++j) {
-      Machine& m = *act[j];
-      if (m.state_.rip_index == lead_rip) continue;
-      machine::record_pack_divergence_offset(m.executed_ - base);
-      results[slot[j]] = m.resume_finish();
-      dead[j] = 1;
-      ++masked;
-    }
-    if (masked == 0) return;
-    machine::pack_counters().divergences.fetch_add(masked,
-                                                   std::memory_order_relaxed);
-    pack_compact(act, slot, dead);
-  }
-
-  /// fast_eligible across the pack: every lane's hook must be gone or
-  /// dormant, and the nearest re-arm point clamps the shared stop.
-  static bool pack_fast_eligible(std::vector<Machine*>& act,
-                                 std::uint64_t* stop) {
-    for (Machine* m : act) {
-      if (m->hook_ == nullptr) continue;
-      if (!m->hook_->detached()) return false;
-      const std::uint64_t at = m->hook_->rearm_at();
-      if (at == 0)
-        m->hook_ = nullptr;  // finally detached: same nulling as slow loop
-      else
-        *stop = std::min(*stop, at - 1);
-    }
-    // pack_run never engages with a snapshot sink armed, so the
-    // next_snapshot_at_ clamp from the single-lane path is moot here.
-    return act[0]->executed_ < *stop;
-  }
-
-  /// One hooked slow step per active lane (boundary instructions: re-arm
-  /// points, injection windows, timeouts), then a divergence check.
-  static void pack_slow_step(std::vector<Machine*>& act,
-                             std::vector<std::size_t>& slot,
-                             SimResult* results, std::uint64_t base) {
-    char dead[machine::kMaxLanes] = {};
-    bool any_dead = false;
-    for (std::size_t j = 0; j < act.size(); ++j) {
-      Machine& m = *act[j];
-      try {
-        if (m.slow_step()) {
-          results[slot[j]] = m.halt_fill();
-          dead[j] = 1;
-          any_dead = true;
-        }
-      } catch (const TrapException& trap) {
-        results[slot[j]] = m.trap_fill(trap);
-        dead[j] = 1;
-        any_dead = true;
-      } catch (const machine::TimeoutException&) {
-        results[slot[j]] = m.timeout_fill();
-        dead[j] = 1;
-        any_dead = true;
-      }
-    }
-    if (any_dead) pack_compact(act, slot, dead);
-    pack_resolve(act, slot, results, base);
-  }
-
-  /// The pack fast loop: one fetch + dispatch per micro-op drives every
-  /// active lane's body. The shared `executed` count mirrors each lane's
-  /// executed_ (written back at every exit). Returns false on a side exit
-  /// that needs one slow step (stop boundary, unresolvable builtin), true
-  /// when the active set changed (trap, halt, or control divergence) so
-  /// the driver re-evaluates eligibility.
-  static bool pack_fast_run(std::vector<Machine*>& act,
-                            std::vector<std::size_t>& slot, SimResult* results,
-                            std::uint64_t stop, std::uint64_t base) {
-    Machine& lead = *act[0];
-    machine::DispatchCounters& dc = machine::dispatch_counters();
-    std::size_t ip = lead.state_.rip_index;
-    if (ip > lead.program_.code.size()) {
-      // Wild resume state: beyond even the fetch sentinel.
-      dc.trace_invalidations.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (lead.trace_ == nullptr)
-      lead.trace_ = std::make_unique<XTrace>(lead.program_);
-    dc.trace_hits.fetch_add(1, std::memory_order_relaxed);
-    const XUOp* const uops = lead.trace_->uops.data();
-    const std::size_t nact = act.size();
-    std::uint64_t executed = lead.executed_;
-    std::uint64_t dispatched = 0;
-    const XUOp* u = nullptr;
-    std::size_t li = 0;
-    const auto sync = [&](Machine& m, std::uint64_t rip) {
-      m.executed_ = executed;
-      m.state_.rip_index = rip;
-    };
-    const auto flush = [&]() {
-      machine::PackCounters& pc = machine::pack_counters();
-      pc.uops.fetch_add(dispatched, std::memory_order_relaxed);
-      pc.lane_uops.fetch_add(dispatched * nact, std::memory_order_relaxed);
-    };
-
-// Plain (non-control) micro-op: the single-lane fast body with every state
-// access routed through lane `m`, applied to each active lane in turn.
-#define X86_PACK_CASE(name, ...)    \
-  case XOp::name: {                 \
-    const Inst& inst = *u->inst;    \
-    (void)inst;                     \
-    for (li = 0; li != nact; ++li) {\
-      Machine& m = *act[li];        \
-      __VA_ARGS__                   \
-    }                               \
-    ++ip;                           \
-    break;                          \
-  }
-
-    try {
-      for (;;) {
-        if (executed >= stop) {
-          for (std::size_t j = 0; j != nact; ++j) sync(*act[j], ip);
-          dc.trace_invalidations.fetch_add(1, std::memory_order_relaxed);
-          flush();
-          return false;
-        }
-        u = uops + ip;
-        ++executed;
-        ++dispatched;
-        switch (u->op) {
-          X86_PACK_CASE(MovRR, {
-            m.set_gpr(inst.dst, inst.width, m.gpr(inst.src, inst.width));
-          })
-          X86_PACK_CASE(MovRI, {
-            m.set_gpr(inst.dst, inst.width,
-                      static_cast<std::uint64_t>(inst.imm));
-          })
-          X86_PACK_CASE(MovRM, {
-            m.set_gpr(inst.dst, inst.width, m.load(inst.mem, inst.width));
-          })
-          X86_PACK_CASE(MovMR, {
-            m.store(inst.mem, inst.width, m.gpr(inst.dst, inst.width));
-          })
-          X86_PACK_CASE(MovMI, {
-            m.store(inst.mem, inst.width,
-                    static_cast<std::uint64_t>(inst.imm));
-          })
-          X86_PACK_CASE(MovzxRR, {
-            m.set_gpr(inst.dst, 8, m.gpr(inst.src, inst.src_width));
-          })
-          X86_PACK_CASE(MovzxRM, {
-            m.set_gpr(inst.dst, 8, m.load(inst.mem, inst.src_width));
-          })
-          X86_PACK_CASE(MovsxRR, {
-            m.set_gpr(inst.dst, 8,
-                      static_cast<std::uint64_t>(sign_extend(
-                          m.gpr(inst.src, inst.src_width),
-                          inst.src_width * 8)));
-          })
-          X86_PACK_CASE(MovsxRM, {
-            m.set_gpr(inst.dst, 8,
-                      static_cast<std::uint64_t>(sign_extend(
-                          m.load(inst.mem, inst.src_width),
-                          inst.src_width * 8)));
-          })
-          X86_PACK_CASE(Lea, {
-            m.set_gpr(inst.dst, 8, m.effective_address(inst.mem));
-          })
-          X86_PACK_CASE(Push, { m.push(m.state_.gpr[inst.dst]); })
-          X86_PACK_CASE(Pop, { m.set_gpr(inst.dst, 8, m.pop()); })
-          X86_PACK_CASE(Add, {
-            const unsigned w = inst.width;
-            const std::uint64_t a = m.gpr(inst.dst, w), b = m.int_src(inst);
-            m.flags_add(a, b, w);
-            m.set_gpr(inst.dst, w, a + b);
-          })
-          X86_PACK_CASE(Sub, {
-            const unsigned w = inst.width;
-            const std::uint64_t a = m.gpr(inst.dst, w), b = m.int_src(inst);
-            m.flags_sub(a, b, w);
-            m.set_gpr(inst.dst, w, a - b);
-          })
-          X86_PACK_CASE(Imul, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::int64_t a = sign_extend(m.gpr(inst.dst, w), bits);
-            const std::int64_t b = sign_extend(m.int_src(inst), bits);
-            const __int128 wide = static_cast<__int128>(a) * b;
-            const std::uint64_t r =
-                truncate(static_cast<std::uint64_t>(wide), bits);
-            const bool overflow = wide != sign_extend(r, bits);
-            m.set_result_flags(r, w, overflow, overflow);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(And, {
-            const unsigned w = inst.width;
-            const std::uint64_t r = m.gpr(inst.dst, w) & m.int_src(inst);
-            m.flags_logic(r, w);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Or, {
-            const unsigned w = inst.width;
-            const std::uint64_t r = m.gpr(inst.dst, w) | m.int_src(inst);
-            m.flags_logic(r, w);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Xor, {
-            const unsigned w = inst.width;
-            const std::uint64_t r = m.gpr(inst.dst, w) ^ m.int_src(inst);
-            m.flags_logic(r, w);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Shl, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::uint64_t a = m.gpr(inst.dst, w);
-            const unsigned count = static_cast<unsigned>(
-                m.int_src(inst) & (bits >= 64 ? 63 : 31));
-            const std::uint64_t r = truncate(a << count, bits);
-            bool cf = false;
-            if (count > 0 && count <= bits) cf = (a >> (bits - count)) & 1;
-            m.set_result_flags(r, w, cf, false);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Sar, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::uint64_t a = m.gpr(inst.dst, w);
-            const unsigned count = static_cast<unsigned>(
-                m.int_src(inst) & (bits >= 64 ? 63 : 31));
-            const std::uint64_t r = truncate(
-                static_cast<std::uint64_t>(sign_extend(a, bits) >> count),
-                bits);
-            bool cf = false;
-            if (count > 0) cf = (sign_extend(a, bits) >> (count - 1)) & 1;
-            m.set_result_flags(r, w, cf, false);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Shr, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::uint64_t a = m.gpr(inst.dst, w);
-            const unsigned count = static_cast<unsigned>(
-                m.int_src(inst) & (bits >= 64 ? 63 : 31));
-            const std::uint64_t r = truncate(a, bits) >> count;
-            bool cf = false;
-            if (count > 0) cf = (a >> (count - 1)) & 1;
-            m.set_result_flags(r, w, cf, false);
-            m.set_gpr(inst.dst, w, r);
-          })
-          X86_PACK_CASE(Neg, {
-            const unsigned w = inst.width;
-            const std::uint64_t a = m.gpr(inst.dst, w);
-            m.flags_sub(0, a, w);
-            m.set_gpr(inst.dst, w, 0 - a);
-          })
-          X86_PACK_CASE(Not, {
-            m.set_gpr(inst.dst, inst.width, ~m.gpr(inst.dst, inst.width));
-          })
-          X86_PACK_CASE(Idiv, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::int64_t a = sign_extend(m.gpr(inst.dst, w), bits);
-            const std::int64_t b = sign_extend(m.int_src(inst), bits);
-            if (b == 0) m.trap(TrapKind::DivideByZero, 0);
-            const std::int64_t min =
-                bits >= 64 ? std::numeric_limits<std::int64_t>::min()
-                           : -(std::int64_t{1} << (bits - 1));
-            if (b == -1 && a == min)
-              m.trap(TrapKind::DivideByZero, 0, "division overflow");
-            const std::int64_t r = a / b;
-            m.set_result_flags(static_cast<std::uint64_t>(r), w, false,
-                               false);
-            m.set_gpr(inst.dst, w, static_cast<std::uint64_t>(r));
-          })
-          X86_PACK_CASE(Irem, {
-            const unsigned w = inst.width;
-            const unsigned bits = w * 8;
-            const std::int64_t a = sign_extend(m.gpr(inst.dst, w), bits);
-            const std::int64_t b = sign_extend(m.int_src(inst), bits);
-            if (b == 0) m.trap(TrapKind::DivideByZero, 0);
-            const std::int64_t min =
-                bits >= 64 ? std::numeric_limits<std::int64_t>::min()
-                           : -(std::int64_t{1} << (bits - 1));
-            if (b == -1 && a == min)
-              m.trap(TrapKind::DivideByZero, 0, "division overflow");
-            const std::int64_t r = a % b;
-            m.set_result_flags(static_cast<std::uint64_t>(r), w, false,
-                               false);
-            m.set_gpr(inst.dst, w, static_cast<std::uint64_t>(r));
-          })
-          X86_PACK_CASE(Cmp, {
-            m.flags_sub(m.gpr(inst.dst, inst.width), m.int_src(inst),
-                        inst.width);
-          })
-          X86_PACK_CASE(Test, {
-            m.flags_logic(m.gpr(inst.dst, inst.width) & m.int_src(inst),
-                          inst.width);
-          })
-          X86_PACK_CASE(Setcc, {
-            m.set_gpr(inst.dst, 1,
-                      cond_holds(inst.cond, m.state_.rflags) ? 1 : 0);
-          })
-          X86_PACK_CASE(Cmov, {
-            if (cond_holds(inst.cond, m.state_.rflags))
-              m.set_gpr(inst.dst, inst.width, m.int_src(inst));
-          })
-          X86_PACK_CASE(MovsdRR, {
-            m.xmm_lo(inst.dst) = m.xmm_lo(inst.src);  // merges: high kept
-          })
-          X86_PACK_CASE(MovsdRM, {
-            m.xmm_lo(inst.dst) = m.load(inst.mem, 8);
-            m.xmm_hi(inst.dst) = 0;  // movsd xmm, m64 zeroes the upper lane
-          })
-          X86_PACK_CASE(MovsdMR, {
-            m.store(inst.mem, 8, m.xmm_lo(inst.dst));
-          })
-          X86_PACK_CASE(Addsd, {
-            m.xmm_lo(inst.dst) =
-                bits_of(double_of(m.xmm_lo(inst.dst)) + m.fp_src(inst));
-          })
-          X86_PACK_CASE(Subsd, {
-            m.xmm_lo(inst.dst) =
-                bits_of(double_of(m.xmm_lo(inst.dst)) - m.fp_src(inst));
-          })
-          X86_PACK_CASE(Mulsd, {
-            m.xmm_lo(inst.dst) =
-                bits_of(double_of(m.xmm_lo(inst.dst)) * m.fp_src(inst));
-          })
-          X86_PACK_CASE(Divsd, {
-            m.xmm_lo(inst.dst) =
-                bits_of(double_of(m.xmm_lo(inst.dst)) / m.fp_src(inst));
-          })
-          X86_PACK_CASE(Sqrtsd, {
-            m.xmm_lo(inst.dst) = bits_of(std::sqrt(m.fp_src(inst)));
-          })
-          X86_PACK_CASE(Ucomisd, {
-            const double a = double_of(m.xmm_lo(inst.dst));
-            const double b = m.fp_src(inst);
-            std::uint64_t f = 0;
-            if (std::isnan(a) || std::isnan(b)) {
-              f = (1ull << kFlagZF) | (1ull << kFlagPF) | (1ull << kFlagCF);
-            } else if (a == b) {
-              f = 1ull << kFlagZF;
-            } else if (a < b) {
-              f = 1ull << kFlagCF;
-            }
-            m.state_.rflags = f;
-          })
-          X86_PACK_CASE(Cvtsi2sd, {
-            const std::int64_t v = sign_extend(
-                m.gpr(inst.src, inst.src_width), inst.src_width * 8);
-            m.xmm_lo(inst.dst) = bits_of(static_cast<double>(v));
-          })
-          X86_PACK_CASE(Cvttsd2si, {
-            const double d = m.fp_src(inst);
-            std::int64_t out;
-            if (std::isnan(d) || d >= 9.2233720368547758e18 ||
-                d < -9.2233720368547758e18)
-              out = std::numeric_limits<std::int64_t>::min();
-            else
-              out = static_cast<std::int64_t>(d);
-            m.set_gpr(inst.dst, inst.width, static_cast<std::uint64_t>(out));
-          })
-          X86_PACK_CASE(MovqXR, {
-            m.xmm_lo(inst.dst) = m.state_.gpr[inst.src];
-            m.xmm_hi(inst.dst) = 0;
-          })
-          X86_PACK_CASE(MovqRX, {
-            m.set_gpr(inst.dst, 8, m.xmm_lo(inst.src));
-          })
-
-          case XOp::Jmp: {
-            if (u->target_ok) {
-              ip = u->target;
-              break;
-            }
-            // Uniform trap: every lane takes the same invalid jump.
-            flush();
-            const TrapException trap(TrapKind::InvalidJump,
-                                     Program::address_of_index(u->target));
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              m.executed_ = executed;
-              m.current_index_ = ip;
-              results[slot[j]] = m.trap_fill(trap);
-            }
-            act.clear();
-            slot.clear();
-            return true;
-          }
-          case XOp::Jcc: {
-            const auto cc = u->inst->cond;
-            const bool taken0 = cond_holds(cc, lead.state_.rflags);
-            bool mixed = false;
-            for (std::size_t j = 1; j != nact; ++j)
-              if (cond_holds(cc, act[j]->state_.rflags) != taken0) {
-                mixed = true;
-                break;
-              }
-            if (!mixed) {
-              if (!taken0) {
-                ++ip;
-                break;
-              }
-              if (u->target_ok) {
-                ip = u->target;
-                break;
-              }
-              flush();
-              const TrapException trap(TrapKind::InvalidJump,
-                                       Program::address_of_index(u->target));
-              for (std::size_t j = 0; j != nact; ++j) {
-                Machine& m = *act[j];
-                m.executed_ = executed;
-                m.current_index_ = ip;
-                results[slot[j]] = m.trap_fill(trap);
-              }
-              act.clear();
-              slot.clear();
-              return true;
-            }
-            // Control divergence: park every lane at its own successor and
-            // let the driver re-form the pack around the leader.
-            flush();
-            char dead[machine::kMaxLanes] = {};
-            bool any_dead = false;
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              m.executed_ = executed;
-              const bool taken = cond_holds(cc, m.state_.rflags);
-              if (taken && !u->target_ok) {
-                m.current_index_ = ip;
-                results[slot[j]] = m.trap_fill(
-                    TrapException(TrapKind::InvalidJump,
-                                  Program::address_of_index(u->target)));
-                dead[j] = 1;
-                any_dead = true;
-                continue;
-              }
-              m.state_.rip_index = taken ? u->target : ip + 1;
-            }
-            if (any_dead) pack_compact(act, slot, dead);
-            pack_resolve(act, slot, results, base);
-            return true;
-          }
-          case XOp::Call: {
-            char dead[machine::kMaxLanes] = {};
-            bool any_dead = false;
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              try {
-                // Push before validating, like the slow path's
-                // rip-then-jump_to.
-                m.push(u->ret_addr);
-                if (!u->target_ok)
-                  m.trap(TrapKind::InvalidJump,
-                         Program::address_of_index(u->target));
-              } catch (const TrapException& trap) {
-                m.executed_ = executed;
-                m.current_index_ = ip;
-                results[slot[j]] = m.trap_fill(trap);
-                dead[j] = 1;
-                any_dead = true;
-              }
-            }
-            if (!any_dead) {
-              ip = u->target;
-              break;
-            }
-            flush();
-            for (std::size_t j = 0; j != nact; ++j)
-              if (!dead[j]) sync(*act[j], u->target);
-            pack_compact(act, slot, dead);
-            return true;
-          }
-          case XOp::CallBuiltin: {
-            const Inst& inst = *u->inst;
-            if (u->sig == nullptr) {
-              // Slow path owns the failure; keep the bump, exactly as the
-              // single-lane fast path's side exit does.
-              for (std::size_t j = 0; j != nact; ++j) sync(*act[j], ip);
-              dc.trace_invalidations.fetch_add(1, std::memory_order_relaxed);
-              flush();
-              return false;
-            }
-            char dead[machine::kMaxLanes] = {};
-            bool any_dead = false;
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              try {
-                std::vector<std::uint64_t> args(inst.arg_slots);
-                for (std::uint16_t i = 0; i < inst.arg_slots; ++i)
-                  args[i] = m.memory_.read(m.state_.gpr[RSP] + 8ull * i, 8);
-                const std::uint64_t r =
-                    m.runtime_.call_builtin(u->sig->name, args);
-                if (u->sig->returns_value) {
-                  if (u->sig->returns_double) {
-                    m.xmm_lo(kXmmBase + 0) = r;
-                    m.xmm_hi(kXmmBase + 0) = 0;
-                  } else {
-                    m.state_.gpr[RAX] = r;
-                  }
-                }
-              } catch (const TrapException& trap) {
-                m.executed_ = executed;
-                m.current_index_ = ip;
-                results[slot[j]] = m.trap_fill(trap);
-                dead[j] = 1;
-                any_dead = true;
-              }
-            }
-            if (!any_dead) {
-              ++ip;
-              break;
-            }
-            flush();
-            for (std::size_t j = 0; j != nact; ++j)
-              if (!dead[j]) sync(*act[j], ip + 1);
-            pack_compact(act, slot, dead);
-            return true;
-          }
-          case XOp::Ret: {
-            char dead[machine::kMaxLanes] = {};
-            bool any_exit = false;
-            bool mixed = false;
-            std::uint64_t next = ~std::uint64_t{0};
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              try {
-                const std::uint64_t addr = m.pop();
-                if (addr == kHaltAddress) {
-                  m.executed_ = executed;
-                  results[slot[j]] = m.halt_fill();
-                  dead[j] = 1;
-                  any_exit = true;
-                  continue;
-                }
-                const std::int64_t index = m.program_.index_of_address(addr);
-                if (index < 0) {
-                  m.executed_ = executed;
-                  m.current_index_ = ip;
-                  results[slot[j]] = m.trap_fill(
-                      TrapException(TrapKind::InvalidJump, addr));
-                  dead[j] = 1;
-                  any_exit = true;
-                  continue;
-                }
-                m.state_.rip_index = static_cast<std::uint64_t>(index);
-                if (next == ~std::uint64_t{0})
-                  next = static_cast<std::uint64_t>(index);
-                else if (next != static_cast<std::uint64_t>(index))
-                  mixed = true;
-              } catch (const TrapException& trap) {
-                m.executed_ = executed;
-                m.current_index_ = ip;
-                results[slot[j]] = m.trap_fill(trap);
-                dead[j] = 1;
-                any_exit = true;
-              }
-            }
-            if (!any_exit && !mixed) {
-              ip = static_cast<std::size_t>(next);
-              break;
-            }
-            flush();
-            for (std::size_t j = 0; j != nact; ++j)
-              if (!dead[j]) act[j]->executed_ = executed;
-            if (any_exit) pack_compact(act, slot, dead);
-            pack_resolve(act, slot, results, base);
-            return true;
-          }
-          case XOp::TrapFetch: {
-            // The slow loop's fetch-bounds check traps before counting the
-            // instruction; undo this dispatch's bump to match.
-            flush();
-            const TrapException trap(TrapKind::InvalidJump,
-                                     Program::address_of_index(ip));
-            for (std::size_t j = 0; j != nact; ++j) {
-              Machine& m = *act[j];
-              m.executed_ = executed - 1;
-              m.current_index_ = ip;
-              results[slot[j]] = m.trap_fill(trap);
-            }
-            act.clear();
-            slot.clear();
-            return true;
-          }
-        }
-      }
-    } catch (const TrapException& trap) {
-      // A plain op trapped in lane `li` at `ip`: lanes before it completed
-      // the op (they stand at ip + 1), lanes after it have not run it yet
-      // and replay it through their own slow step — identical semantics,
-      // pinned by the DispatchEquiv fixtures.
-      flush();
-      char dead[machine::kMaxLanes] = {};
-      {
-        Machine& m = *act[li];
-        m.executed_ = executed;
-        m.current_index_ = ip;
-        m.state_.rip_index = ip + 1;
-        results[slot[li]] = m.trap_fill(trap);
-        dead[li] = 1;
-      }
-      for (std::size_t j = 0; j != li; ++j) sync(*act[j], ip + 1);
-      for (std::size_t j = li + 1; j != nact; ++j) {
-        Machine& m = *act[j];
-        m.executed_ = executed - 1;
-        m.state_.rip_index = ip;
-        try {
-          m.slow_step();
-        } catch (const TrapException& again) {
-          results[slot[j]] = m.trap_fill(again);
-          dead[j] = 1;
-        } catch (const machine::TimeoutException&) {
-          results[slot[j]] = m.timeout_fill();
-          dead[j] = 1;
-        }
-      }
-      pack_compact(act, slot, dead);
-      return true;
-    }
-#undef X86_PACK_CASE
-  }
-
   bool execute(const Inst& inst) {
     const unsigned w = inst.width;
     switch (inst.op) {
@@ -1810,31 +1169,12 @@ class Machine {
   MachineState state_;
   std::uint64_t executed_ = 0;
   std::uint64_t next_snapshot_at_ = 0;
+  const SimSnapshot* golden_next_ = nullptr;  // next convergence candidate
+  const SimSnapshot* converged_ = nullptr;    // set when converges() matched
   std::uint64_t current_index_ = 0;  // instruction being executed (trap_pc)
   machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
   std::unique_ptr<XTrace> trace_;  // decoded on first fast-path entry
 };
-
-void Machine::pack_run(Machine* const* lanes, std::size_t count,
-                       SimResult* results) {
-  machine::PackCounters& pc = machine::pack_counters();
-  pc.groups.fetch_add(1, std::memory_order_relaxed);
-  pc.lanes.fetch_add(count, std::memory_order_relaxed);
-  std::vector<Machine*> act(lanes, lanes + count);
-  std::vector<std::size_t> slot(count);
-  for (std::size_t i = 0; i < count; ++i) slot[i] = i;
-  const std::uint64_t base = act[0]->executed_;
-  while (act.size() > 1) {
-    std::uint64_t stop = act[0]->limits_.max_instructions;
-    if (pack_fast_eligible(act, &stop) &&
-        pack_fast_run(act, slot, results, stop, base))
-      continue;
-    if (act.size() > 1) pack_slow_step(act, slot, results, base);
-  }
-  // The last lane left (if any) no longer shares work with anyone; finish
-  // it on the plain single-lane path.
-  if (!act.empty()) results[slot[0]] = act[0]->resume_finish();
-}
 
 Simulator::Simulator(const Program& program, SimHook* hook)
     : program_(program), hook_(hook) {}
@@ -1858,38 +1198,6 @@ SimResult Simulator::run_from(const SimSnapshot& snapshot,
   // golden schedule); the histogram tracks work actually done here.
   record_run_instructions(r.dynamic_instructions - snapshot.executed);
   return r;
-}
-
-void Simulator::run_lockstep(Simulator* const* lanes, std::size_t count,
-                             const SimSnapshot& snapshot,
-                             const SimLimits& limits, SimResult* results) {
-  bool packable = count > 1 && count <= machine::kMaxLanes &&
-                  machine::dispatch_mode() == machine::DispatchMode::Threaded &&
-                  limits.snapshot_stride == 0;
-  for (std::size_t i = 1; packable && i < count; ++i)
-    if (&lanes[i]->program_ != &lanes[0]->program_) packable = false;
-  if (!packable) {
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = lanes[i]->run_from(snapshot, limits);
-    return;
-  }
-  Machine* machines[machine::kMaxLanes];
-  machine::Memory::RestoreStats restores[machine::kMaxLanes];
-  for (std::size_t i = 0; i < count; ++i) {
-    Simulator& lane = *lanes[i];
-    if (lane.machine_ == nullptr)
-      lane.machine_ = std::make_unique<Machine>(lane.program_);
-    lane.machine_->prepare(lane.hook_, limits);
-    restores[i] = lane.machine_->restore_from(snapshot);
-    machines[i] = lane.machine_.get();
-  }
-  Machine::pack_run(machines, count, results);
-  for (std::size_t i = 0; i < count; ++i) {
-    results[i].restored_pages = restores[i].pages;
-    results[i].delta_restored = restores[i].delta;
-    record_run_instructions(results[i].dynamic_instructions -
-                            snapshot.executed);
-  }
 }
 
 }  // namespace faultlab::x86

@@ -115,6 +115,13 @@ struct SimLimits {
   /// instructions and hand it to `snapshot_sink`.
   std::uint64_t snapshot_stride = 0;
   std::function<void(SimSnapshot&&)> snapshot_sink;
+  /// Golden-convergence early exit (see vm::RunLimits::golden_after): the
+  /// golden snapshot captured at the first position strictly after
+  /// `executed`, or nullptr. Once the hook has detached for good, the run
+  /// compares the MachineState bytes, the runtime heap and the memory
+  /// image with it on reaching its position, and stops on a match with
+  /// SimResult::converged set.
+  std::function<const SimSnapshot*(std::uint64_t executed)> golden_after;
 };
 
 struct SimResult {
@@ -136,6 +143,10 @@ struct SimResult {
   /// for run()).
   std::uint64_t restored_pages = 0;
   bool delta_restored = false;
+  /// The golden snapshot the run converged on, or nullptr when it ran to
+  /// its end. A converged result stops there: `dynamic_instructions` is
+  /// the snapshot's position and `output` the output so far.
+  const SimSnapshot* converged = nullptr;
 
   bool completed() const noexcept { return !trapped && !timed_out; }
 };
@@ -168,20 +179,6 @@ class Simulator {
   /// same snapshot repeatedly rides Memory::restore_delta()'s O(pages the
   /// previous trial touched) path instead of rebuilding the page table.
   SimResult run_from(const SimSnapshot& snapshot, const SimLimits& limits = {});
-
-  /// Resumes `count` simulators (lanes) from the same snapshot and runs
-  /// them to completion in lockstep: one decoded micro-op fetch drives
-  /// every active lane, and a lane whose fault diverges control flow
-  /// (branch target, trap, or halt differs from the pack leader) masks off
-  /// and finishes on the existing single-lane path. results[i] is
-  /// byte-identical to what `lanes[i]->run_from(snapshot, limits)` would
-  /// produce — the pack only amortizes fetch/dispatch, never semantics.
-  /// Falls back to sequential run_from calls when packing cannot apply
-  /// (one lane, switch dispatch mode, a snapshot sink armed, mismatched
-  /// programs, or more than machine::kMaxLanes lanes).
-  static void run_lockstep(Simulator* const* lanes, std::size_t count,
-                           const SimSnapshot& snapshot,
-                           const SimLimits& limits, SimResult* results);
 
  private:
   const Program& program_;

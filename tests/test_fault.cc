@@ -309,5 +309,35 @@ TEST(FaultModel, LlfiTypeWidthRespected) {
   }
 }
 
+// A flipped high bit in a getelementptr index makes the scaled offset
+// overflow int64_t. The interpreter computes it with two's-complement wrap
+// (no undefined behaviour; this test runs clean under UBSan) and the trial
+// ends as a classified Crash: index 2^61 times the 4-byte element is 2^63
+// bytes past the array, in unmapped memory.
+TEST(Engines, HugeGepIndexEndsAsCrash) {
+  auto prog = driver::compile(R"(
+    int data[8];
+    int main() {
+      int i;
+      int s = 0;
+      for (i = 0; i < 8; i++) s += data[i];
+      print_int(s);
+      return 0;
+    }
+  )", "gep");
+  LlfiEngine llfi(prog.module(), {}, CheckpointPolicy{}, Model{});
+  // The first Cast instance is the sext of i = 0 feeding the index.
+  ASSERT_GT(llfi.profile(ir::Category::Cast), 0u);
+  // The default model's single draw picks the flipped bit: find a seed
+  // whose draw is bit 61.
+  std::uint64_t seed = 0;
+  while (Rng(seed).below(64) != 61) ++seed;
+  Rng rng(seed);
+  const TrialRecord r = llfi.inject(ir::Category::Cast, 1, rng);
+  EXPECT_EQ(r.bit, 61u);
+  EXPECT_EQ(r.outcome, Outcome::Crash);
+  EXPECT_EQ(r.trap, machine::TrapKind::UnmappedAccess);
+}
+
 }  // namespace
 }  // namespace faultlab::fault

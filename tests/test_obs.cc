@@ -17,7 +17,6 @@
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
 #include "fault/scheduler.h"
-#include "machine/dispatch.h"
 #include "obs/events.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -553,10 +552,6 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   auto prog = driver::compile(kProgram, "tiny");
   fault::LlfiEngine llfi(prog.module());
 
-  // Pin lockstep lanes to 1: this test asserts the per-trial span shape
-  // (grouped trials emit one "trial_group" span instead — covered below).
-  const std::size_t saved_lanes = machine::lane_count();
-  machine::set_lane_count(1);
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.set_enabled(true);
@@ -570,7 +565,6 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   scheduler.add(llfi, cfg);
   const std::vector<fault::CampaignResult> results = scheduler.run();
   tracer.set_enabled(false);
-  machine::set_lane_count(saved_lanes);
 
   std::size_t trial_spans = 0, execute_spans = 0;
   bool saw_tags = false;
@@ -611,71 +605,6 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   EXPECT_LE(t.p95_ms, t.p99_ms);
   EXPECT_GE(t.hit_rate(), 0.0);
   EXPECT_LE(t.hit_rate(), 1.0);
-  tracer.clear();
-}
-
-TEST(Observability, SchedulerEmitsGroupSpansWhenLanesEnabled) {
-  const char* kProgram = R"(
-    int main() {
-      int i; long acc = 0;
-      for (i = 0; i < 50; i++) acc += i * 3;
-      print_int(acc);
-      return 0;
-    }
-  )";
-  auto prog = driver::compile(kProgram, "tiny");
-  fault::LlfiEngine llfi(prog.module());
-
-  const std::size_t saved_lanes = machine::lane_count();
-  machine::set_lane_count(4);
-  Tracer& tracer = Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
-  fault::SchedulerOptions options;
-  options.threads = 1;
-  fault::CampaignScheduler scheduler(options);
-  fault::CampaignConfig cfg;
-  cfg.app = "tiny";
-  cfg.category = ir::Category::All;
-  cfg.trials = 8;
-  scheduler.add(llfi, cfg);
-  const std::vector<fault::CampaignResult> results = scheduler.run();
-  tracer.set_enabled(false);
-  machine::set_lane_count(saved_lanes);
-
-  // Trials pack into lane groups, so the tracer sees "trial_group" spans
-  // whose lanes tags sum to the trial count; any remainder (a window
-  // boundary can leave a 1-trial tail) still emits a plain "trial" span.
-  std::size_t group_trials = 0, single_trials = 0;
-  for (const Span& s : tracer.spans()) {
-    if (std::string_view(s.name) == "trial_group") {
-      bool app = false, tool = false, category = false, checkpoint = false;
-      std::size_t lanes = 0;
-      for (const auto& [key, value] : s.tags) {
-        app |= key == "app" && value == "tiny";
-        tool |= key == "tool" && value == "LLFI";
-        category |= key == "category" && value == "all";
-        checkpoint |= key == "checkpoint" &&
-                      (value == "hit" || value == "miss");
-        if (key == "lanes") lanes = std::stoul(std::string(value));
-      }
-      EXPECT_TRUE(app && tool && category && checkpoint)
-          << "trial_group span missing a required tag";
-      EXPECT_GE(lanes, 2u);
-      EXPECT_LE(lanes, 4u);
-      group_trials += lanes;
-    } else if (std::string_view(s.name) == "trial") {
-      ++single_trials;
-    }
-  }
-  EXPECT_EQ(group_trials + single_trials, 8u);
-  EXPECT_GT(group_trials, 0u);
-
-  ASSERT_EQ(scheduler.manifest().campaigns.size(), 1u);
-  const fault::CampaignTiming& t = scheduler.manifest().campaigns[0];
-  EXPECT_EQ(t.trials, 8u);
-  EXPECT_EQ(t.crash + t.sdc + t.benign + t.hang + t.not_activated, 8u);
-  EXPECT_EQ(results[0].trials.size(), 8u);
   tracer.clear();
 }
 

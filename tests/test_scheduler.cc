@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
@@ -47,6 +48,12 @@ void expect_same_records(const std::vector<TrialRecord>& a,
     EXPECT_EQ(a[i].bit, b[i].bit) << "trial " << i;
     EXPECT_EQ(a[i].static_site, b[i].static_site) << "trial " << i;
     EXPECT_EQ(a[i].injected, b[i].injected) << "trial " << i;
+    EXPECT_EQ(a[i].total_instructions, b[i].total_instructions)
+        << "trial " << i;
+    EXPECT_EQ(a[i].inject_instruction, b[i].inject_instruction)
+        << "trial " << i;
+    EXPECT_EQ(a[i].trap, b[i].trap) << "trial " << i;
+    EXPECT_EQ(a[i].trap_pc, b[i].trap_pc) << "trial " << i;
   }
 }
 
@@ -151,6 +158,77 @@ TEST(Scheduler, CheckpointedMatchesDirectCellByCellAtAnyThreadCount) {
   }
 }
 
+/// One fig3 cell (mcf, category all) per tool on one worker, with the
+/// engines built under `checkpoints` and `model`.
+struct ConvergeRun {
+  std::vector<CampaignResult> results;
+  CheckpointStats llfi;
+  CheckpointStats pinfi;
+  RunManifest manifest;
+};
+
+ConvergeRun run_mcf_cells(const driver::CompiledProgram& prog,
+                          CheckpointPolicy checkpoints, const Model& model,
+                          std::size_t trials) {
+  LlfiEngine llfi(prog.module(), {}, checkpoints, model);
+  PinfiEngine pinfi(prog.program(), {}, checkpoints, model);
+  SchedulerOptions options;
+  options.threads = 1;
+  CampaignScheduler scheduler(options);
+  CampaignConfig cfg;
+  cfg.app = "mcf";
+  cfg.category = ir::Category::All;
+  cfg.trials = trials;
+  cfg.seed = 1;
+  scheduler.add(llfi, cfg);
+  scheduler.add(pinfi, cfg);
+  ConvergeRun run;
+  run.results = scheduler.run();
+  run.llfi = llfi.checkpoint_stats();
+  run.pinfi = pinfi.checkpoint_stats();
+  run.manifest = scheduler.manifest();
+  return run;
+}
+
+TEST(Scheduler, ConvergedTrialsMatchCheckpointFreeRuns) {
+  // Golden-convergence early exit: a checkpointed trial whose state again
+  // equals the golden run's stops there and completes its record from the
+  // golden run. Checkpoint-free trials never converge, so they are the
+  // oracle, record for record.
+  const apps::Benchmark& mcf = apps::benchmark("mcf");
+  auto prog = driver::compile(mcf.source, mcf.name);
+  CheckpointPolicy direct;
+  direct.enabled = false;
+  const ConvergeRun off = run_mcf_cells(prog, direct, Model{}, 60);
+  const ConvergeRun on = run_mcf_cells(prog, CheckpointPolicy{}, Model{}, 60);
+  ASSERT_EQ(on.results.size(), off.results.size());
+  for (std::size_t i = 0; i < on.results.size(); ++i)
+    expect_same_records(on.results[i].trials, off.results[i].trials);
+  EXPECT_EQ(off.llfi.converged_trials + off.pinfi.converged_trials, 0u);
+  EXPECT_GT(on.llfi.converged_trials, 0u);
+  EXPECT_GT(on.pinfi.converged_trials, 0u);
+  EXPECT_GT(on.llfi.converged_instructions, 0u);
+  EXPECT_GT(on.pinfi.converged_instructions, 0u);
+  EXPECT_EQ(on.manifest.converged_trials,
+            on.llfi.converged_trials + on.pinfi.converged_trials);
+  EXPECT_EQ(on.manifest.converged_instructions,
+            on.llfi.converged_instructions + on.pinfi.converged_instructions);
+}
+
+TEST(Scheduler, PersistentFaultsNeverConverge) {
+  // A stuck-at fault keeps its hook attached to the end of the run, so no
+  // trial may stop early (the ConvergeEquiv stuck-at-1 fixtures compare
+  // the records with checkpoint-free runs).
+  const apps::Benchmark& mcf = apps::benchmark("mcf");
+  auto prog = driver::compile(mcf.source, mcf.name);
+  const ConvergeRun on = run_mcf_cells(prog, CheckpointPolicy{},
+                                       Model::parse("stuck-at-1"), 10);
+  EXPECT_GT(on.llfi.restored_trials + on.pinfi.restored_trials, 0u);
+  EXPECT_EQ(on.llfi.converged_trials, 0u);
+  EXPECT_EQ(on.pinfi.converged_trials, 0u);
+  EXPECT_EQ(on.manifest.converged_trials, 0u);
+}
+
 TEST(Scheduler, SnapshotBudgetEvictsWithoutChangingOutcomes) {
   // A page budget far below the unbudgeted live set forces evictions at
   // capture time; trials whose window was evicted fall back to an earlier
@@ -251,6 +329,30 @@ TEST(CheckpointStore, BeforeAndWindowAgreeAndSkipDeadEntries) {
   ASSERT_NE(fallback, nullptr);
   EXPECT_TRUE(fallback->alive);
   EXPECT_LT(fallback->seen[ir::Category::All], 35u);
+}
+
+TEST(CheckpointStore, AfterFindsTheNextLiveGoldenState) {
+  CheckpointStore<FakeSnapshot> store;
+  for (std::uint64_t i = 0; i < 4; ++i)
+    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
+  ASSERT_NE(store.after(0), nullptr);
+  EXPECT_EQ(store.after(0)->executed, 100u);
+  EXPECT_EQ(store.after(100)->executed, 200u);
+  EXPECT_EQ(store.after(250)->executed, 300u);
+  EXPECT_EQ(store.after(400), nullptr);
+
+  // Evicted entries release their snapshot (executed resets to 0), so a
+  // dead entry handed out would fail the position check below.
+  store.set_budget(20);
+  ASSERT_EQ(store.live_count(), 2u);
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t x = 0; x < 400; x += 50) {
+    const FakeSnapshot* next = store.after(x);
+    if (next == nullptr) continue;
+    EXPECT_GT(next->executed, x);
+    seen.insert(next->executed);
+  }
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 TEST(CheckpointStore, LruKeepsTouchedEntriesAndThinsUntouchedOnes) {

@@ -178,6 +178,31 @@ TEST(DispatchCounters, SwitchModeNeverTouchesTraces) {
   EXPECT_EQ(after.trace_hits, before.trace_hits);
 }
 
+// A getelementptr whose scaled index overflows int64_t (2^61 elements of
+// 4 bytes) wraps like the machine's address arithmetic and traps on the
+// unmapped result, on the slow path and on the decoded Gep micro-op alike.
+TEST(DispatchEquiv, HugeGepIndexWrapsAndTrapsInBothModes) {
+  DispatchModeGuard guard;
+  auto prog = driver::compile(R"(
+    int data[8];
+    int main() {
+      long big = 1;
+      int k;
+      for (k = 0; k < 61; k++) big = big * 2;
+      print_int(7);
+      print_int(data[big]);
+      return 0;
+    }
+  )", "gep");
+  for (const DispatchMode mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
+    machine::set_dispatch_mode(mode);
+    const vm::RunResult r = prog.run_ir();
+    EXPECT_TRUE(r.trapped) << machine::dispatch_mode_name(mode);
+    EXPECT_EQ(r.trap, machine::TrapKind::UnmappedAccess);
+    EXPECT_EQ(r.output, "7\n");
+  }
+}
+
 TEST(DispatchEquiv, GoldenRunsMatchSwitchOnAllApps) {
   DispatchModeGuard guard;
   for (const auto& b : apps::all_benchmarks()) {

@@ -21,9 +21,9 @@ external assets, stdlib only):
   * a trap-kind histogram over all crashing trials;
   * trial latency p50/p95/p99 (from the event log, plus the manifest's
     exact values when provided) and the metrics snapshot's histograms;
-  * a lockstep-lane panel — mean pack occupancy, mean active lanes
-    (lane-uops per shared fetch), divergence rate, and a histogram of
-    the micro-op offsets at which lanes diverged from their pack.
+  * an early-exit panel — trials that stopped on a golden snapshot and
+    the golden-suffix instructions they did not simulate (why the execute
+    phase can shrink while the records' instruction totals do not).
 
 With --status, renders a FAULTLAB_STATUS campaign snapshot (schema v1)
 instead: grid progress, per-cell convergence table, per-worker state, and
@@ -335,82 +335,37 @@ def dispatch_summary(manifest, metrics):
     return row
 
 
-LOCKSTEP_FIELDS = (
-    "lanes", "pack_groups", "pack_lanes", "pack_uops", "pack_lane_uops",
-    "pack_divergences", "mean_pack_lanes",
-)
+CONVERGE_FIELDS = ("converged_trials", "converged_instructions")
 
 
-def lockstep_summary(manifest, metrics):
-    """Lockstep-lane provenance: lane cap plus pack counters, preferring the
-    manifest's run-level columns and falling back to the metrics snapshot's
-    pack.* counters. Adds derived occupancy figures: mean pack occupancy
-    (lanes per group at start) and mean active lanes (lane-uops per shared
-    fetch — what the amortization actually bought after divergence masking).
-    Empty dict when neither source has lane data (pre-lockstep artifacts)."""
+def converge_summary(manifest, metrics):
+    """Golden-convergence early exit: trials that stopped once their state
+    equalled a golden snapshot, and the golden-suffix instructions they did
+    not simulate. Prefers the manifest's run-level columns and falls back
+    to the metrics snapshot's checkpoint.converged_* counters. Adds the
+    converged share of all trials when the manifest gives the trial count.
+    Empty dict when neither source has the counters."""
     row = {}
-    if manifest and "pack_groups" in manifest[0]:
-        for field in LOCKSTEP_FIELDS:
+    if manifest and "converged_trials" in manifest[0]:
+        for field in CONVERGE_FIELDS:
             row[field] = manifest[0].get(field, "")
     elif metrics:
         counters = metrics.get("counters", {})
-        if any(k.startswith("pack.") for k in counters):
-            row = {
-                "pack_groups": counters.get("pack.groups", 0),
-                "pack_lanes": counters.get("pack.lanes", 0),
-                "pack_uops": counters.get("pack.uops", 0),
-                "pack_lane_uops": counters.get("pack.lane_uops", 0),
-                "pack_divergences": counters.get("pack.divergences", 0),
-            }
+        if "checkpoint.converged_trials" in counters:
+            row = {field: counters.get("checkpoint." + field, 0)
+                   for field in CONVERGE_FIELDS}
     if not row:
         return {}
     try:
-        groups = float(row.get("pack_groups", 0) or 0)
-        lanes = float(row.get("pack_lanes", 0) or 0)
-        uops = float(row.get("pack_uops", 0) or 0)
-        lane_uops = float(row.get("pack_lane_uops", 0) or 0)
-        divergences = float(row.get("pack_divergences", 0) or 0)
-        if groups > 0 and "mean_pack_lanes" not in row:
-            row["mean_pack_lanes"] = f"{lanes / groups:.2f}"
-        if uops > 0:
-            row["mean active lanes"] = f"{lane_uops / uops:.2f}"
-        if lanes > 0:
-            row["divergence rate"] = f"{100.0 * divergences / lanes:.1f}%"
+        converged = float(row.get("converged_trials", 0) or 0)
+        skipped = float(row.get("converged_instructions", 0) or 0)
+        row["suffix not simulated"] = f"{skipped / 1e6:,.2f} Minstr"
+        trials = sum(float(r.get("trials", 0) or 0) for r in manifest or [])
+        if trials > 0:
+            row["converged share"] = f"{100.0 * converged / trials:.1f}%"
     except ValueError:
         pass
     return row
-
-
-def divergence_histogram_svg(metrics):
-    """Bar chart of pack.divergence_offset — the log2-bucketed micro-op
-    offset (from the shared snapshot) at which lanes left their pack.
-    Returns '' when the metrics snapshot has no such histogram."""
-    hist = (metrics or {}).get("histograms", {}).get("pack.divergence_offset")
-    buckets = (hist or {}).get("buckets") or []
-    if not buckets:
-        return ""
-    peak = max(count for _, count in buckets) or 1
-    bar_w, gap, h = 46, 10, 120
-    width = len(buckets) * (bar_w + gap)
-    parts = [
-        f'<svg width="{width}" height="{h + 34}" '
-        f'xmlns="http://www.w3.org/2000/svg">'
-    ]
-    for i, (lo, count) in enumerate(buckets):
-        x = i * (bar_w + gap)
-        bh = h * count / peak
-        label = f"{lo:,}" if lo < 1 << 20 else f"2^{max(lo, 1).bit_length() - 1}"
-        parts.append(
-            f'<rect x="{x}" y="{h - bh:.1f}" width="{bar_w}" '
-            f'height="{bh:.1f}" fill="#2980b9">'
-            f"<title>&#8805;{lo:,} uops: {count} lanes</title></rect>"
-            f'<text x="{x + bar_w / 2}" y="{h + 12}" font-size="9" '
-            f'text-anchor="middle">{esc(label)}</text>'
-            f'<text x="{x + bar_w / 2}" y="{h + 26}" font-size="11" '
-            f'text-anchor="middle">{count}</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
 
 
 def traced_events(events):
@@ -846,29 +801,22 @@ def render(events, metrics, manifest):
             out.append(f"<td>{esc(value)}</td>")
         out.append("</tr></table>")
 
-    lockstep = lockstep_summary(manifest, metrics)
-    if lockstep:
-        out.append("<h2>Lockstep lanes</h2>")
+    converge = converge_summary(manifest, metrics)
+    if converge:
+        out.append("<h2>Early exit</h2>")
         out.append(
-            "<p>Same-window trials packed into lane groups driven by one "
-            "decoded micro-op fetch. Mean active lanes is lane-uops per "
-            "shared fetch — the realized amortization after divergence "
-            "masking.</p>"
+            "<p>Checkpointed trials whose state again equals the golden "
+            "run's at a snapshot position stop there; their records are "
+            "completed from the golden run, so instruction totals still "
+            "count the suffix that was not simulated.</p>"
         )
         out.append("<table><tr>")
-        for key in lockstep:
+        for key in converge:
             out.append(f"<th>{esc(key)}</th>")
         out.append("</tr><tr>")
-        for value in lockstep.values():
+        for value in converge.values():
             out.append(f"<td>{esc(value)}</td>")
         out.append("</tr></table>")
-        svg = divergence_histogram_svg(metrics)
-        if svg:
-            out.append(
-                "<h3 style='font-size:14px'>Divergence offsets "
-                "(micro-ops from the shared snapshot, log2 buckets)</h3>"
-            )
-            out.append(svg)
 
     if manifest:
         out.append("<h2>Run manifest</h2><table><tr>")

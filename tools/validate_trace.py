@@ -8,14 +8,10 @@ that the span structure matches what the campaign scheduler promises:
     (complete) events with numeric ts/dur and a pid/tid;
   * every `trial` span is tagged with app, tool, category, k, checkpoint
     (hit|miss), and outcome;
-  * every `trial_group` span (a lockstep lane group covering several
-    trials at once; see FAULTLAB_LANES) is tagged with app, tool,
-    category, checkpoint, and an integer lanes >= 2;
-  * phase spans (restore/execute/classify) nest inside a trial or
-    trial_group span on the same thread (engine-level golden/profile
-    spans are exempt — they run outside any trial);
-  * optionally, the number of trials covered — trial spans plus the sum
-    of the trial_group lanes tags — matches --expect-trials.
+  * phase spans (restore/execute/classify) nest inside a trial span on
+    the same thread (engine-level golden/profile spans are exempt — they
+    run outside any trial);
+  * optionally, the number of trial spans matches --expect-trials.
 
 With --events, the file is instead validated as a FAULTLAB_EVENTS trial
 event log (one JSON object per line, schema v1 from src/obs/events.h):
@@ -55,7 +51,6 @@ import json
 import sys
 
 REQUIRED_TRIAL_TAGS = ("app", "tool", "category", "k", "checkpoint", "outcome")
-REQUIRED_GROUP_TAGS = ("app", "tool", "category", "lanes", "checkpoint")
 PHASE_NAMES = ("restore", "execute", "classify")
 
 EVENT_REQUIRED_KEYS = (
@@ -123,30 +118,9 @@ def load_events(path):
     return events
 
 
-def group_lanes(ev):
-    """Lane count of a trial_group span (0 when missing/mistyped)."""
-    lanes = ev.get("args", {}).get("lanes")
-    if isinstance(lanes, str) and lanes.isdigit():
-        lanes = int(lanes)
-    return lanes if isinstance(lanes, int) and not isinstance(
-        lanes, bool) else 0
-
-
-def covered_trials(events):
-    """Trials covered by a trace: trial spans plus trial_group lanes."""
-    count = 0
-    for ev in events:
-        if ev.get("name") == "trial":
-            count += 1
-        elif ev.get("name") == "trial_group":
-            count += group_lanes(ev)
-    return count
-
-
 def validate(events):
     """Yields one message per violation."""
     trials = []
-    groups = []
     phases = []
     for i, ev in enumerate(events):
         where = f"event {i} ({ev.get('name', '?')!r})"
@@ -160,8 +134,6 @@ def validate(events):
                 yield f"{where}: '{field}' is not numeric"
         if ev.get("name") == "trial":
             trials.append(ev)
-        elif ev.get("name") == "trial_group":
-            groups.append(ev)
         elif ev.get("name") in PHASE_NAMES:
             phases.append(ev)
 
@@ -176,27 +148,10 @@ def validate(events):
                 f"{args.get('checkpoint')!r}, expected 'hit' or 'miss'"
             )
 
-    for i, group in enumerate(groups):
-        args = group.get("args", {})
-        for tag in REQUIRED_GROUP_TAGS:
-            if tag not in args:
-                yield f"trial_group span {i}: missing tag '{tag}'"
-        if args.get("checkpoint") not in ("hit", "miss", None):
-            yield (
-                f"trial_group span {i}: checkpoint tag is "
-                f"{args.get('checkpoint')!r}, expected 'hit' or 'miss'"
-            )
-        if "lanes" in args and group_lanes(group) < 2:
-            yield (
-                f"trial_group span {i}: lanes tag is "
-                f"{args.get('lanes')!r}, expected an integer >= 2"
-            )
-
-    # Nesting: each phase span must sit inside some trial or trial_group
-    # span on its thread. Spans are integral microseconds, so containment
-    # may be exact.
+    # Nesting: each phase span must sit inside some trial span on its
+    # thread. Spans are integral microseconds, so containment may be exact.
     by_tid = {}
-    for trial in trials + groups:
+    for trial in trials:
         by_tid.setdefault(trial.get("tid"), []).append(
             (trial.get("ts", 0), trial.get("ts", 0) + trial.get("dur", 0))
         )
@@ -208,7 +163,7 @@ def validate(events):
             yield (
                 f"phase span {i} ({phase.get('name')!r}, tid "
                 f"{phase.get('tid')}): [{start}, {end}] us not nested in "
-                "any trial or trial_group span on its thread"
+                "any trial span on its thread"
             )
 
 
@@ -405,8 +360,8 @@ STATUS_WORKER_KEYS = {
 STATUS_PHASE_KEYS = ("restore_seconds", "execute_seconds", "classify_seconds")
 STATUS_COUNTER_KEYS = (
     "checkpoint_snapshots", "checkpoint_restores", "delta_restores",
-    "snapshot_evictions", "trace_decodes", "trace_hits",
-    "trace_invalidations",
+    "snapshot_evictions", "converged_trials", "converged_instructions",
+    "trace_decodes", "trace_hits", "trace_invalidations",
 )
 
 
@@ -726,14 +681,12 @@ def main(argv=None):
         return 1
 
     errors = list(validate(events))
-    trial_count = covered_trials(events)
-    group_count = sum(1 for ev in events if ev.get("name") == "trial_group")
+    trial_count = sum(1 for ev in events if ev.get("name") == "trial")
     if trial_count == 0:
-        errors.append("no 'trial' or 'trial_group' spans found")
+        errors.append("no 'trial' spans found")
     if args.expect_trials is not None and trial_count != args.expect_trials:
         errors.append(
-            f"expected {args.expect_trials} trials covered, found "
-            f"{trial_count}"
+            f"expected {args.expect_trials} trial spans, found {trial_count}"
         )
 
     for message in errors:
@@ -741,7 +694,7 @@ def main(argv=None):
     if not errors:
         print(
             f"{args.trace}: OK — {len(events)} events, "
-            f"{trial_count} trials covered ({group_count} lane groups)"
+            f"{trial_count} trial spans"
         )
     return 1 if errors else 0
 
