@@ -187,9 +187,9 @@ void write_perf_entry(const std::string& experiment,
   // process coexists in the manifest; threaded owns the plain key.
   if (run.manifest.dispatch_mode != "threaded")
     key += "_" + run.manifest.dispatch_mode + "dispatch";
-  // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path for
-  // the whole post-injection suffix; keep them under their own key so the
-  // untraced baseline is never overwritten by the traced leg.
+  // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path while
+  // taint is live; keep them under their own key so the untraced baseline
+  // is never overwritten by the traced leg.
   if (obs::prop_enabled()) key += "_prop";
 
   // One entry = one line, so the upsert below can merge without a JSON

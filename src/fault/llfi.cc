@@ -73,11 +73,12 @@ class ProfileAllHook final : public vm::ExecHook {
 /// identical for checkpointed and from-scratch runs.
 class InjectHook final : public vm::ExecHook {
  public:
-  /// A non-null `journal` arms the propagation tracer: after injection the
-  /// hook stays attached (instead of its post-activation detaches) so the
-  /// whole post-fault suffix runs on the hooked slow path and every
-  /// callback feeds the tracer. Persistent models already stay attached to
-  /// run end, so staying attached is semantics-identical — only slower.
+  /// A non-null `journal` arms the propagation tracer: once the fault's
+  /// own work is done the hook stays attached only until the tracer is
+  /// quiet (see release()), so the post-fault suffix runs on the hooked
+  /// slow path for as long as some taint is live. Persistent models already
+  /// stay attached to run end, so staying attached is semantics-identical —
+  /// only slower.
   InjectHook(ir::Category category, std::uint64_t k, const FaultPlan& plan,
              const FaultModel& model, std::uint64_t already_seen,
              std::uint64_t base, std::uint64_t arm_time,
@@ -100,7 +101,10 @@ class InjectHook final : public vm::ExecHook {
 
   void on_instruction(const ir::Instruction& instr) override {
     ++executed_;  // absolute dynamic-instruction position
-    if (tracing_) tracer_.on_instruction(executed_, instr);
+    if (tracing_) {
+      tracer_.on_instruction(executed_, instr);
+      release();
+    }
     if (!injected_) {
       if (LlfiEngine::is_target(instr, category_, model_)) {
         const bool armed = arm_time_ != 0 ? executed_ >= arm_time_
@@ -111,15 +115,18 @@ class InjectHook final : public vm::ExecHook {
       const std::uint64_t o = occurrence_++;
       if (fire_at(o)) {
         pending_ = true;
-      } else if (activated_ && burst_done(occurrence_) && !tracing_) {
-        detach();  // burst spent and fault observed: nothing left to do
+      } else if (activated_ && burst_done(occurrence_)) {
+        finish();  // burst spent and fault observed: nothing left to do
       }
     }
   }
 
   std::uint64_t on_result(const vm::DynValueId& id, std::uint64_t raw) override {
     if (!pending_) {
-      if (tracing_) tracer_.on_result(id);
+      if (tracing_) {
+        tracer_.on_result(id);
+        release();
+      }
       return raw;
     }
     pending_ = false;
@@ -147,9 +154,7 @@ class InjectHook final : public vm::ExecHook {
     if (!plan_.model().persistent()) {
       if (id == injected_id_) {
         activated_ = true;
-        // Tracing keeps the hook attached: the tracer needs the rest of
-        // the run's callbacks to follow the fault.
-        if (!tracing_) detach();
+        finish();
       }
       return;
     }
@@ -158,7 +163,7 @@ class InjectHook final : public vm::ExecHook {
       if (ring_[i] == id) {
         activated_ = true;
         ring_next_ = 0;  // read tracking is over; keep corrupting
-        if (burst_done(occurrence_) && !tracing_) detach();
+        if (burst_done(occurrence_)) finish();
         return;
       }
     }
@@ -213,6 +218,34 @@ class InjectHook final : public vm::ExecHook {
            next_o / (m.burst_gap + 1) >= m.burst_length;
   }
 
+  /// The fault's verdict is final and nothing is left to corrupt. An
+  /// untraced hook detaches on the spot; a traced one waits for a quiet
+  /// tracer (release()).
+  void finish() noexcept {
+    done_ = true;
+    release();
+  }
+
+  /// Leaves the slow path once neither the fault nor the tracer needs
+  /// callbacks (call after each tracer update). A quiet tracer stays quiet
+  /// — no root is planted after finish() — so its counters are final and
+  /// only an unrecorded divergence is left to watch for: a diverged tracer
+  /// detaches for good; otherwise the hook settles and keeps comparing pcs
+  /// with the journal, which lets the executor stop on golden convergence,
+  /// and detaches if the journal mismatches first.
+  void release() noexcept {
+    if (!done_ || detached()) return;
+    if (!tracing_) {
+      detach();
+    } else if (tracer_.quiet()) {
+      if (tracer_.diverged()) {
+        detach();
+      } else {
+        settle();
+      }
+    }
+  }
+
   void remember(const vm::DynValueId& id) {
     if (!plan_.model().persistent()) {
       injected_id_ = id;
@@ -231,6 +264,7 @@ class InjectHook final : public vm::ExecHook {
   bool pending_ = false;
   bool injected_ = false;
   bool activated_ = false;
+  bool done_ = false;  // finish() reached: the fault needs no more callbacks
   unsigned bit_ = 0;
   vm::DynValueId injected_id_;                 // transient activation target
   vm::DynValueId ring_[kRing];                 // persistent activation window
@@ -443,13 +477,11 @@ TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
   context.interp.set_hook(&hook);
   trials_.fetch_add(1, std::memory_order_relaxed);
   vm::RunLimits limits = faulty_limits();
-  // Golden-convergence early exit (DESIGN §4). It can only fire once the
-  // hook has detached for good, which a propagation tracer never lets
-  // happen, so traced trials skip the lookup altogether.
-  if (!trace_prop_)
-    limits.golden_after = [this](std::uint64_t executed) {
-      return checkpoints_.after(executed);
-    };
+  // Golden-convergence early exit (DESIGN §4). It fires once the hook has
+  // detached for good or settled with a quiet propagation tracer.
+  limits.golden_after = [this](std::uint64_t executed) {
+    return checkpoints_.after(executed);
+  };
   vm::RunResult r;
   {
     obs::ScopedSpan exec_span(tracer, "execute", "phase");

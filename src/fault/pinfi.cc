@@ -83,9 +83,9 @@ class PinfiHook final : public x86::SimHook {
   enum class TargetKind { None, Gpr, Xmm, Flags };
 
   /// A non-null `journal` arms the propagation tracer (see InjectHook in
-  /// llfi.cc for the contract): post-injection detaches are suppressed so
-  /// the whole post-fault suffix runs on the hooked slow path and feeds
-  /// the tracer; results are unchanged, only slower.
+  /// llfi.cc for the contract): once the fault's own work is done the hook
+  /// stays attached only until the tracer is quiet (release()); results
+  /// are unchanged, only slower.
   PinfiHook(const x86::Program& program, ir::Category category,
             std::uint64_t k, const FaultPlan& plan, const FaultModel& model,
             std::uint64_t already_seen, std::uint64_t base,
@@ -110,7 +110,10 @@ class PinfiHook final : public x86::SimHook {
 
   void on_before(std::size_t index, const Inst& inst) override {
     ++executed_;  // absolute dynamic-instruction position
-    if (tracing_) tracer_.on_before(executed_, index, inst);
+    if (tracing_) {
+      tracer_.on_before(executed_, index, inst);
+      release();
+    }
     if (!injected_) {
       const Inst* next = index + 1 < program_.code.size()
                              ? &program_.code[index + 1]
@@ -137,17 +140,16 @@ class PinfiHook final : public x86::SimHook {
       // An intermittent hook retires only once its burst is spent AND the
       // verdict is final; permanent hooks stay attached to the end (the
       // stuck bits must keep corrupting every re-execution).
-      if (!pending_ && burst_done(occurrence_) &&
-          (activated_ || !tracking_) && !tracing_)
-        detach();
+      if (!pending_ && burst_done(occurrence_) && (activated_ || !tracking_))
+        finish();
       return;
     }
     if (!activated_ && tracking_) {
       track(inst);
       // Activated, or the corrupted bits were overwritten before any read:
-      // either way the verdict is final — run the rest unhooked (unless
-      // the tracer still needs every remaining callback).
-      if ((activated_ || !tracking_) && !tracing_) detach();
+      // either way the verdict is final — run the rest unhooked (once the
+      // tracer, if any, is quiet).
+      if (activated_ || !tracking_) finish();
     }
   }
 
@@ -161,7 +163,10 @@ class PinfiHook final : public x86::SimHook {
                 x86::MachineState& state) override {
     // Normal taint transfer commits first; a corruption below then roots
     // on top of the just-retired architectural state.
-    if (tracing_) tracer_.commit();
+    if (tracing_) {
+      tracer_.commit();
+      release();
+    }
     if (!pending_) return;
     pending_ = false;
     if (!injected_) prime(index, inst);
@@ -256,6 +261,29 @@ class PinfiHook final : public x86::SimHook {
     bit_ = plan_.primary_bit(width);
   }
 
+  /// The verdict is final and nothing is left to corrupt. An untraced hook
+  /// detaches on the spot; a traced one waits for a quiet tracer.
+  void finish() noexcept {
+    done_ = true;
+    release();
+  }
+
+  /// Leaves the slow path once neither the fault nor the tracer needs
+  /// callbacks (see InjectHook::release in llfi.cc): detach for good when
+  /// untraced or quiet and diverged, settle when quiet on the golden path.
+  void release() noexcept {
+    if (!done_ || detached()) return;
+    if (!tracing_) {
+      detach();
+    } else if (tracer_.quiet()) {
+      if (tracer_.diverged()) {
+        detach();
+      } else {
+        settle();
+      }
+    }
+  }
+
   /// Whether the o-th execution of the armed site (0-based, counting the
   /// initial injection) gets corrupted: permanent always, intermittent on
   /// the burst pattern.
@@ -344,6 +372,7 @@ class PinfiHook final : public x86::SimHook {
   const Inst* saved_next_ = nullptr;  // pending_next_ of the armed site
   bool injected_ = false;
   bool activated_ = false;
+  bool done_ = false;  // finish() reached: the fault needs no more callbacks
   bool tracking_ = false;
   TargetKind kind_ = TargetKind::None;
   RegId target_reg_ = kNoReg;
@@ -596,13 +625,11 @@ TrialRecord PinfiEngine::run_trial(Context& context, ir::Category category,
   context.sim.set_hook(&hook);
   trials_.fetch_add(1, std::memory_order_relaxed);
   x86::SimLimits limits = faulty_limits();
-  // Golden-convergence early exit (DESIGN §4). It can only fire once the
-  // hook has detached for good, which a propagation tracer never lets
-  // happen, so traced trials skip the lookup altogether.
-  if (!trace_prop_)
-    limits.golden_after = [this](std::uint64_t executed) {
-      return checkpoints_.after(executed);
-    };
+  // Golden-convergence early exit (DESIGN §4). It fires once the hook has
+  // detached for good or settled with a quiet propagation tracer.
+  limits.golden_after = [this](std::uint64_t executed) {
+    return checkpoints_.after(executed);
+  };
   x86::SimResult r;
   {
     obs::ScopedSpan exec_span(tracer, "execute", "phase");

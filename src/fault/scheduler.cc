@@ -657,7 +657,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       dispatch_after.trace_hits - dispatch_before.trace_hits;
   manifest_.trace_invalidations = dispatch_after.trace_invalidations -
                                   dispatch_before.trace_invalidations;
-  manifest_.decoded_blocks = dispatch_after.decoded_blocks;
   const CheckpointStats checkpoints_after = checkpoint_totals();
   manifest_.converged_trials =
       checkpoints_after.converged_trials - checkpoints_before.converged_trials;
@@ -696,10 +695,9 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  "total_wall_seconds", "pinfi_flag_heuristic",
                  "pinfi_xmm_prune", "llfi_type_width",
                  "llfi_gep_as_arithmetic", "dispatch_mode", "trace_decodes",
-                 "trace_hits", "trace_invalidations", "decoded_blocks",
-                 "converged", "ci_halfwidth", "watchdog_flags",
-                 "ci_target", "converged_trials",
-                 "converged_instructions"});
+                 "trace_hits", "trace_invalidations", "converged",
+                 "ci_halfwidth", "watchdog_flags", "ci_target",
+                 "converged_trials", "converged_instructions"});
   for (const CampaignTiming& t : manifest.campaigns) {
     csv.add_row({t.app, t.tool, ir::category_name(t.category), t.fault_model,
                  std::to_string(t.seed), std::to_string(t.trials),
@@ -725,7 +723,6 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  std::to_string(manifest.trace_decodes),
                  std::to_string(manifest.trace_hits),
                  std::to_string(manifest.trace_invalidations),
-                 std::to_string(manifest.decoded_blocks),
                  std::to_string(t.converged ? 1 : 0),
                  fmt_double4(t.ci_halfwidth),
                  std::to_string(t.watchdog_flags),

@@ -127,7 +127,6 @@ struct RunManifest {
   std::uint64_t trace_decodes = 0;
   std::uint64_t trace_hits = 0;
   std::uint64_t trace_invalidations = 0;
-  std::uint64_t decoded_blocks = 0;  ///< resident when run() finished
   /// Convergence threshold the per-campaign `converged` flags were judged
   /// against (FAULTLAB_CI_TARGET or SchedulerOptions::monitor).
   double ci_target = 0.05;

@@ -22,6 +22,11 @@
 // keeping the injection hook attached after activation is exactly the
 // (slower) path persistent fault models always take — the PropEquiv
 // fixtures pin results CSVs byte-identical with the tracer on and off.
+// Once the fault's own work is done and the tracer is quiet() (no live
+// taint anywhere), no counter can move again: the hook then detaches if
+// the run has diverged, or settles (ExecHook/SimHook::settled) and keeps
+// only the journal compare, which lets the executor stop on exact golden
+// convergence.
 #pragma once
 
 #include <cstddef>
@@ -73,6 +78,8 @@ struct PropSummary {
   std::uint64_t divergence_pc = 0;
   /// Dynamic instructions between injection and first divergence.
   std::uint64_t divergence_offset = 0;
+
+  bool operator==(const PropSummary&) const = default;
 };
 
 /// Golden-run pc journal: one 32-bit fingerprint per dynamic instruction,
@@ -105,6 +112,16 @@ class VmPropTracer {
   explicit VmPropTracer(const GoldenJournal* journal) : journal_(journal) {}
 
   bool rooted() const noexcept { return rooted_; }
+  /// The pc stream has left the golden journal (divergence fields final).
+  bool diverged() const noexcept { return summary_.diverged; }
+  /// Rooted with no live taint anywhere: no tainted value, argument,
+  /// in-flight operand, return value, load result or shadow page. Only a
+  /// new root can change any counter of a quiet tracer again.
+  bool quiet() const noexcept {
+    return rooted_ && taint_.empty() && arg_taint_.empty() &&
+           pending_.empty() && shadow_.pages() == 0 && !ret_pending_ &&
+           mem_user_ == nullptr;
+  }
 
   /// Injection moment: the corrupted SSA def becomes the taint root.
   /// Re-fires (persistent/intermittent models) re-root the same trial;
@@ -174,6 +191,13 @@ class SimPropTracer {
   explicit SimPropTracer(const GoldenJournal* journal) : journal_(journal) {}
 
   bool rooted() const noexcept { return rooted_; }
+  /// The pc stream has left the golden journal (divergence fields final).
+  bool diverged() const noexcept { return summary_.diverged; }
+  /// Rooted with no tainted register, flag or shadow page. Only a new root
+  /// can change any counter of a quiet tracer again.
+  bool quiet() const noexcept {
+    return rooted_ && taint_mask_ == 0 && shadow_.pages() == 0;
+  }
 
   void plant_root_gpr(unsigned reg, std::uint64_t pos);
   void plant_root_xmm(unsigned reg, std::uint64_t pos);

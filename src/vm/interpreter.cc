@@ -308,12 +308,14 @@ class Interpreter::Impl {
 
   /// Golden-convergence check between two instructions (see
   /// RunLimits::golden_after); call with golden_next_ set. It applies only
-  /// once the hook is gone (dropped when it detaches for good). True when
-  /// the live state equals the golden snapshot captured at exactly this
-  /// position: the rest of the run would replay the golden suffix, so the
-  /// caller stops with converged_ set.
+  /// once the hook is gone (dropped when it detaches for good) or settled.
+  /// True when the live state equals the golden snapshot captured at
+  /// exactly this position: the rest of the run would replay the golden
+  /// suffix, so the caller stops with converged_ set.
   bool converges() {
-    if (hook_ != nullptr || executed_ < golden_next_->executed) return false;
+    if ((hook_ != nullptr && !hook_->settled()) ||
+        executed_ < golden_next_->executed)
+      return false;
     const Snapshot& golden = *golden_next_;
     golden_next_ = limits_.golden_after(executed_);
     if (golden.executed != executed_ || sp_ != golden.sp ||

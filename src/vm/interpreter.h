@@ -52,6 +52,12 @@ class ExecHook {
     detached_ = false;
     rearm_at_ = 0;
   }
+  /// True once the hook still observes but no longer changes anything
+  /// the run's outcome or its own record depends on. The interpreter then
+  /// treats it like a detached hook for golden convergence: a state equal
+  /// to the golden snapshot would replay the golden suffix, callbacks
+  /// included.
+  bool settled() const noexcept { return settled_; }
   /// Called before executing each dynamic instruction.
   virtual void on_instruction(const ir::Instruction& instr) { (void)instr; }
   /// Called with the raw result of a value-producing instruction; the
@@ -103,9 +109,13 @@ class ExecHook {
     detached_ = true;
     rearm_at_ = rearm_at;
   }
+  /// For subclasses that stay attached only to watch for an event the
+  /// golden suffix can never produce (see settled()).
+  void settle() noexcept { settled_ = true; }
 
  private:
   bool detached_ = false;
+  bool settled_ = false;
   std::uint64_t rearm_at_ = 0;
 };
 
@@ -150,12 +160,12 @@ struct RunLimits {
   std::function<void(Snapshot&&)> snapshot_sink;
   /// Golden-convergence early exit. When set, returns the golden run's
   /// snapshot captured at the first position strictly after `executed`
-  /// (nullptr when none is left). Once the hook has detached for good, the
-  /// run compares its live state with that snapshot on reaching its
-  /// position — frames, sp, next_frame_id, the runtime heap and the memory
-  /// image; output is write-only and excluded — and on a match stops
-  /// with RunResult::converged set: the rest would replay the golden
-  /// suffix instruction for instruction.
+  /// (nullptr when none is left). Once the hook has detached for good or
+  /// settled (ExecHook::settled), the run compares its live state with
+  /// that snapshot on reaching its position — frames, sp, next_frame_id,
+  /// the runtime heap and the memory image; output is write-only and
+  /// excluded — and on a match stops with RunResult::converged set: the
+  /// rest would replay the golden suffix instruction for instruction.
   std::function<const Snapshot*(std::uint64_t executed)> golden_after;
 };
 

@@ -2,6 +2,16 @@
 
 namespace faultlab::x86 {
 
+namespace {
+/// `prefix` followed by `n` in decimal. Built by appending: GCC's
+/// -Wrestrict misfires on `"literal" + std::string&&`.
+std::string numbered(const char* prefix, unsigned n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+}  // namespace
+
 std::string reg_name(RegId r, unsigned width_bytes) {
   static const char* q[] = {"rax", "rcx", "rdx", "rbx", "rsp", "rbp",
                             "rsi", "rdi", "r8",  "r9",  "r10", "r11",
@@ -10,10 +20,10 @@ std::string reg_name(RegId r, unsigned width_bytes) {
                             "esi", "edi", "r8d", "r9d", "r10d", "r11d",
                             "r12d", "r13d", "r14d", "r15d"};
   if (is_phys_gpr(r)) return width_bytes >= 8 ? q[r] : d[r];
-  if (is_phys_xmm(r)) return "xmm" + std::to_string(r - kXmmBase);
+  if (is_phys_xmm(r)) return numbered("xmm", r - kXmmBase);
   if (r == kNoReg) return "<none>";
-  if (is_xmm_class(r)) return "vx" + std::to_string(r - kVXmmBase);
-  return "v" + std::to_string(r - kVGprBase);
+  if (is_xmm_class(r)) return numbered("vx", r - kVXmmBase);
+  return numbered("v", r - kVGprBase);
 }
 
 const char* cond_name(Cond c) noexcept {

@@ -169,11 +169,13 @@ class Machine {
 
   /// Golden-convergence check between two instructions (see
   /// SimLimits::golden_after and the interpreter's twin); call with
-  /// golden_next_ set. True when the hook is gone and the live state
-  /// equals the golden snapshot captured at exactly this position; the
-  /// caller then stops with converged_ set.
+  /// golden_next_ set. True when the hook is gone or settled and the live
+  /// state equals the golden snapshot captured at exactly this position;
+  /// the caller then stops with converged_ set.
   bool converges() {
-    if (hook_ != nullptr || executed_ < golden_next_->executed) return false;
+    if ((hook_ != nullptr && !hook_->settled()) ||
+        executed_ < golden_next_->executed)
+      return false;
     const SimSnapshot& golden = *golden_next_;
     golden_next_ = limits_.golden_after(executed_);
     if (golden.executed != executed_ ||

@@ -47,6 +47,12 @@ class SimHook {
     detached_ = false;
     rearm_at_ = 0;
   }
+  /// True once the hook still observes but no longer changes anything
+  /// the run's outcome or its own record depends on. The simulator then
+  /// treats it like a detached hook for golden convergence: a state equal
+  /// to the golden snapshot would replay the golden suffix, callbacks
+  /// included.
+  bool settled() const noexcept { return settled_; }
   /// Called before executing instruction `code[index]`.
   virtual void on_before(std::size_t index, const Inst& inst) {
     (void)index;
@@ -87,9 +93,13 @@ class SimHook {
     detached_ = true;
     rearm_at_ = rearm_at;
   }
+  /// For subclasses that stay attached only to watch for an event the
+  /// golden suffix can never produce (see settled()).
+  void settle() noexcept { settled_ = true; }
 
  private:
   bool detached_ = false;
+  bool settled_ = false;
   std::uint64_t rearm_at_ = 0;
 };
 
@@ -117,8 +127,8 @@ struct SimLimits {
   std::function<void(SimSnapshot&&)> snapshot_sink;
   /// Golden-convergence early exit (see vm::RunLimits::golden_after): the
   /// golden snapshot captured at the first position strictly after
-  /// `executed`, or nullptr. Once the hook has detached for good, the run
-  /// compares the MachineState bytes, the runtime heap and the memory
+  /// `executed`, or nullptr. Once the hook has detached for good or
+  /// settled (SimHook::settled), the run compares the MachineState bytes, the runtime heap and the memory
   /// image with it on reaching its position, and stops on a match with
   /// SimResult::converged set.
   std::function<const SimSnapshot*(std::uint64_t executed)> golden_after;

@@ -1,8 +1,10 @@
 // Fault-propagation tracer tests (obs/propagation.h): taint-transfer
 // semantics of both shadow trackers (mask-on-overwrite, store-to-load
-// edges, flags taint), divergence-point exactness against hand-built
-// golden journals, engine-level result invariance with tracing on/off,
-// and the event-log flush guarantee when a campaign dies mid-run.
+// edges, flags taint), quiet() (no live taint), divergence-point
+// exactness against hand-built golden journals, engine-level result
+// invariance with tracing on/off, exact golden convergence of traced
+// trials whose tracer went quiet, and the event-log flush guarantee when a
+// campaign dies mid-run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,6 +178,36 @@ TEST(SimProp, RunningPastJournalEndDiverges) {
   EXPECT_TRUE(tracer.summary().diverged);
 }
 
+TEST(SimProp, FullOverwriteOfTheRootIsQuiet) {
+  obs::SimPropTracer tracer(nullptr);
+  EXPECT_FALSE(tracer.quiet());  // not rooted yet
+  tracer.plant_root_gpr(1, 10);
+  EXPECT_FALSE(tracer.quiet());
+  const x86::Inst kill = mov_ri(1, 5);  // mov rcx, 5 — full overwrite
+  tracer.on_before(11, 0, kill);
+  tracer.commit();
+  EXPECT_TRUE(tracer.quiet());
+  EXPECT_FALSE(tracer.diverged());
+}
+
+TEST(SimProp, TaintedStoreIsNeverQuiet) {
+  obs::SimPropTracer tracer(nullptr);
+  tracer.plant_root_gpr(1, 10);
+  x86::Inst store{};  // mov [0x2000], rcx
+  store.op = x86::Op::MovMR;
+  store.dst = 1;
+  tracer.on_before(11, 0, store);
+  tracer.on_memory(store, 0x2000, 8, /*is_store=*/true);
+  tracer.commit();
+  // Killing the register leaves the tainted page: page shadow is never
+  // cleared, so the tracer stays live for the rest of the run.
+  const x86::Inst kill = mov_ri(1, 5);
+  tracer.on_before(12, 1, kill);
+  tracer.commit();
+  EXPECT_EQ(tracer.summary().masking_events, 1u);
+  EXPECT_FALSE(tracer.quiet());
+}
+
 // ---------------------------------------------------------------------------
 // VmPropTracer unit semantics, driven with real IR instructions from a
 // tiny compiled module (DynValueId defs must be live instruction
@@ -229,6 +261,35 @@ TEST(VmProp, UntaintedRedefinitionMasks) {
   const obs::PropSummary s = tracer.summary();
   EXPECT_EQ(s.masking_events, 1u);
   EXPECT_EQ(s.fanout, 0u);
+}
+
+TEST(VmProp, RootRedefinedUnreadIsQuiet) {
+  VmHarness h;
+  obs::VmPropTracer tracer(nullptr);
+  EXPECT_FALSE(tracer.quiet());  // not rooted yet
+  const vm::DynValueId root{1, h.instrs[0]};
+  tracer.plant_root(root, 5);
+  EXPECT_FALSE(tracer.quiet());
+  tracer.on_instruction(6, *h.instrs[0]);
+  tracer.on_result(root);  // clean redefinition before any read
+  EXPECT_TRUE(tracer.quiet());
+  EXPECT_FALSE(tracer.diverged());
+}
+
+TEST(VmProp, TaintedStoreIsNeverQuiet) {
+  VmHarness h;
+  obs::VmPropTracer tracer(nullptr);
+  const vm::DynValueId root{1, h.instrs[0]};
+  tracer.plant_root(root, 5);
+  const ir::Instruction& store = *h.instrs[1];
+  tracer.on_instruction(6, store);
+  tracer.on_operand_read(root, store);
+  tracer.on_memory_access(store, 0x4000, 8, /*is_store=*/true);
+  // The root dies, but the page it reached keeps the tracer live.
+  tracer.on_instruction(7, *h.instrs[0]);
+  tracer.on_result(root);
+  EXPECT_EQ(tracer.summary().masking_events, 1u);
+  EXPECT_FALSE(tracer.quiet());
 }
 
 TEST(VmProp, StoreToLoadEdgeThroughShadowPages) {
@@ -322,6 +383,12 @@ void expect_tracing_invariant(Source& source) {
     EXPECT_EQ(plain[t].bit, traced[t].bit) << "trial " << t;
     EXPECT_EQ(plain[t].static_site, traced[t].static_site) << "trial " << t;
     EXPECT_EQ(plain[t].injected, traced[t].injected) << "trial " << t;
+    EXPECT_EQ(plain[t].total_instructions, traced[t].total_instructions)
+        << "trial " << t;
+    EXPECT_EQ(plain[t].inject_instruction, traced[t].inject_instruction)
+        << "trial " << t;
+    EXPECT_EQ(plain[t].trap, traced[t].trap) << "trial " << t;
+    EXPECT_EQ(plain[t].trap_pc, traced[t].trap_pc) << "trial " << t;
     EXPECT_FALSE(plain[t].prop.traced) << "trial " << t;
     if (traced[t].injected) {
       EXPECT_TRUE(traced[t].prop.traced) << "trial " << t;
@@ -346,6 +413,106 @@ TEST(PropEngine, LlfiResultsUnchangedByTracing) {
 TEST(PropEngine, PinfiResultsUnchangedByTracing) {
   auto prog = driver::compile(kEngineProgram, "prop_pinfi");
   expect_tracing_invariant<PinfiEngine>(prog.program());
+}
+
+// ---------------------------------------------------------------------------
+// Quiet tracers: a traced trial whose fault is done and whose taint is dead
+// leaves the slow path (detached when diverged, settled otherwise) and may
+// stop on golden convergence. Checkpoint-free trials never converge, so
+// they are the oracle — record and PropSummary alike.
+
+/// Repeated passes over one array: masked faults in the loop temporaries
+/// die quickly, so traced trials reach quiet tracers and golden states.
+const char* kQuietProgram = R"(
+  int data[64];
+  int main() {
+    int i; int r; long v; long s; long acc = 0;
+    for (i = 0; i < 64; i++) data[i] = i * 7 + 3;
+    for (r = 0; r < 24; r++) {
+      s = 0;
+      for (i = 0; i < 64; i++) {
+        v = data[i] * (r + 1);
+        if (v % 3 == 0) s += v;
+        else s -= i;
+      }
+      acc += s % 1000;
+    }
+    print_int(acc);
+    return 0;
+  }
+)";
+
+struct TracedCell {
+  CampaignResult result;
+  CheckpointStats stats;
+};
+
+template <typename Engine, typename Source>
+TracedCell traced_cell(const Source& source, CheckpointPolicy checkpoints,
+                       const Model& model) {
+  ScopedProp on(true);
+  Engine engine(source, {}, checkpoints, model);
+  CampaignConfig cfg;
+  cfg.app = "quiet";
+  cfg.category = ir::Category::All;
+  cfg.trials = 40;
+  cfg.seed = 7;
+  cfg.threads = 1;
+  TracedCell cell{run_campaign(engine, cfg), {}};
+  cell.stats = engine.checkpoint_stats();
+  return cell;
+}
+
+template <typename Engine, typename Source>
+void expect_quiet_tracer_matches_direct(const Source& source) {
+  CheckpointPolicy direct;
+  direct.enabled = false;
+  CheckpointPolicy strided;
+  strided.stride = 500;
+  const TracedCell off = traced_cell<Engine>(source, direct, Model{});
+  const TracedCell on = traced_cell<Engine>(source, strided, Model{});
+  const std::vector<TrialRecord>& a = on.result.trials;
+  const std::vector<TrialRecord>& b = off.result.trials;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    EXPECT_EQ(a[t].outcome, b[t].outcome) << "trial " << t;
+    EXPECT_EQ(a[t].dynamic_target, b[t].dynamic_target) << "trial " << t;
+    EXPECT_EQ(a[t].bit, b[t].bit) << "trial " << t;
+    EXPECT_EQ(a[t].static_site, b[t].static_site) << "trial " << t;
+    EXPECT_EQ(a[t].injected, b[t].injected) << "trial " << t;
+    EXPECT_EQ(a[t].total_instructions, b[t].total_instructions)
+        << "trial " << t;
+    EXPECT_EQ(a[t].inject_instruction, b[t].inject_instruction)
+        << "trial " << t;
+    EXPECT_EQ(a[t].trap, b[t].trap) << "trial " << t;
+    EXPECT_EQ(a[t].trap_pc, b[t].trap_pc) << "trial " << t;
+    EXPECT_TRUE(a[t].prop == b[t].prop) << "trial " << t;
+  }
+  EXPECT_EQ(off.stats.converged_trials, 0u);
+  EXPECT_GT(on.stats.restored_trials, 0u);
+  EXPECT_GT(on.stats.converged_trials, 0u);
+}
+
+TEST(PropEngine, QuietTracerMatchesCheckpointFreeRun) {
+  auto prog = driver::compile(kQuietProgram, "prop_quiet");
+  expect_quiet_tracer_matches_direct<LlfiEngine>(prog.module());
+  expect_quiet_tracer_matches_direct<PinfiEngine>(prog.program());
+}
+
+TEST(PropEngine, TracedStuckAtFaultsNeverConverge) {
+  // A stuck-at fault keeps corrupting to the end of the run, so its hook
+  // never finishes and the tracer can never release it.
+  auto prog = driver::compile(kQuietProgram, "prop_stuck");
+  CheckpointPolicy strided;
+  strided.stride = 500;
+  const Model stuck = Model::parse("stuck-at-1");
+  const TracedCell llfi =
+      traced_cell<LlfiEngine>(prog.module(), strided, stuck);
+  const TracedCell pinfi =
+      traced_cell<PinfiEngine>(prog.program(), strided, stuck);
+  EXPECT_GT(llfi.stats.restored_trials + pinfi.stats.restored_trials, 0u);
+  EXPECT_EQ(llfi.stats.converged_trials, 0u);
+  EXPECT_EQ(pinfi.stats.converged_trials, 0u);
 }
 
 // ---------------------------------------------------------------------------

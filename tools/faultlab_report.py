@@ -299,7 +299,6 @@ def fault_model_rows(events):
 
 DISPATCH_FIELDS = (
     "dispatch_mode", "trace_decodes", "trace_hits", "trace_invalidations",
-    "decoded_blocks",
 )
 
 
