@@ -36,7 +36,7 @@ struct FaultModel {
 };
 
 /// Checkpoint configuration shared by both engines. During the single-pass
-/// instrumented profiling run (profile_all) the engine captures a
+/// profiling run (profile_all) the engine captures a
 /// copy-on-write snapshot every `stride` dynamic instructions, together
 /// with the per-category instance counters at that point; inject() then
 /// resumes each trial from the nearest snapshot at or before its injection
@@ -153,7 +153,7 @@ struct PhaseStats {
 
 /// Dynamic instruction counts for every Table III category, indexed by
 /// `ir::Category`. Produced by `InjectorEngine::profile_all()` so one
-/// instrumented golden run covers the whole category grid.
+/// golden run covers the whole category grid.
 struct CategoryCounts {
   std::array<std::uint64_t, ir::kNumCategories> counts{};
 
@@ -186,14 +186,17 @@ class InjectorEngine {
   virtual const char* tool_name() const noexcept = 0;
 
   /// Dynamic count of category instructions in a fault-free run (the
-  /// paper's Table IV entries). Also primes golden output/limits.
+  /// paper's Table IV entries). LlfiEngine and PinfiEngine count through a
+  /// per-instruction hook, one run per call: the oracle for profile_all().
+  /// The golden output and instruction count come from the constructor.
   virtual std::uint64_t profile(ir::Category category) = 0;
 
-  /// Dynamic counts for *all* categories from a single instrumented run.
-  /// The default falls back to one profile() run per category; LlfiEngine
-  /// and PinfiEngine override it with a genuine single-pass version, which
-  /// is what the campaign scheduler uses to avoid per-category golden
-  /// re-runs. Must agree with profile() for every category.
+  /// Dynamic counts for *all* categories; the campaign scheduler calls it
+  /// once per engine before any trial. LlfiEngine and PinfiEngine count
+  /// every category in one unhooked fast-path run, which also captures
+  /// the checkpoint snapshots. The default here, one profile() run per
+  /// category, serves engines without such a pass. Must agree with
+  /// profile() for every category.
   virtual CategoryCounts profile_all() {
     CategoryCounts out;
     for (ir::Category c : ir::kAllCategories) out[c] = profile(c);

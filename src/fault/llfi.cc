@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <stdexcept>
 
+#include "fault/site_profile.h"
 #include "obs/metrics.h"
 #include "obs/propagation.h"
 #include "obs/trace.h"
@@ -14,7 +15,8 @@ namespace faultlab::fault {
 
 namespace {
 
-/// Profiling hook: counts dynamic instances of the target set.
+/// Profiling hook: counts dynamic instances of the target set (the hooked
+/// oracle for profile_all()'s fast-path counts).
 class ProfileHook final : public vm::ExecHook {
  public:
   ProfileHook(ir::Category category, const FaultModel& model)
@@ -28,22 +30,6 @@ class ProfileHook final : public vm::ExecHook {
   ir::Category category_;
   FaultModel model_;
   std::uint64_t count_ = 0;
-};
-
-/// Single-pass profiling hook: counts dynamic instances of every category
-/// in one instrumented run.
-class ProfileAllHook final : public vm::ExecHook {
- public:
-  explicit ProfileAllHook(const FaultModel& model) : model_(model) {}
-  void on_instruction(const ir::Instruction& instr) override {
-    for (ir::Category c : ir::kAllCategories)
-      if (LlfiEngine::is_target(instr, c, model_)) ++counts_[c];
-  }
-  const CategoryCounts& counts() const noexcept { return counts_; }
-
- private:
-  FaultModel model_;
-  CategoryCounts counts_;
 };
 
 /// Injection hook: corrupts the destination of dynamic instance k of the
@@ -382,20 +368,25 @@ std::uint64_t LlfiEngine::profile(ir::Category category) {
 
 CategoryCounts LlfiEngine::profile_all() {
   obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
-  ProfileAllHook hook(model_);
-  vm::Interpreter interp(module_, &hook);
+  SiteProfile sites;
+  for (const ir::Instruction* instr : vm::site_order(module_))
+    sites.add_site(
+        [&](ir::Category c) { return is_target(*instr, c, model_); });
+  sites.hits.assign(sites.masks.size(), 0);
+  vm::Interpreter interp(module_);
   vm::RunLimits limits;
+  limits.site_hits = sites.hits.data();
   checkpoints_.clear();
   checkpoints_.set_budget(checkpoint_policy_.budget_pages);
   checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
   limits.snapshot_stride = checkpoint_stride_;
   if (checkpoint_stride_ != 0) {
     // The snapshot sink fires between two dynamic instructions, so the
-    // hook's counters at that moment are exactly the per-category instance
+    // site hits at that moment fold into exactly the per-category instance
     // counts of the skipped prefix. add() enforces the page budget as the
     // run advances, so peak residency never exceeds it.
-    limits.snapshot_sink = [this, &hook](vm::Snapshot&& snap) {
-      checkpoints_.add(std::move(snap), hook.counts());
+    limits.snapshot_sink = [this, &sites](vm::Snapshot&& snap) {
+      checkpoints_.add(std::move(snap), sites.counts());
     };
   }
   const vm::RunResult r = interp.run("main", limits);
@@ -411,8 +402,8 @@ CategoryCounts LlfiEngine::profile_all() {
     span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
     span.tag("stride", checkpoint_stride_);
   }
-  profile_counts_ = hook.counts();
-  return hook.counts();
+  profile_counts_ = sites.counts();
+  return profile_counts_;
 }
 
 std::uint64_t LlfiEngine::time_trigger_point(ir::Category category,

@@ -10,10 +10,10 @@
 //  * activation is tracked exactly: the corrupted SSA value must be read
 //    by some instruction.
 //
-// Trial execution is checkpointed: profile_all()'s instrumented golden run
-// captures copy-on-write interpreter snapshots every `CheckpointPolicy`
-// stride (with the per-category instance counters at each point), and
-// inject() resumes from the nearest snapshot before its injection point
+// Trial execution is checkpointed: profile_all()'s golden run, which counts
+// category instances on the fast path, captures copy-on-write interpreter
+// snapshots every `CheckpointPolicy` stride (with the per-category instance
+// counters at each point), and inject() resumes from the nearest snapshot before its injection point
 // instead of re-running the golden prefix from main(); a trial whose state
 // later equals a golden snapshot's stops there instead of re-running the
 // golden suffix (the golden-convergence early exit, DESIGN §4). Results

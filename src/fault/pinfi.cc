@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fault/site_profile.h"
 #include "obs/metrics.h"
 #include "obs/propagation.h"
 #include "obs/trace.h"
@@ -406,6 +407,8 @@ class JournalHook final : public x86::SimHook {
   obs::GoldenJournal* journal_;
 };
 
+/// Profiling hook: counts dynamic instances of one category (the hooked
+/// oracle for profile_all()'s fast-path counts).
 class ProfileHook final : public x86::SimHook {
  public:
   ProfileHook(const x86::Program& program, ir::Category category)
@@ -422,25 +425,6 @@ class ProfileHook final : public x86::SimHook {
   const x86::Program& program_;
   ir::Category category_;
   std::uint64_t count_ = 0;
-};
-
-/// Single-pass profiling hook: counts dynamic instances of every category
-/// in one instrumented run.
-class ProfileAllHook final : public x86::SimHook {
- public:
-  explicit ProfileAllHook(const x86::Program& program) : program_(program) {}
-  void on_before(std::size_t index, const Inst& inst) override {
-    const Inst* next = index + 1 < program_.code.size()
-                           ? &program_.code[index + 1]
-                           : nullptr;
-    for (ir::Category c : ir::kAllCategories)
-      if (PinfiEngine::is_target(inst, next, c)) ++counts_[c];
-  }
-  const CategoryCounts& counts() const noexcept { return counts_; }
-
- private:
-  const x86::Program& program_;
-  CategoryCounts counts_;
 };
 
 /// Nanoseconds elapsed since `t0`, for the per-phase wall-time counters.
@@ -529,20 +513,28 @@ std::uint64_t PinfiEngine::profile(ir::Category category) {
 
 CategoryCounts PinfiEngine::profile_all() {
   obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
-  ProfileAllHook hook(program_);
-  x86::Simulator sim(program_, &hook);
+  const std::vector<Inst>& code = program_.code;
+  SiteProfile sites;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const Inst* next = i + 1 < code.size() ? &code[i + 1] : nullptr;
+    sites.add_site(
+        [&](ir::Category c) { return is_target(code[i], next, c); });
+  }
+  sites.hits.assign(code.size() + 1, 0);  // + the fetch sentinel's slot
+  x86::Simulator sim(program_);
   x86::SimLimits limits;
+  limits.site_hits = sites.hits.data();
   checkpoints_.clear();
   checkpoints_.set_budget(checkpoint_policy_.budget_pages);
   checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
   limits.snapshot_stride = checkpoint_stride_;
   if (checkpoint_stride_ != 0) {
     // The snapshot sink fires between two dynamic instructions, so the
-    // hook's counters at that moment are exactly the per-category instance
+    // site hits at that moment fold into exactly the per-category instance
     // counts of the skipped prefix. add() enforces the page budget as the
     // run advances, so peak residency never exceeds it.
-    limits.snapshot_sink = [this, &hook](x86::SimSnapshot&& snap) {
-      checkpoints_.add(std::move(snap), hook.counts());
+    limits.snapshot_sink = [this, &sites](x86::SimSnapshot&& snap) {
+      checkpoints_.add(std::move(snap), sites.counts());
     };
   }
   const x86::SimResult r = sim.run(limits);
@@ -558,8 +550,8 @@ CategoryCounts PinfiEngine::profile_all() {
     span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
     span.tag("stride", checkpoint_stride_);
   }
-  profile_counts_ = hook.counts();
-  return hook.counts();
+  profile_counts_ = sites.counts();
+  return profile_counts_;
 }
 
 std::uint64_t PinfiEngine::time_trigger_point(ir::Category category,

@@ -14,9 +14,10 @@
 //    flag bit) must be read before being overwritten.
 //
 // Trial execution is checkpointed the same way as LlfiEngine's:
-// profile_all()'s instrumented golden run captures copy-on-write simulator
-// snapshots every `CheckpointPolicy` stride (with per-category instance
-// counters), and inject() resumes from the nearest snapshot before its
+// profile_all()'s golden run, which counts category instances on the fast
+// path, captures copy-on-write simulator snapshots every
+// `CheckpointPolicy` stride (with per-category instance counters), and
+// inject() resumes from the nearest snapshot before its
 // injection point; a trial whose state later equals a golden snapshot's
 // stops there (the golden-convergence early exit, DESIGN §4). Results are
 // bit-identical to direct execution.

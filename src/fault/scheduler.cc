@@ -245,8 +245,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   const machine::DispatchCountersSnapshot dispatch_before =
       machine::dispatch_counters_snapshot();
 
-  // Phase 1 — profiling: one single-pass instrumented golden run per
-  // distinct engine covers every category it appears with.
+  // Phase 1 — profiling: one single-pass golden run per distinct engine
+  // covers every category it appears with.
   WallTimer profile_timer;
   std::vector<std::pair<InjectorEngine*, CategoryCounts>> profiles;
   for (const Entry& entry : entries_) {

@@ -2,8 +2,8 @@
 // injection campaigns on one shared worker pool.
 //
 // Compared to calling run_campaign per cell, the scheduler
-//  * profiles each engine once — a single instrumented golden run records
-//    the dynamic counts of *all* categories (InjectorEngine::profile_all),
+//  * profiles each engine once — a single golden run records the dynamic
+//    counts of *all* categories (InjectorEngine::profile_all),
 //    instead of one golden re-run per category,
 //  * spins the thread pool up once for the whole grid: trials from every
 //    campaign land in one shared queue that idle workers steal from, so

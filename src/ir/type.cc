@@ -73,14 +73,25 @@ std::string Type::to_string() const {
   switch (kind_) {
     case TypeKind::Void:
       return "void";
-    case TypeKind::Int:
-      return "i" + std::to_string(bits_);
+    case TypeKind::Int: {
+      // Built by appending: GCC's -Wrestrict misfires on
+      // `"literal" + std::string&&`.
+      std::string name = "i";
+      name += std::to_string(bits_);
+      return name;
+    }
     case TypeKind::Double:
       return "double";
     case TypeKind::Ptr:
       return pointee_->to_string() + "*";
-    case TypeKind::Array:
-      return "[" + std::to_string(count_) + " x " + elem_->to_string() + "]";
+    case TypeKind::Array: {
+      std::string name = "[";
+      name += std::to_string(count_);
+      name += " x ";
+      name += elem_->to_string();
+      name += "]";
+      return name;
+    }
     case TypeKind::Struct:
       return "%" + name_;
     case TypeKind::Func: {

@@ -127,7 +127,9 @@ class Interpreter::Impl {
     converged_ = nullptr;
     const ir::Function* entry_fn = frames_.front().function;
     try {
-      const std::uint64_t ret = exec_loop();
+      const std::uint64_t ret = limits_.site_hits != nullptr
+                                    ? exec_loop<true>()
+                                    : exec_loop<false>();
       if (converged_ != nullptr) {
         RunResult result;
         result.converged = converged_;
@@ -330,7 +332,9 @@ class Interpreter::Impl {
   /// Runs the frame stack to completion (or to golden convergence);
   /// returns the entry's return value. Switch mode is the pure historical
   /// loop; threaded mode alternates trace execution with single hooked
-  /// slow steps at window boundaries.
+  /// slow steps at window boundaries. kCount selects the fast loop that
+  /// also fills RunLimits::site_hits.
+  template <bool kCount>
   std::uint64_t exec_loop() {
     std::uint64_t ret = 0;
     if (mode_ == machine::DispatchMode::Switch) {
@@ -340,7 +344,7 @@ class Interpreter::Impl {
     }
     while (true) {
       std::uint64_t stop = limits_.max_instructions;
-      if (fast_eligible(&stop) && fast_run(stop, &ret)) return ret;
+      if (fast_eligible(&stop) && fast_run<kCount>(stop, &ret)) return ret;
       if (slow_step(&ret)) return ret;
     }
   }
@@ -384,6 +388,7 @@ class Interpreter::Impl {
     Frame& frame = frames_.back();
     const ir::Instruction& instr = *frame.block->instr(frame.index);
     bump_instruction_count();
+    if (limits_.site_hits != nullptr) count_site(frame, instr);
     if (hook_ != nullptr && hook_->detached()) {
       const std::uint64_t at = hook_->rearm_at();
       if (at == 0) {
@@ -413,6 +418,8 @@ class Interpreter::Impl {
             break;
           ++index;
           bump_instruction_count();
+          if (limits_.site_hits != nullptr)
+            count_site(frame, *frame.block->instr(index));
           if (live_hook_ != nullptr)
             live_hook_->on_instruction(*frame.block->instr(index));
         }
@@ -493,6 +500,12 @@ class Interpreter::Impl {
     }
   }
 
+  /// Slow-path twin of the counting fast loop's per-dispatch increment.
+  void count_site(const Frame& frame, const ir::Instruction& instr) {
+    ++limits_.site_hits[cache_.function(*frame.function).site_base +
+                        instr.id()];
+  }
+
   /// Reads one pre-resolved operand slot (the fast path's hook-free
   /// read_operand).
   static std::uint64_t slot(const Frame& frame, const VSlot& s) {
@@ -508,7 +521,10 @@ class Interpreter::Impl {
   /// a non-traceable block, or program exit. Returns true when the entry
   /// frame returned (value in *ret); false on a side exit back to the
   /// slow path, with every frame field re-synced so the slow loop (or a
-  /// snapshot) sees exactly the state a pure slow run would have.
+  /// snapshot) sees exactly the state a pure slow run would have. The
+  /// kCount instantiation also counts every executed instruction into
+  /// RunLimits::site_hits; the other one has no counting code at all.
+  template <bool kCount>
   bool fast_run(std::uint64_t stop, std::uint64_t* ret) {
     Frame* frame = &frames_.back();
     TraceFunction* tf = &cache_.function(*frame->function);
@@ -522,6 +538,7 @@ class Interpreter::Impl {
     dc.trace_hits.fetch_add(1, std::memory_order_relaxed);
     shadow_.clear();
     shadow_.push_back({tf, tb});
+    [[maybe_unused]] std::uint64_t* const hits = limits_.site_hits;
     try {
       const VUOp* u = nullptr;
 
@@ -536,6 +553,7 @@ class Interpreter::Impl {
     if (executed_ >= stop) goto vm_side_exit;          \
     u = &tb->uops[ip];                                 \
     ++executed_;                                       \
+    if constexpr (kCount) ++hits[tb->site_base + ip];  \
     goto* kLabels[static_cast<unsigned>(u->op)];       \
   } while (0)
       VM_NEXT();
@@ -546,6 +564,7 @@ class Interpreter::Impl {
       if (executed_ >= stop) goto vm_side_exit;
       u = &tb->uops[ip];
       ++executed_;
+      if constexpr (kCount) ++hits[tb->site_base + ip];
       switch (u->op) {
 #endif
 
@@ -909,8 +928,11 @@ class Interpreter::Impl {
         phi_scratch_.clear();
         const PhiEntry* entries = tb->phi_entries.data() + u->pool;
         for (std::uint16_t k = 0; k < u->n; ++k) {
-          if (k != 0 && ++executed_ > limits_.max_instructions)
-            throw machine::TimeoutException();
+          if (k != 0) {
+            if (++executed_ > limits_.max_instructions)
+              throw machine::TimeoutException();
+            if constexpr (kCount) ++hits[tb->site_base + ip + k];
+          }
           const PhiEntry& e = entries[k];
           const PhiEdge* edge = tb->phi_edges.data() + e.edges_at;
           std::uint64_t v = 0;
@@ -936,6 +958,7 @@ class Interpreter::Impl {
         // defensively hand the state to the slow path. The bump this
         // dispatch did must be undone: the op executed nothing.
         --executed_;
+        if constexpr (kCount) --hits[tb->site_base + ip];
         goto vm_side_exit;
       }
       VM_OP(Br) {
@@ -1286,6 +1309,14 @@ class Interpreter::Impl {
   std::vector<std::uint64_t> phi_scratch_;
   std::vector<std::uint64_t> builtin_args_;
 };
+
+std::vector<const ir::Instruction*> site_order(const ir::Module& module) {
+  std::vector<const ir::Instruction*> sites;
+  for (const auto& fn : module.functions())
+    for (const auto& bb : fn->blocks())
+      for (const auto& instr : bb->instructions()) sites.push_back(instr.get());
+  return sites;
+}
 
 Interpreter::Interpreter(const ir::Module& module, ExecHook* hook)
     : module_(module), hook_(hook), layout_(module) {}

@@ -167,6 +167,13 @@ struct RunLimits {
   /// excluded — and on a match stops with RunResult::converged set: the
   /// rest would replay the golden suffix instruction for instruction.
   std::function<const Snapshot*(std::uint64_t executed)> golden_after;
+  /// When non-null, each executed instruction increments its static
+  /// site's counter: the slot of its index in site_order(module), which
+  /// the array must cover. Counting happens before the instruction runs,
+  /// so when snapshot_sink fires the counters hold exactly the snapshot's
+  /// prefix. Profiling uses this to count category instances without a
+  /// hook; runs without it take the non-counting fast loop.
+  std::uint64_t* site_hits = nullptr;
 };
 
 struct RunResult {
@@ -196,6 +203,11 @@ struct RunResult {
 
   bool completed() const noexcept { return !trapped && !timed_out; }
 };
+
+/// Static instructions of `module` in RunLimits::site_hits order:
+/// functions in module order, each one's instructions by
+/// Instruction::id() (ids run contiguously in block order).
+std::vector<const ir::Instruction*> site_order(const ir::Module& module);
 
 class Interpreter {
  public:

@@ -35,6 +35,11 @@ TraceFunction& TraceCache::function(const ir::Function& fn) {
   auto tf = std::make_unique<TraceFunction>();
   tf->fn = &fn;
   tf->num_instructions = fn.num_instructions();
+  // site_order(): the functions before this one fill the lower slots.
+  for (const auto& other : fn.parent()->functions()) {
+    if (other.get() == &fn) break;
+    tf->site_base += other->num_instructions();
+  }
   // Same walk as the slow path's frame prologue: allocas in program order,
   // each aligned then appended, the whole frame rounded to 16 bytes.
   std::uint64_t frame_size = 0;
@@ -56,6 +61,8 @@ TraceFunction& TraceCache::function(const ir::Function& fn) {
   tf->block_index.reserve(fn.num_blocks());
   for (std::size_t i = 0; i < fn.num_blocks(); ++i) {
     tf->blocks[i].block = fn.block(i);
+    if (fn.block(i)->size() != 0)
+      tf->blocks[i].site_base = tf->site_base + fn.block(i)->instr(0)->id();
     tf->block_index.emplace(fn.block(i), static_cast<std::uint32_t>(i));
   }
   return *functions_.emplace(&fn, std::move(tf)).first->second;

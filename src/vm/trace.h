@@ -123,6 +123,8 @@ struct TraceBlock {
   enum class State : std::uint8_t { Empty, Ready, Poisoned };
   State state = State::Empty;
   const ir::BasicBlock* block = nullptr;
+  /// RunLimits::site_hits slot of uops[0]; uop i counts at site_base + i.
+  std::uint64_t site_base = 0;
   std::vector<VUOp> uops;
   std::vector<GepTerm> gep_terms;
   std::vector<VSlot> call_args;
@@ -143,6 +145,8 @@ struct TraceFunction {
   const ir::Function* fn = nullptr;
   std::uint64_t frame_size = 0;  ///< allocas + padding, rounded to 16
   std::size_t num_instructions = 0;
+  /// RunLimits::site_hits slot of the instruction with id 0.
+  std::uint64_t site_base = 0;
   std::vector<AllocaPlan> allocas;
   /// Parallel to fn->blocks() (stable: sized once, never grown).
   std::vector<TraceBlock> blocks;

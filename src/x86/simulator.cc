@@ -107,7 +107,11 @@ class Machine {
         limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
     converged_ = nullptr;
     try {
-      loop();
+      if (limits_.site_hits != nullptr) {
+        loop<true>();
+      } else {
+        loop<false>();
+      }
       if (converged_ != nullptr) {
         SimResult result;
         result.converged = converged_;
@@ -324,7 +328,9 @@ class Machine {
 
   /// Runs to the halt sentinel (or to golden convergence). Switch mode is
   /// the pure historical loop; threaded mode alternates trace execution
-  /// with single hooked slow steps at window boundaries.
+  /// with single hooked slow steps at window boundaries. kCount selects
+  /// the fast loop that also fills SimLimits::site_hits.
+  template <bool kCount>
   void loop() {
     if (mode_ == machine::DispatchMode::Switch) {
       while (!slow_step()) {
@@ -333,7 +339,7 @@ class Machine {
     }
     while (true) {
       std::uint64_t stop = limits_.max_instructions;
-      if (fast_eligible(&stop) && fast_run(stop)) return;
+      if (fast_eligible(&stop) && fast_run<kCount>(stop)) return;
       if (slow_step()) return;
     }
   }
@@ -375,6 +381,7 @@ class Machine {
     const Inst& inst = program_.code[index];
     if (++executed_ > limits_.max_instructions)
       throw machine::TimeoutException();
+    if (limits_.site_hits != nullptr) ++limits_.site_hits[index];
     if (hook_ != nullptr && hook_->detached()) {
       const std::uint64_t at = hook_->rearm_at();
       if (at == 0) {
@@ -446,7 +453,10 @@ class Machine {
   /// count), a state only the slow path handles, or the halt sentinel
   /// (returns true). Side exits re-sync rip so the slow loop resumes at
   /// exactly the state a pure slow run would have; traps re-sync
-  /// current_index_ so trap PCs stay exact.
+  /// current_index_ so trap PCs stay exact. The kCount instantiation also
+  /// counts every executed instruction into SimLimits::site_hits; the
+  /// other one has no counting code at all.
+  template <bool kCount>
   bool fast_run(std::uint64_t stop) {
     if (trace_ == nullptr) trace_ = std::make_unique<XTrace>(program_);
     machine::DispatchCounters& dc = machine::dispatch_counters();
@@ -458,6 +468,7 @@ class Machine {
     }
     dc.trace_hits.fetch_add(1, std::memory_order_relaxed);
     const XUOp* const uops = trace_->uops.data();
+    [[maybe_unused]] std::uint64_t* const hits = limits_.site_hits;
     try {
       const XUOp* u = nullptr;
 
@@ -472,6 +483,7 @@ class Machine {
     if (executed_ >= stop) goto x86_side_exit;         \
     u = uops + ip;                                     \
     ++executed_;                                       \
+    if constexpr (kCount) ++hits[ip];                  \
     goto* kLabels[static_cast<unsigned>(u->op)];       \
   } while (0)
       X86_NEXT();
@@ -482,6 +494,7 @@ class Machine {
       if (executed_ >= stop) goto x86_side_exit;
       u = uops + ip;
       ++executed_;
+      if constexpr (kCount) ++hits[ip];
       switch (u->op) {
 #endif
 
@@ -899,8 +912,9 @@ class Machine {
       }
       X86_OP(TrapFetch) {
         // The slow loop's fetch-bounds check traps before counting the
-        // instruction; undo this dispatch's bump to match.
+        // instruction; undo this dispatch's bumps to match.
         --executed_;
+        if constexpr (kCount) --hits[ip];
         trap(TrapKind::InvalidJump, Program::address_of_index(ip));
       }
 

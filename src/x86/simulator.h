@@ -132,6 +132,14 @@ struct SimLimits {
   /// image with it on reaching its position, and stops on a match with
   /// SimResult::converged set.
   std::function<const SimSnapshot*(std::uint64_t executed)> golden_after;
+  /// When non-null, each executed instruction increments the counter at
+  /// its code index; the array needs code.size() + 1 slots (the last is
+  /// the fetch-past-the-end sentinel, which traps and ends up at zero).
+  /// Counting happens before the instruction runs, so when snapshot_sink
+  /// fires the counters hold exactly the snapshot's prefix. Profiling uses
+  /// this to count category instances without a hook; runs without it
+  /// take the non-counting fast loop.
+  std::uint64_t* site_hits = nullptr;
 };
 
 struct SimResult {

@@ -1,14 +1,18 @@
 // Property-based differential testing: a seeded generator produces random
 // mini-C programs; for each one, (a) the optimizer must preserve the
-// output, and (b) the machine simulator must agree with the IR interpreter
-// bit-for-bit. This cross-checks the frontend, optimizer, backend, and
-// both execution engines against each other.
+// output, (b) the machine simulator must agree with the IR interpreter
+// bit-for-bit, and (c) both engines' single-pass category profile must
+// agree with their hooked per-category profile. This cross-checks the
+// frontend, optimizer, backend, and both execution engines against each
+// other.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "driver/pipeline.h"
+#include "fault/llfi.h"
+#include "fault/pinfi.h"
 #include "support/rng.h"
 #include "vm/interpreter.h"
 
@@ -172,6 +176,31 @@ TEST_P(RandomPrograms, UnoptimizedSimulatorMatchesToo) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+class RandomProfiles : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomProfiles, ProfileAllMatchesPerCategoryProfile) {
+  // profile_all() counts category instances on the fast path, here with a
+  // dense snapshot stride so the count also crosses many slow steps; the
+  // hooked per-category profile() is the oracle.
+  ProgramGenerator gen(GetParam() ^ 0x5EED5EEDull);
+  const std::string src = gen.generate();
+  auto prog = driver::compile(src, "rand");
+  const fault::CheckpointPolicy dense{/*stride=*/97, /*enabled=*/true};
+  fault::LlfiEngine llfi(prog.module(), {}, dense, fault::Model{});
+  fault::PinfiEngine pinfi(prog.program(), {}, dense, fault::Model{});
+  const fault::CategoryCounts lcounts = llfi.profile_all();
+  const fault::CategoryCounts pcounts = pinfi.profile_all();
+  for (ir::Category c : ir::kAllCategories) {
+    EXPECT_EQ(lcounts[c], llfi.profile(c))
+        << "LLFI " << ir::category_name(c) << "\n" << src;
+    EXPECT_EQ(pcounts[c], pinfi.profile(c))
+        << "PINFI " << ir::category_name(c) << "\n" << src;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProfiles,
+                         ::testing::Range<std::uint64_t>(1, 51));
 
 }  // namespace
 }  // namespace faultlab

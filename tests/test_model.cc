@@ -199,7 +199,7 @@ const char* kModelProgram = R"(
 
 CampaignConfig small_config(std::size_t trials = 40) {
   CampaignConfig cfg;
-  cfg.app = "t";
+  cfg.app = std::string("t");
   cfg.category = ir::Category::All;
   cfg.trials = trials;
   cfg.seed = 99;

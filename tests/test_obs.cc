@@ -6,14 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string_view>
 #include <thread>
 
+#include "alloc_count.h"
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
 #include "fault/scheduler.h"
@@ -22,26 +20,16 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-// Global allocation counter backing the no-allocation test below. Every
-// operator new in this binary bumps it; the test snapshots the counter
-// around the disabled-tracer path and expects a zero delta.
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace faultlab::obs {
 namespace {
+
+/// `prefix` followed by `n` in decimal. Built by appending: GCC's
+/// -Wrestrict misfires on `"literal" + std::string&&`.
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
 
 TEST(Metrics, ConcurrentCounterIncrementsSumExactly) {
   Registry registry;
@@ -176,7 +164,7 @@ TEST(Metrics, RegistryGrowsPastTheOldFixedSlotCap) {
   Registry registry;
   std::vector<Histogram> hists;
   for (int i = 0; i < 20; ++i)
-    hists.push_back(registry.histogram("h" + std::to_string(i)));
+    hists.push_back(registry.histogram(numbered("h", i)));
   Counter late = registry.counter("late");  // lands in a grown segment
   for (int i = 0; i < 20; ++i)
     hists[static_cast<std::size_t>(i)].record(
@@ -185,7 +173,7 @@ TEST(Metrics, RegistryGrowsPastTheOldFixedSlotCap) {
 
   const MetricsSnapshot snap = registry.snapshot();
   for (int i = 0; i < 20; ++i) {
-    const auto* entry = snap.histogram("h" + std::to_string(i));
+    const auto* entry = snap.histogram(numbered("h", i));
     ASSERT_NE(entry, nullptr) << i;
     EXPECT_EQ(entry->hist.count, 1u) << i;
     EXPECT_EQ(entry->hist.sum, static_cast<std::uint64_t>(i + 1)) << i;
@@ -199,7 +187,7 @@ TEST(Metrics, ConcurrentWritesRaceSegmentCreation) {
   // lost.
   Registry registry;
   for (int i = 0; i < 200; ++i)
-    registry.counter("pad" + std::to_string(i));  // push past segment 0
+    registry.counter(numbered("pad", i));  // push past segment 0
   Counter counter = registry.counter("hot");
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 10'000;
@@ -219,7 +207,7 @@ TEST(Metrics, RegistryCellCapacityStillBounded) {
   bool threw = false;
   try {
     for (int i = 0; i < 3000; ++i)  // 3000 histograms > 131072 cells
-      registry.histogram("h" + std::to_string(i));
+      registry.histogram(numbered("h", i));
   } catch (const std::length_error&) {
     threw = true;
   }
@@ -296,7 +284,7 @@ TEST(Trace, ScopedSpanRecordsNameTagsAndNesting) {
 TEST(Trace, DisabledPathRecordsNothingAndNeverAllocates) {
   Tracer tracer;  // disabled by default
   bool any_active = false;
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = testing_support::allocation_count();
   for (int i = 0; i < 100; ++i) {
     ScopedSpan span(tracer, "trial", "scheduler");
     any_active |= span.active();
@@ -305,7 +293,7 @@ TEST(Trace, DisabledPathRecordsNothingAndNeverAllocates) {
     span.tag("k", std::uint64_t{12345});
     span.finish();
   }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = testing_support::allocation_count();
   EXPECT_FALSE(any_active);
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(tracer.size(), 0u);
@@ -530,9 +518,9 @@ TEST(Events, DisabledPathRecordsNothingAndNeverAllocates) {
   e.opcode = "add";
   e.outcome = "benign";
   e.latency_ms = 1.25;
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t before = testing_support::allocation_count();
   for (int i = 0; i < 1000; ++i) log.append(e);
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t after = testing_support::allocation_count();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(log.appended(), 0u);
 }

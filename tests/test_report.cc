@@ -78,9 +78,11 @@ TEST(Compare, InvalidCellsExcluded) {
   CampaignResult dead = make_result("a", "PINFI", ir::Category::All, 0, 0, 0);
   rs.add(dead);
   const auto cells = compare_cells(rs);
-  for (const auto& c : cells)
-    if (c.app == "a" && c.category == ir::Category::All)
+  for (const auto& c : cells) {
+    if (c.app == "a" && c.category == ir::Category::All) {
       EXPECT_FALSE(c.valid);
+    }
+  }
   const HeadlineFindings h = summarize(rs);
   EXPECT_DOUBLE_EQ(h.max_crash_delta, 0.0);
 }

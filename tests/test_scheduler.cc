@@ -3,8 +3,11 @@
 // workers, manifest contents, and FAULTLAB_TRIALS parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
@@ -13,6 +16,7 @@
 #include "fault/llfi.h"
 #include "fault/pinfi.h"
 #include "fault/scheduler.h"
+#include "machine/dispatch.h"
 
 namespace faultlab::fault {
 namespace {
@@ -436,17 +440,84 @@ TEST_F(CheckpointEnv, EffectiveStrideSelection) {
 }
 
 TEST(Scheduler, ProfileAllMatchesPerCategoryProfile) {
-  for (const char* name : {"mcf", "libquantum"}) {
-    auto prog = driver::compile(apps::benchmark(name).source, name);
-    LlfiEngine llfi(prog.module());
-    PinfiEngine pinfi(prog.program());
+  // profile_all() counts category instances on the threaded fast path (in
+  // switch mode, on the slow loop); the hooked per-category profile() is
+  // the oracle in both modes.
+  const machine::DispatchMode saved = machine::dispatch_mode();
+  for (machine::DispatchMode mode :
+       {machine::DispatchMode::Threaded, machine::DispatchMode::Switch}) {
+    machine::set_dispatch_mode(mode);
+    for (const apps::Benchmark& app : apps::all_benchmarks()) {
+      auto prog = driver::compile(app.source, app.name);
+      LlfiEngine llfi(prog.module());
+      PinfiEngine pinfi(prog.program());
+      const CategoryCounts lcounts = llfi.profile_all();
+      const CategoryCounts pcounts = pinfi.profile_all();
+      for (ir::Category c : ir::kAllCategories) {
+        EXPECT_EQ(lcounts[c], llfi.profile(c))
+            << app.name << " LLFI " << ir::category_name(c) << " "
+            << machine::dispatch_mode_name(mode);
+        EXPECT_EQ(pcounts[c], pinfi.profile(c))
+            << app.name << " PINFI " << ir::category_name(c) << " "
+            << machine::dispatch_mode_name(mode);
+      }
+    }
+  }
+  machine::set_dispatch_mode(saved);
+}
+
+/// Trials k-1, k and k+1 at a sample of the instance indices k where
+/// window_of(category, k) changes, on a checkpointed engine and on a
+/// checkpoint-free one, must give equal records. A boundary trial resumes
+/// from the snapshot whose stored category count is exactly k-1, so this
+/// pins the counts captured with each snapshot, not only the final ones.
+void expect_window_boundaries_match(InjectorEngine& checkpointed,
+                                    InjectorEngine& direct,
+                                    ir::Category category, std::uint64_t n,
+                                    const std::string& label) {
+  std::vector<std::uint64_t> boundaries;
+  std::uint64_t prev = checkpointed.window_of(category, 1);
+  for (std::uint64_t k = 2; k <= n; ++k) {
+    const std::uint64_t w = checkpointed.window_of(category, k);
+    if (w != prev) boundaries.push_back(k);
+    prev = w;
+  }
+  ASSERT_FALSE(boundaries.empty()) << label;
+  const std::size_t step = std::max<std::size_t>(boundaries.size() / 3, 1);
+  for (std::size_t i = 0; i < boundaries.size(); i += step) {
+    const std::uint64_t b = boundaries[i];
+    for (std::uint64_t k = b - 1; k <= std::min(b + 1, n); ++k) {
+      Rng r1(k);
+      Rng r2(k);
+      const TrialRecord on = checkpointed.inject(category, k, r1);
+      const TrialRecord off = direct.inject(category, k, r2);
+      SCOPED_TRACE(label + " k=" + std::to_string(k));
+      EXPECT_EQ(on.restored, checkpointed.window_of(category, k) !=
+                                 InjectorEngine::kNoWindow);
+      expect_same_records({on}, {off});
+    }
+  }
+}
+
+TEST(Scheduler, WindowBoundaryTrialsMatchCheckpointFreeRuns) {
+  CheckpointPolicy direct_policy;
+  direct_policy.enabled = false;
+  for (const apps::Benchmark& app : apps::all_benchmarks()) {
+    auto prog = driver::compile(app.source, app.name);
+    LlfiEngine llfi(prog.module(), {}, CheckpointPolicy{}, Model{});
+    LlfiEngine llfi_direct(prog.module(), {}, direct_policy, Model{});
+    PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy{}, Model{});
+    PinfiEngine pinfi_direct(prog.program(), {}, direct_policy, Model{});
     const CategoryCounts lcounts = llfi.profile_all();
     const CategoryCounts pcounts = pinfi.profile_all();
-    for (ir::Category c : ir::kAllCategories) {
-      EXPECT_EQ(lcounts[c], llfi.profile(c))
-          << name << " LLFI " << ir::category_name(c);
-      EXPECT_EQ(pcounts[c], pinfi.profile(c))
-          << name << " PINFI " << ir::category_name(c);
+    EXPECT_EQ(llfi_direct.profile_all().counts, lcounts.counts) << app.name;
+    EXPECT_EQ(pinfi_direct.profile_all().counts, pcounts.counts) << app.name;
+    for (ir::Category c : {ir::Category::All, ir::Category::Cmp}) {
+      const std::string cell = app.name + " " + ir::category_name(c);
+      expect_window_boundaries_match(llfi, llfi_direct, c, lcounts[c],
+                                     cell + " LLFI");
+      expect_window_boundaries_match(pinfi, pinfi_direct, c, pcounts[c],
+                                     cell + " PINFI");
     }
   }
 }
