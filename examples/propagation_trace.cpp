@@ -1,20 +1,24 @@
-// Propagation tracing: follow one bit flip through a program — the LLFI
-// capability the paper's Section III describes ("enables tracing the
+// Propagation tracing: follow sampled bit flips through a program — the
+// LLFI capability the paper's Section III describes ("enables tracing the
 // propagation of the fault among instructions in the program").
 //
 //   ./build/examples/propagation_trace [app] [category] [samples]
 //
-// For each sampled injection the tracer reports how far the corruption
-// spread (values, memory bytes, branches, program output) and what the
-// run's final outcome was — the raw material for answering "why did this
-// particular fault become an SDC while that one stayed benign?"
+// Each sampled injection runs as an ordinary LLFI trial with the
+// propagation tracer armed (obs/propagation.h, the same tracer
+// FAULTLAB_PROP=1 turns on for whole campaigns). The table shows how far
+// the corruption spread (def-use depth and fan-out, memory, branches) and
+// whether and how soon the run left the golden control flow — the raw
+// material for answering "why did this particular fault become an SDC
+// while that one stayed benign?"
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "apps/apps.h"
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
-#include "fault/propagation.h"
+#include "obs/propagation.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -33,32 +37,38 @@ int main(int argc, char** argv) {
 
   driver::CompiledProgram prog =
       driver::compile(apps::benchmark(app).source, app);
+  // Tracing must be on before the engine's golden run captures the
+  // journal that divergence is measured against.
+  obs::set_prop_enabled(true);
   fault::LlfiEngine llfi(prog.module());
-  const std::uint64_t n = llfi.profile(*category);
+  const std::uint64_t n = llfi.profile_all()[*category];
   std::cout << "Tracing " << samples << " injections into '" << app
             << "' (category " << ir::category_name(*category) << ", " << n
             << " dynamic targets)\n\n";
+  if (n == 0) return 0;
 
-  TextTable table({"k", "bit", "outcome", "values", "sites", "mem bytes",
-                   "branches", "outputs"});
+  TextTable table({"k", "bit", "outcome", "depth", "fanout", "tainted stores",
+                   "store->load", "tainted branches", "peak values",
+                   "diverged/offset"});
   Rng rng(7);
   for (std::size_t s = 0; s < samples; ++s) {
     const std::uint64_t k = rng.range(1, n);
-    const unsigned bit = static_cast<unsigned>(rng.below(64));
-    const fault::PropagationTrace t = fault::trace_propagation(
-        prog.module(), *category, k, bit, llfi.golden_output());
-    table.add_row({std::to_string(k), std::to_string(bit),
-                   fault::outcome_name(t.outcome),
-                   std::to_string(t.contaminated_values),
-                   std::to_string(t.contaminated_sites.size()),
-                   std::to_string(t.contaminated_memory_bytes),
-                   std::to_string(t.contaminated_branches),
-                   std::to_string(t.contaminated_outputs)});
+    const fault::TrialRecord r = llfi.inject(*category, k, rng);
+    const obs::PropSummary& p = r.prop;
+    table.add_row({std::to_string(k), std::to_string(r.bit),
+                   fault::outcome_name(r.outcome), std::to_string(p.depth),
+                   std::to_string(p.fanout), std::to_string(p.tainted_stores),
+                   std::to_string(p.store_load_edges),
+                   std::to_string(p.tainted_branches),
+                   std::to_string(p.peak_tainted_values),
+                   p.diverged ? "yes/" + std::to_string(p.divergence_offset)
+                              : std::string("no")});
   }
   std::cout << table.to_string();
-  std::cout << "\nReading: SDCs show contamination reaching 'outputs'; "
-               "benign faults show small,\nself-contained footprints; "
-               "crashes often show memory contamination shortly before\n"
-               "the trap. Values/sites measure dynamic vs static spread.\n";
+  std::cout << "\nReading: depth and fanout measure how far the corrupted "
+               "value spread through\ndef-use chains; tainted stores and "
+               "store->load edges show it travelling through\nmemory; a "
+               "diverged run left the golden control flow that many "
+               "instructions\nafter the injection.\n";
   return 0;
 }

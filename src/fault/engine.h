@@ -38,9 +38,9 @@ struct FaultModel {
 /// Checkpoint configuration shared by both engines. During the single-pass
 /// profiling run (profile_all) the engine captures a
 /// copy-on-write snapshot every `stride` dynamic instructions, together
-/// with the per-category instance counters at that point; inject() then
-/// resumes each trial from the nearest snapshot at or before its injection
-/// point instead of re-executing the golden prefix.
+/// with the per-category instance counters at that point; each trial then
+/// resumes from the nearest snapshot at or before its injection point
+/// instead of re-executing the golden prefix.
 struct CheckpointPolicy {
   /// Dynamic-instruction stride between snapshots (0 = automatic: the
   /// golden run length divided into kAutoWindows, floored at kMinStride).
@@ -92,7 +92,7 @@ CheckpointMetrics& checkpoint_metrics();
 struct CheckpointStats {
   std::uint64_t snapshots = 0;        ///< snapshots captured by profile_all
   std::uint64_t stride = 0;           ///< effective stride in force
-  std::uint64_t trials = 0;           ///< inject() calls observed
+  std::uint64_t trials = 0;           ///< trials run
   std::uint64_t restored_trials = 0;  ///< trials resumed from a snapshot
   std::uint64_t skipped_instructions = 0;  ///< golden prefix not re-executed
   std::uint64_t delta_restores = 0;   ///< restores on the O(dirty) path
@@ -185,43 +185,31 @@ class InjectorEngine {
 
   virtual const char* tool_name() const noexcept = 0;
 
-  /// Dynamic count of category instructions in a fault-free run (the
-  /// paper's Table IV entries). LlfiEngine and PinfiEngine count through a
-  /// per-instruction hook, one run per call: the oracle for profile_all().
-  /// The golden output and instruction count come from the constructor.
-  virtual std::uint64_t profile(ir::Category category) = 0;
+  /// Dynamic counts for every category (the paper's Table IV entries);
+  /// the campaign scheduler calls it once per engine before any trial.
+  /// LlfiEngine and PinfiEngine count every category in one unhooked
+  /// fast-path run, which also captures the checkpoint snapshots; their
+  /// hooked profile(category) is the oracle these counts must match.
+  virtual CategoryCounts profile_all() = 0;
 
-  /// Dynamic counts for *all* categories; the campaign scheduler calls it
-  /// once per engine before any trial. LlfiEngine and PinfiEngine count
-  /// every category in one unhooked fast-path run, which also captures
-  /// the checkpoint snapshots. The default here, one profile() run per
-  /// category, serves engines without such a pass. Must agree with
-  /// profile() for every category.
-  virtual CategoryCounts profile_all() {
-    CategoryCounts out;
-    for (ir::Category c : ir::kAllCategories) out[c] = profile(c);
-    return out;
-  }
-
-  /// Runs one trial, flipping one random bit in the destination of the
-  /// k-th dynamic instance (1-based) of `category`. `rng` drives the bit
-  /// choice only; k comes from the campaign so both tools sample uniformly.
-  virtual TrialRecord inject(ir::Category category, std::uint64_t k,
-                             Rng& rng) = 0;
-
-  /// Fresh per-worker execution state for inject_in(), or nullptr when the
-  /// engine has none (the scheduler then falls back to inject()). Called
+  /// Fresh per-worker execution state for inject_in(); never null. Called
   /// after profiling, from any thread.
-  virtual std::unique_ptr<TrialContext> make_context() { return nullptr; }
+  virtual std::unique_ptr<TrialContext> make_context() = 0;
 
-  /// inject() against a resident context. `context` must come from this
-  /// engine's make_context() and be used by one thread at a time; trial
-  /// results are identical to inject()'s — the context only changes how
-  /// much state the reset has to rewrite.
+  /// Runs one trial against a resident context, flipping one random bit
+  /// in the destination of the k-th dynamic instance (1-based) of
+  /// `category`. `rng` drives the bit choice only; k comes from the
+  /// campaign so both tools sample uniformly. `context` must come from this
+  /// engine's make_context() and be used by one thread at a time; the
+  /// context only changes how much state the reset has to rewrite, never
+  /// the result.
   virtual TrialRecord inject_in(TrialContext* context, ir::Category category,
-                                std::uint64_t k, Rng& rng) {
-    (void)context;
-    return inject(category, k, rng);
+                                std::uint64_t k, Rng& rng) = 0;
+
+  /// inject_in() on a fresh context: one self-contained trial.
+  TrialRecord inject(ir::Category category, std::uint64_t k, Rng& rng) {
+    const std::unique_ptr<TrialContext> context = make_context();
+    return inject_in(context.get(), category, k, rng);
   }
 
   /// Index of the snapshot window trial (category, k) resumes from, or
@@ -229,11 +217,7 @@ class InjectorEngine {
   /// scheduler uses it to run a window's trials back-to-back on one
   /// context. Purely a scheduling hint — grouping never changes results.
   virtual std::uint64_t window_of(ir::Category category,
-                                  std::uint64_t k) const {
-    (void)category;
-    (void)k;
-    return kNoWindow;
-  }
+                                  std::uint64_t k) const = 0;
 
   /// The hardware fault model this engine injects (fault::Model, not the
   /// tool-heuristic FaultModel knobs above). The base default is the

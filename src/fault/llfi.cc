@@ -1,15 +1,10 @@
 #include "fault/llfi.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 
 #include "fault/site_profile.h"
-#include "obs/metrics.h"
 #include "obs/propagation.h"
-#include "obs/trace.h"
-#include "support/bitutil.h"
 
 namespace faultlab::fault {
 
@@ -37,10 +32,9 @@ class ProfileHook final : public vm::ExecHook {
 /// corrupted dynamic value (activation). The raw draws happen up front
 /// (in the plan) and are folded by the destination's width at injection
 /// time, because the width is only known once the instance is reached.
-/// When the trial resumes from a checkpoint, `already_seen` primes the
-/// instance counter with the skipped prefix's count so the k-th instance
-/// is still the k-th, and `base` primes the absolute dynamic-instruction
-/// position.
+/// `start` (TrialStart) places the hook in the run: the skipped prefix's
+/// instance count and absolute position when the trial resumes from a
+/// checkpoint, the time-trigger point, and the propagation journal.
 ///
 /// Transient models keep the PR 4 fast path: one corrupted value, a
 /// single id compare per operand read, final detach() on activation.
@@ -50,7 +44,7 @@ class ProfileHook final : public vm::ExecHook {
 /// values (older unread values age out of the window — an accepted
 /// approximation that keeps per-read cost constant).
 ///
-/// A nonzero `arm_time` selects the time trigger: the hook starts
+/// A nonzero `start.arm_time` selects the time trigger: the hook starts
 /// dormant (detached with rearm_at = arm_time) and corrupts the first
 /// category instruction at or after that absolute position. If the
 /// executor's re-arm boundary lands past arm_time (it can, when arm_time
@@ -59,29 +53,27 @@ class ProfileHook final : public vm::ExecHook {
 /// identical for checkpointed and from-scratch runs.
 class InjectHook final : public vm::ExecHook {
  public:
-  /// A non-null `journal` arms the propagation tracer: once the fault's
-  /// own work is done the hook stays attached only until the tracer is
-  /// quiet (see release()), so the post-fault suffix runs on the hooked
+  /// A non-null `start.journal` arms the propagation tracer: once the
+  /// fault's own work is done the hook stays attached only until the tracer
+  /// is quiet (see release()), so the post-fault suffix runs on the hooked
   /// slow path for as long as some taint is live. Persistent models already
   /// stay attached to run end, so staying attached is semantics-identical —
   /// only slower.
   InjectHook(ir::Category category, std::uint64_t k, const FaultPlan& plan,
-             const FaultModel& model, std::uint64_t already_seen,
-             std::uint64_t base, std::uint64_t arm_time,
-             const obs::GoldenJournal* journal = nullptr)
+             const FaultModel& model, const TrialStart& start)
       : category_(category),
         target_k_(k),
         plan_(plan),
         model_(model),
-        seen_(already_seen),
-        arm_time_(arm_time),
-        tracing_(journal != nullptr),
-        tracer_(journal) {
-    if (arm_time_ != 0 && arm_time_ > base + 1) {
+        seen_(start.seen),
+        arm_time_(start.arm_time),
+        tracing_(start.journal != nullptr),
+        tracer_(start.journal) {
+    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
       executed_ = arm_time_ - 1;
       detach(arm_time_);  // sleep until the trigger point
     } else {
-      executed_ = base;
+      executed_ = start.base;
     }
   }
 
@@ -99,9 +91,9 @@ class InjectHook final : public vm::ExecHook {
       }
     } else if (plan_.model().persistent() && &instr == armed_def_) {
       const std::uint64_t o = occurrence_++;
-      if (fire_at(o)) {
+      if (plan_.model().fires_at(o)) {
         pending_ = true;
-      } else if (activated_ && burst_done(occurrence_)) {
+      } else if (activated_ && plan_.model().burst_done(occurrence_)) {
         finish();  // burst spent and fault observed: nothing left to do
       }
     }
@@ -149,7 +141,7 @@ class InjectHook final : public vm::ExecHook {
       if (ring_[i] == id) {
         activated_ = true;
         ring_next_ = 0;  // read tracking is over; keep corrupting
-        if (burst_done(occurrence_)) finish();
+        if (plan_.model().burst_done(occurrence_)) finish();
         return;
       }
     }
@@ -184,25 +176,6 @@ class InjectHook final : public vm::ExecHook {
 
  private:
   static constexpr std::size_t kRing = 64;
-
-  /// Whether the o-th execution of the armed site (0-based, counting the
-  /// initial injection) gets corrupted: permanent always, intermittent on
-  /// the burst pattern (burst_length fires, burst_gap clean executions
-  /// between consecutive fires).
-  bool fire_at(std::uint64_t o) const noexcept {
-    const Model& m = plan_.model();
-    if (m.kind == FaultKind::Permanent) return true;
-    const std::uint64_t period = m.burst_gap + 1;
-    return o % period == 0 && o / period < m.burst_length;
-  }
-
-  /// True when no occurrence >= next_o can fire any more (intermittent
-  /// burst exhausted). Permanent faults never finish.
-  bool burst_done(std::uint64_t next_o) const noexcept {
-    const Model& m = plan_.model();
-    return m.kind == FaultKind::Intermittent &&
-           next_o / (m.burst_gap + 1) >= m.burst_length;
-  }
 
   /// The fault's verdict is final and nothing is left to corrupt. An
   /// untraced hook detaches on the spot; a traced one waits for a quiet
@@ -279,37 +252,6 @@ class JournalHook final : public vm::ExecHook {
   obs::GoldenJournal* journal_;
 };
 
-/// Nanoseconds elapsed since `t0`, for the per-phase wall-time counters.
-std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-/// Record-fill tail: the hook's injection facts plus the run's terminal
-/// state — everything except outcome classification.
-void fill_record(TrialRecord& record, const InjectHook& hook,
-                 const vm::RunResult& r, std::uint64_t k, bool restored) {
-  record.dynamic_target = k;
-  record.bit = hook.bit();
-  record.static_site = hook.static_site();
-  record.injected = hook.injected();
-  record.site_opcode = hook.site_opcode();
-  record.site_function = hook.site_function();
-  record.total_instructions = r.dynamic_instructions;
-  if (hook.injected())
-    record.inject_instruction = hook.inject_at();  // absolute position
-  if (r.trapped) {
-    record.trap_pc = r.trap_pc;
-    record.trap = r.trap;
-  }
-  record.restored = restored;
-  record.delta_restored = r.delta_restored;
-  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
-  if (hook.tracing()) record.prop = hook.prop_summary();
-}
-
 }  // namespace
 
 bool LlfiEngine::is_target(const ir::Instruction& instr, ir::Category category,
@@ -324,42 +266,13 @@ bool LlfiEngine::is_target(const ir::Instruction& instr, ir::Category category,
 
 LlfiEngine::LlfiEngine(const ir::Module& module, FaultModel model,
                        CheckpointPolicy checkpoints, Model fault_model)
-    : module_(module),
-      model_(model),
-      fault_model_(fault_model),
-      checkpoint_policy_(checkpoints) {
-  if (fault_model_.target == FaultTarget::MemoryCell)
-    throw std::runtime_error(
-        "LLFI: memory-cell fault targets are not supported (register "
-        "destinations only)");
-  obs::ScopedSpan span(obs::Tracer::global(), "golden", "engine");
-  // With propagation tracing on, the one golden run doubles as the pc
-  // journal capture (hooked, so it takes the slow path — paid once per
-  // engine, only when FAULTLAB_PROP is set).
-  trace_prop_ = obs::prop_enabled();
-  JournalHook journal_hook(&journal_);
-  vm::Interpreter golden(module_, trace_prop_ ? &journal_hook : nullptr);
-  const vm::RunResult r = golden.run();
-  if (!r.completed())
-    throw std::runtime_error("LLFI: golden run did not complete");
-  golden_output_ = r.output;
-  golden_instructions_ = r.dynamic_instructions;
-  if (span.active()) {
-    span.tag("tool", "LLFI");
-    span.tag("instructions", golden_instructions_);
-  }
-}
-
-vm::RunLimits LlfiEngine::faulty_limits() const {
-  // The paper detects hangs as "substantially longer than the golden run".
-  vm::RunLimits limits;
-  limits.max_instructions = golden_instructions_ * 10 + 100'000;
-  return limits;
+    : TrialCore(module, model, checkpoints, fault_model) {
+  run_golden<JournalHook>();
 }
 
 std::uint64_t LlfiEngine::profile(ir::Category category) {
   ProfileHook hook(category, model_);
-  vm::Interpreter interp(module_, &hook);
+  vm::Interpreter interp(code_, &hook);
   const vm::RunResult r = interp.run();
   if (!r.completed())
     throw std::runtime_error("LLFI: profiling run did not complete");
@@ -367,200 +280,20 @@ std::uint64_t LlfiEngine::profile(ir::Category category) {
 }
 
 CategoryCounts LlfiEngine::profile_all() {
-  obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
   SiteProfile sites;
-  for (const ir::Instruction* instr : vm::site_order(module_))
+  for (const ir::Instruction* instr : vm::site_order(code_))
     sites.add_site(
         [&](ir::Category c) { return is_target(*instr, c, model_); });
   sites.hits.assign(sites.masks.size(), 0);
-  vm::Interpreter interp(module_);
-  vm::RunLimits limits;
-  limits.site_hits = sites.hits.data();
-  checkpoints_.clear();
-  checkpoints_.set_budget(checkpoint_policy_.budget_pages);
-  checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
-  limits.snapshot_stride = checkpoint_stride_;
-  if (checkpoint_stride_ != 0) {
-    // The snapshot sink fires between two dynamic instructions, so the
-    // site hits at that moment fold into exactly the per-category instance
-    // counts of the skipped prefix. add() enforces the page budget as the
-    // run advances, so peak residency never exceeds it.
-    limits.snapshot_sink = [this, &sites](vm::Snapshot&& snap) {
-      checkpoints_.add(std::move(snap), sites.counts());
-    };
-  }
-  const vm::RunResult r = interp.run("main", limits);
-  if (!r.completed())
-    throw std::runtime_error("LLFI: profiling run did not complete");
-  if (obs::metrics_enabled()) {
-    checkpoint_metrics().snapshots.add(checkpoints_.size());
-    checkpoint_metrics().evictions.add(checkpoints_.size() -
-                                       checkpoints_.live_count());
-  }
-  if (span.active()) {
-    span.tag("tool", "LLFI");
-    span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
-    span.tag("stride", checkpoint_stride_);
-  }
-  profile_counts_ = sites.counts();
-  return profile_counts_;
-}
-
-std::uint64_t LlfiEngine::time_trigger_point(ir::Category category,
-                                             std::uint64_t k) const {
-  const std::uint64_t count = profile_counts_[category];
-  if (count == 0) return 0;  // profile_all not run: use the access trigger
-  // The k-th of `count` instances maps to its proportional position in
-  // the golden run; +1 keeps the trigger strictly after instruction 0.
-  return (k - 1) * golden_instructions_ / count + 1;
-}
-
-std::uint64_t LlfiEngine::window_of(ir::Category category,
-                                    std::uint64_t k) const {
-  if (fault_model_.trigger == FaultTrigger::Time) {
-    const std::uint64_t t = time_trigger_point(category, k);
-    if (t != 0) return checkpoints_.window_of_time(t);
-  }
-  return checkpoints_.window_of(category, k);
-}
-
-std::unique_ptr<TrialContext> LlfiEngine::make_context() {
-  return std::make_unique<Context>(module_);
-}
-
-TrialRecord LlfiEngine::inject(ir::Category category, std::uint64_t k,
-                               Rng& rng) {
-  Context context(module_);
-  return run_trial(context, category, k, rng);
+  return profile_sites(sites);
 }
 
 TrialRecord LlfiEngine::inject_in(TrialContext* context, ir::Category category,
                                   std::uint64_t k, Rng& rng) {
-  if (context == nullptr) return inject(category, k, rng);
-  return run_trial(static_cast<Context&>(*context), category, k, rng);
-}
-
-TrialRecord LlfiEngine::run_trial(Context& context, ir::Category category,
-                                  std::uint64_t k, Rng& rng) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  // LLFI's historical draw space is [0, 64): the full register width. The
-  // plan consumes exactly one draw for single-bit models, so the default
-  // model's rng stream matches the pre-model code bit for bit.
-  const FaultPlan plan(fault_model_, rng, 64);
-  const std::uint64_t arm_time = fault_model_.trigger == FaultTrigger::Time
-                                     ? time_trigger_point(category, k)
-                                     : 0;
-  const CheckpointStore<vm::Snapshot>::Entry* cp;
-  {
-    obs::ScopedSpan restore_span(tracer, "restore", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    cp = arm_time != 0 ? checkpoints_.before_time(arm_time)
-                       : checkpoints_.before(category, k);
-    if (restore_span.active())
-      restore_span.tag("checkpoint", cp != nullptr ? "hit" : "miss");
-    restore_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-  }
-  InjectHook hook(category, k, plan, model_,
-                  cp != nullptr ? cp->seen[category] : 0,
-                  cp != nullptr ? cp->snapshot.executed : 0, arm_time,
-                  trace_prop_ ? &journal_ : nullptr);
-  context.interp.set_hook(&hook);
-  trials_.fetch_add(1, std::memory_order_relaxed);
-  vm::RunLimits limits = faulty_limits();
-  // Golden-convergence early exit (DESIGN §4). It fires once the hook has
-  // detached for good or settled with a quiet propagation tracer.
-  limits.golden_after = [this](std::uint64_t executed) {
-    return checkpoints_.after(executed);
-  };
-  vm::RunResult r;
-  {
-    obs::ScopedSpan exec_span(tracer, "execute", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    if (cp != nullptr) {
-      restored_trials_.fetch_add(1, std::memory_order_relaxed);
-      skipped_instructions_.fetch_add(cp->snapshot.executed,
-                                      std::memory_order_relaxed);
-      r = context.interp.run_from(cp->snapshot, limits);
-    } else {
-      r = context.interp.run("main", limits);
-    }
-    execute_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-    if (exec_span.active())
-      exec_span.tag("instructions",
-                    r.dynamic_instructions -
-                        (cp != nullptr ? cp->snapshot.executed : 0));
-  }
-  context.interp.set_hook(nullptr);  // the hook dies with this call
-  if (cp != nullptr) account_restore(r, cp->snapshot.executed);
-  if (r.converged != nullptr) {
-    const std::uint64_t suffix =
-        complete_converged(r, golden_output_, golden_instructions_);
-    converged_trials_.fetch_add(1, std::memory_order_relaxed);
-    converged_instructions_.fetch_add(suffix, std::memory_order_relaxed);
-  }
-
-  TrialRecord record;
-  fill_record(record, hook, r, k, cp != nullptr);
-  {
-    obs::ScopedSpan classify_span(tracer, "classify", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    record.outcome = classify(hook.injected(), hook.activated(), r.trapped,
-                              r.timed_out, r.output, golden_output_);
-    classify_nanos_.fetch_add(nanos_since(phase_t0),
-                              std::memory_order_relaxed);
-  }
-  return record;
-}
-
-void LlfiEngine::account_restore(const vm::RunResult& r,
-                                 std::uint64_t snapshot_executed) const {
-  restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
-  if (r.delta_restored)
-    delta_restores_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_enabled()) {
-    CheckpointMetrics& metrics = checkpoint_metrics();
-    metrics.restores.add();
-    metrics.restored_pages.add(r.restored_pages);
-    metrics.skipped_instructions.add(snapshot_executed);
-    if (r.delta_restored) {
-      metrics.delta_restores.add();
-      metrics.delta_pages.add(r.restored_pages);
-      metrics.dirty_pages.record(r.restored_pages);
-    }
-  }
-}
-
-CheckpointStats LlfiEngine::checkpoint_stats() const {
-  CheckpointStats stats;
-  stats.snapshots = checkpoints_.size();
-  stats.stride = checkpoint_stride_;
-  stats.trials = trials_.load(std::memory_order_relaxed);
-  stats.restored_trials = restored_trials_.load(std::memory_order_relaxed);
-  stats.skipped_instructions =
-      skipped_instructions_.load(std::memory_order_relaxed);
-  stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
-  stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
-  stats.evictions = checkpoints_.evictions();
-  stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
-  stats.converged_instructions =
-      converged_instructions_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-PhaseStats LlfiEngine::phase_stats() const {
-  PhaseStats p;
-  p.restore_seconds =
-      static_cast<double>(restore_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  p.execute_seconds =
-      static_cast<double>(execute_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  p.classify_seconds =
-      static_cast<double>(classify_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  return p;
+  return run_trial(context, category, k, rng,
+                   [&](const FaultPlan& plan, const TrialStart& start) {
+                     return InjectHook(category, k, plan, model_, start);
+                   });
 }
 
 }  // namespace faultlab::fault

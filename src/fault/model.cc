@@ -30,7 +30,7 @@ bool fail(std::string* error, const std::string& message) {
 
 // Decodes a canonical display name (as produced by Model::name() and
 // printed in CSVs) back into a model: kind stem plus the optional
-// -m<bits>/-byte, -mem, and -time suffixes, stripped right to left.
+// -m<bits>/-byte and -time suffixes, stripped right to left.
 bool parse_name(const std::string& name, Model* model) {
   std::string label = name;
   const auto strip_suffix = [&label](const std::string& suffix) {
@@ -43,7 +43,6 @@ bool parse_name(const std::string& name, Model* model) {
     return false;
   };
   if (strip_suffix("-time")) model->trigger = FaultTrigger::Time;
-  if (strip_suffix("-mem")) model->target = FaultTarget::MemoryCell;
   if (strip_suffix("-byte")) {
     model->mask = FaultMask::Byte;
   } else {
@@ -131,14 +130,6 @@ bool parse_into(const std::string& spec, Model* model, std::string* error) {
       } else {
         return fail(error, "mask must be single or byte, got '" + value + "'");
       }
-    } else if (key == "target") {
-      if (value == "reg") {
-        model->target = FaultTarget::RegisterDest;
-      } else if (value == "mem") {
-        model->target = FaultTarget::MemoryCell;
-      } else {
-        return fail(error, "target must be reg or mem, got '" + value + "'");
-      }
     } else if (key == "trigger") {
       if (value == "access") {
         model->trigger = FaultTrigger::Access;
@@ -186,7 +177,6 @@ std::string Model::name() const {
   } else if (mask == FaultMask::Byte) {
     label += "-byte";
   }
-  if (target == FaultTarget::MemoryCell) label += "-mem";
   if (trigger == FaultTrigger::Time) label += "-time";
   return label;
 }

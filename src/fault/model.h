@@ -2,16 +2,14 @@
 //
 // The paper's comparison covers one fault model: a transient single
 // bit-flip in the destination register of one dynamic instruction. The
-// fault::Model type generalizes that along four orthogonal axes —
+// fault::Model type generalizes that along three orthogonal axes, always
+// corrupting the destination register —
 //
 //   kind     transient (fire once) / intermittent (fire in a burst) /
 //            permanent (stuck-at, fires on every re-execution of the
 //            armed site);
 //   mask     single bit / multi-bit mask of `mask_bits` independent
 //            draws / whole byte;
-//   target   register destination (the paper's model) / memory cell
-//            (parsed and named, but rejected by both engines until a
-//            memory-addressed injection path exists);
 //   trigger  access-triggered (the k-th dynamic occurrence of the
 //            instruction category, the paper's model) / time-triggered
 //            (the first category instruction at or after a dynamic
@@ -44,11 +42,6 @@ enum class FaultMask : std::uint8_t {
   Byte,       // the aligned byte containing the drawn bit
 };
 
-enum class FaultTarget : std::uint8_t {
-  RegisterDest,  // destination register of the victim instruction
-  MemoryCell,    // a memory cell (not yet supported by the engines)
-};
-
 enum class FaultTrigger : std::uint8_t {
   Access,  // arm at the k-th dynamic instruction of the category
   Time,    // arm at a dynamic instruction index derived from k
@@ -59,7 +52,6 @@ enum class FaultTrigger : std::uint8_t {
 struct Model {
   FaultKind kind = FaultKind::Transient;
   FaultMask mask = FaultMask::SingleBit;
-  FaultTarget target = FaultTarget::RegisterDest;
   FaultTrigger trigger = FaultTrigger::Access;
 
   /// Number of independent bit draws for FaultMask::MultiBit (1..8).
@@ -79,6 +71,23 @@ struct Model {
   /// corruption (intermittent and permanent).
   bool persistent() const noexcept { return kind != FaultKind::Transient; }
 
+  /// Whether the o-th execution of the armed site (0-based, counting the
+  /// initial injection) gets corrupted: permanent always, intermittent on
+  /// the burst pattern (burst_length fires, burst_gap clean executions
+  /// between consecutive fires).
+  bool fires_at(std::uint64_t o) const noexcept {
+    if (kind == FaultKind::Permanent) return true;
+    const std::uint64_t period = burst_gap + 1;
+    return o % period == 0 && o / period < burst_length;
+  }
+
+  /// True when no occurrence >= next_o can fire any more (intermittent
+  /// burst exhausted). Permanent faults never finish.
+  bool burst_done(std::uint64_t next_o) const noexcept {
+    return kind == FaultKind::Intermittent &&
+           next_o / (burst_gap + 1) >= burst_length;
+  }
+
   /// Stable human-readable label, e.g. "transient", "stuck-at-1-m2",
   /// "intermittent-b4g1-byte-time". Used in CSVs and the event schema.
   std::string name() const;
@@ -91,12 +100,11 @@ struct Model {
 
   /// Parses a spec of the form `kind[:key=value,...]`. Kinds: transient,
   /// intermittent, stuck-at-0, stuck-at-1, permanent (alias for
-  /// stuck-at-1). Keys: bits=1..8, mask=single|byte, target=reg|mem,
-  /// trigger=access|time, burst=1..64, gap=0..64. Canonical names as
-  /// produced by name() ("intermittent-b4g1", "transient-m2") are also
-  /// accepted, so a model printed in a CSV can be re-run verbatim. On
-  /// failure returns the default model and, when `error` is non-null,
-  /// stores a diagnostic.
+  /// stuck-at-1). Keys: bits=1..8, mask=single|byte, trigger=access|time,
+  /// burst=1..64, gap=0..64. Canonical names as produced by name()
+  /// ("intermittent-b4g1", "transient-m2") are also accepted, so a model
+  /// printed in a CSV can be re-run verbatim. On failure returns the
+  /// default model and, when `error` is non-null, stores a diagnostic.
   static Model parse(const std::string& spec, std::string* error = nullptr);
 
   /// Reads FAULTLAB_FAULT_MODEL. Unset/empty yields the default model;

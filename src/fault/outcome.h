@@ -39,8 +39,7 @@ struct TrialRecord {
   std::uint64_t inject_instruction = 0; // dynamic index of the injection
   std::uint64_t total_instructions = 0; // whole-run dynamic instructions
   /// Propagation distance: dynamic instructions between the injection and
-  /// the end of the run (PropagationTrace's instructions_after_injection,
-  /// captured inline). Zero when the trial never injected.
+  /// the end of the run. Zero when the trial never injected.
   std::uint64_t instructions_after_injection() const noexcept {
     return injected && total_instructions > inject_instruction
                ? total_instructions - inject_instruction

@@ -1,15 +1,12 @@
 #include "fault/pinfi.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
 
 #include "fault/site_profile.h"
-#include "obs/metrics.h"
 #include "obs/propagation.h"
-#include "obs/trace.h"
 #include "support/bitutil.h"
 #include "x86/category.h"
 
@@ -72,40 +69,38 @@ std::uint64_t written_gpr_mask(const Inst& inst) {
 /// Persistent models re-fire on every later execution of the armed static
 /// site per the model's burst pattern (the masks are invariant — it is
 /// the same static instruction every time) and restart tracking at each
-/// fire. A nonzero `arm_time` selects the time trigger: the hook starts
+/// fire. A nonzero `start.arm_time` selects the time trigger: the hook starts
 /// dormant (detached with rearm_at = arm_time) and corrupts the first
 /// category instruction at or after that absolute position.
 ///
-/// When the trial resumes from a checkpoint, `already_seen` primes the
-/// instance counter with the skipped prefix's count so the k-th instance
-/// is still the k-th, and `base` primes the absolute position.
+/// `start` (TrialStart) places the hook in the run: the skipped prefix's
+/// instance count and absolute position when the trial resumes from a
+/// checkpoint, the time-trigger point, and the propagation journal.
 class PinfiHook final : public x86::SimHook {
  public:
   enum class TargetKind { None, Gpr, Xmm, Flags };
 
-  /// A non-null `journal` arms the propagation tracer (see InjectHook in
-  /// llfi.cc for the contract): once the fault's own work is done the hook
-  /// stays attached only until the tracer is quiet (release()); results
-  /// are unchanged, only slower.
+  /// A non-null `start.journal` arms the propagation tracer (see
+  /// InjectHook in llfi.cc for the contract): once the fault's own work is
+  /// done the hook stays attached only until the tracer is quiet
+  /// (release()); results are unchanged, only slower.
   PinfiHook(const x86::Program& program, ir::Category category,
             std::uint64_t k, const FaultPlan& plan, const FaultModel& model,
-            std::uint64_t already_seen, std::uint64_t base,
-            std::uint64_t arm_time,
-            const obs::GoldenJournal* journal = nullptr)
+            const TrialStart& start)
       : program_(program),
         category_(category),
         target_k_(k),
         plan_(plan),
         model_(model),
-        seen_(already_seen),
-        arm_time_(arm_time),
-        tracing_(journal != nullptr),
-        tracer_(journal) {
-    if (arm_time_ != 0 && arm_time_ > base + 1) {
+        seen_(start.seen),
+        arm_time_(start.arm_time),
+        tracing_(start.journal != nullptr),
+        tracer_(start.journal) {
+    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
       executed_ = arm_time_ - 1;
       detach(arm_time_);  // sleep until the trigger point
     } else {
-      executed_ = base;
+      executed_ = start.base;
     }
   }
 
@@ -132,7 +127,7 @@ class PinfiHook final : public x86::SimHook {
     if (plan_.model().persistent()) {
       if (index == static_site_) {
         const std::uint64_t o = occurrence_++;
-        if (fire_at(o)) {
+        if (plan_.model().fires_at(o)) {
           pending_ = true;
           pending_next_ = saved_next_;
         }
@@ -141,7 +136,8 @@ class PinfiHook final : public x86::SimHook {
       // An intermittent hook retires only once its burst is spent AND the
       // verdict is final; permanent hooks stay attached to the end (the
       // stuck bits must keep corrupting every re-execution).
-      if (!pending_ && burst_done(occurrence_) && (activated_ || !tracking_))
+      if (!pending_ && plan_.model().burst_done(occurrence_) &&
+          (activated_ || !tracking_))
         finish();
       return;
     }
@@ -285,24 +281,6 @@ class PinfiHook final : public x86::SimHook {
     }
   }
 
-  /// Whether the o-th execution of the armed site (0-based, counting the
-  /// initial injection) gets corrupted: permanent always, intermittent on
-  /// the burst pattern.
-  bool fire_at(std::uint64_t o) const noexcept {
-    const Model& m = plan_.model();
-    if (m.kind == FaultKind::Permanent) return true;
-    const std::uint64_t period = m.burst_gap + 1;
-    return o % period == 0 && o / period < m.burst_length;
-  }
-
-  /// True when no occurrence >= next_o can fire any more (intermittent
-  /// burst exhausted). Permanent faults never finish.
-  bool burst_done(std::uint64_t next_o) const noexcept {
-    const Model& m = plan_.model();
-    return m.kind == FaultKind::Intermittent &&
-           next_o / (m.burst_gap + 1) >= m.burst_length;
-  }
-
   void track(const Inst& inst) {
     switch (kind_) {
       case TargetKind::Flags:
@@ -427,37 +405,6 @@ class ProfileHook final : public x86::SimHook {
   std::uint64_t count_ = 0;
 };
 
-/// Nanoseconds elapsed since `t0`, for the per-phase wall-time counters.
-std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-/// Record-fill tail: the hook's injection facts plus the run's terminal
-/// state — everything except outcome classification.
-void fill_record(TrialRecord& record, const PinfiHook& hook,
-                 const x86::SimResult& r, std::uint64_t k, bool restored) {
-  record.dynamic_target = k;
-  record.bit = hook.bit();
-  record.static_site = hook.static_site();
-  record.injected = hook.injected();
-  record.site_opcode = hook.site_opcode();
-  record.site_function = hook.site_function();
-  record.total_instructions = r.dynamic_instructions;
-  if (hook.injected())
-    record.inject_instruction = hook.inject_at();  // absolute position
-  if (r.trapped) {
-    record.trap_pc = r.trap_pc;
-    record.trap = r.trap;
-  }
-  record.restored = restored;
-  record.delta_restored = r.delta_restored;
-  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
-  if (hook.tracing()) record.prop = hook.prop_summary();
-}
-
 }  // namespace
 
 bool PinfiEngine::is_target(const Inst& inst, const Inst* next,
@@ -470,41 +417,13 @@ bool PinfiEngine::is_target(const Inst& inst, const Inst* next,
 
 PinfiEngine::PinfiEngine(const x86::Program& program, FaultModel model,
                          CheckpointPolicy checkpoints, Model fault_model)
-    : program_(program),
-      model_(model),
-      fault_model_(fault_model),
-      checkpoint_policy_(checkpoints) {
-  if (fault_model_.target == FaultTarget::MemoryCell)
-    throw std::runtime_error(
-        "PINFI: memory-cell fault targets are not supported (architectural "
-        "registers only)");
-  obs::ScopedSpan span(obs::Tracer::global(), "golden", "engine");
-  // With propagation tracing on, the one golden run doubles as the pc
-  // journal capture (hooked, so it takes the slow path — paid once per
-  // engine, only when FAULTLAB_PROP is set).
-  trace_prop_ = obs::prop_enabled();
-  JournalHook journal_hook(&journal_);
-  x86::Simulator golden(program_, trace_prop_ ? &journal_hook : nullptr);
-  const x86::SimResult r = golden.run();
-  if (!r.completed())
-    throw std::runtime_error("PINFI: golden run did not complete");
-  golden_output_ = r.output;
-  golden_instructions_ = r.dynamic_instructions;
-  if (span.active()) {
-    span.tag("tool", "PINFI");
-    span.tag("instructions", golden_instructions_);
-  }
-}
-
-x86::SimLimits PinfiEngine::faulty_limits() const {
-  x86::SimLimits limits;
-  limits.max_instructions = golden_instructions_ * 10 + 100'000;
-  return limits;
+    : TrialCore(program, model, checkpoints, fault_model) {
+  run_golden<JournalHook>();
 }
 
 std::uint64_t PinfiEngine::profile(ir::Category category) {
-  ProfileHook hook(program_, category);
-  x86::Simulator sim(program_, &hook);
+  ProfileHook hook(code_, category);
+  x86::Simulator sim(code_, &hook);
   const x86::SimResult r = sim.run();
   if (!r.completed())
     throw std::runtime_error("PINFI: profiling run did not complete");
@@ -512,8 +431,7 @@ std::uint64_t PinfiEngine::profile(ir::Category category) {
 }
 
 CategoryCounts PinfiEngine::profile_all() {
-  obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
-  const std::vector<Inst>& code = program_.code;
+  const std::vector<Inst>& code = code_.code;
   SiteProfile sites;
   for (std::size_t i = 0; i < code.size(); ++i) {
     const Inst* next = i + 1 < code.size() ? &code[i + 1] : nullptr;
@@ -521,195 +439,17 @@ CategoryCounts PinfiEngine::profile_all() {
         [&](ir::Category c) { return is_target(code[i], next, c); });
   }
   sites.hits.assign(code.size() + 1, 0);  // + the fetch sentinel's slot
-  x86::Simulator sim(program_);
-  x86::SimLimits limits;
-  limits.site_hits = sites.hits.data();
-  checkpoints_.clear();
-  checkpoints_.set_budget(checkpoint_policy_.budget_pages);
-  checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
-  limits.snapshot_stride = checkpoint_stride_;
-  if (checkpoint_stride_ != 0) {
-    // The snapshot sink fires between two dynamic instructions, so the
-    // site hits at that moment fold into exactly the per-category instance
-    // counts of the skipped prefix. add() enforces the page budget as the
-    // run advances, so peak residency never exceeds it.
-    limits.snapshot_sink = [this, &sites](x86::SimSnapshot&& snap) {
-      checkpoints_.add(std::move(snap), sites.counts());
-    };
-  }
-  const x86::SimResult r = sim.run(limits);
-  if (!r.completed())
-    throw std::runtime_error("PINFI: profiling run did not complete");
-  if (obs::metrics_enabled()) {
-    checkpoint_metrics().snapshots.add(checkpoints_.size());
-    checkpoint_metrics().evictions.add(checkpoints_.size() -
-                                       checkpoints_.live_count());
-  }
-  if (span.active()) {
-    span.tag("tool", "PINFI");
-    span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
-    span.tag("stride", checkpoint_stride_);
-  }
-  profile_counts_ = sites.counts();
-  return profile_counts_;
+  return profile_sites(sites);
 }
 
-std::uint64_t PinfiEngine::time_trigger_point(ir::Category category,
-                                              std::uint64_t k) const {
-  const std::uint64_t count = profile_counts_[category];
-  if (count == 0) return 0;  // profile_all not run: use the access trigger
-  // The k-th of `count` instances maps to its proportional position in
-  // the golden run; +1 keeps the trigger strictly after instruction 0.
-  return (k - 1) * golden_instructions_ / count + 1;
-}
-
-std::uint64_t PinfiEngine::window_of(ir::Category category,
-                                     std::uint64_t k) const {
-  if (fault_model_.trigger == FaultTrigger::Time) {
-    const std::uint64_t t = time_trigger_point(category, k);
-    if (t != 0) return checkpoints_.window_of_time(t);
-  }
-  return checkpoints_.window_of(category, k);
-}
-
-std::unique_ptr<TrialContext> PinfiEngine::make_context() {
-  return std::make_unique<Context>(program_);
-}
-
-TrialRecord PinfiEngine::inject(ir::Category category, std::uint64_t k,
-                                Rng& rng) {
-  Context context(program_);
-  return run_trial(context, category, k, rng);
-}
-
-TrialRecord PinfiEngine::inject_in(TrialContext* context, ir::Category category,
-                                   std::uint64_t k, Rng& rng) {
-  if (context == nullptr) return inject(category, k, rng);
-  return run_trial(static_cast<Context&>(*context), category, k, rng);
-}
-
-TrialRecord PinfiEngine::run_trial(Context& context, ir::Category category,
-                                   std::uint64_t k, Rng& rng) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  // PINFI's historical draw space is [0, 128): the widest destination
-  // (an unpruned XMM register). The plan consumes exactly one draw for
-  // single-bit models, so the default model's rng stream matches the
-  // pre-model code bit for bit.
-  const FaultPlan plan(fault_model_, rng, 128);
-  const std::uint64_t arm_time = fault_model_.trigger == FaultTrigger::Time
-                                     ? time_trigger_point(category, k)
-                                     : 0;
-  const CheckpointStore<x86::SimSnapshot>::Entry* cp;
-  {
-    obs::ScopedSpan restore_span(tracer, "restore", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    cp = arm_time != 0 ? checkpoints_.before_time(arm_time)
-                       : checkpoints_.before(category, k);
-    if (restore_span.active())
-      restore_span.tag("checkpoint", cp != nullptr ? "hit" : "miss");
-    restore_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-  }
-  PinfiHook hook(program_, category, k, plan, model_,
-                 cp != nullptr ? cp->seen[category] : 0,
-                 cp != nullptr ? cp->snapshot.executed : 0, arm_time,
-                 trace_prop_ ? &journal_ : nullptr);
-  context.sim.set_hook(&hook);
-  trials_.fetch_add(1, std::memory_order_relaxed);
-  x86::SimLimits limits = faulty_limits();
-  // Golden-convergence early exit (DESIGN §4). It fires once the hook has
-  // detached for good or settled with a quiet propagation tracer.
-  limits.golden_after = [this](std::uint64_t executed) {
-    return checkpoints_.after(executed);
-  };
-  x86::SimResult r;
-  {
-    obs::ScopedSpan exec_span(tracer, "execute", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    if (cp != nullptr) {
-      restored_trials_.fetch_add(1, std::memory_order_relaxed);
-      skipped_instructions_.fetch_add(cp->snapshot.executed,
-                                      std::memory_order_relaxed);
-      r = context.sim.run_from(cp->snapshot, limits);
-    } else {
-      r = context.sim.run(limits);
-    }
-    execute_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-    if (exec_span.active())
-      exec_span.tag("instructions",
-                    r.dynamic_instructions -
-                        (cp != nullptr ? cp->snapshot.executed : 0));
-  }
-  context.sim.set_hook(nullptr);  // the hook dies with this call
-  if (cp != nullptr) account_restore(r, cp->snapshot.executed);
-  if (r.converged != nullptr) {
-    const std::uint64_t suffix =
-        complete_converged(r, golden_output_, golden_instructions_);
-    converged_trials_.fetch_add(1, std::memory_order_relaxed);
-    converged_instructions_.fetch_add(suffix, std::memory_order_relaxed);
-  }
-
-  TrialRecord record;
-  fill_record(record, hook, r, k, cp != nullptr);
-  {
-    obs::ScopedSpan classify_span(tracer, "classify", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    record.outcome = classify(hook.injected(), hook.activated(), r.trapped,
-                              r.timed_out, r.output, golden_output_);
-    classify_nanos_.fetch_add(nanos_since(phase_t0),
-                              std::memory_order_relaxed);
-  }
-  return record;
-}
-
-void PinfiEngine::account_restore(const x86::SimResult& r,
-                                  std::uint64_t snapshot_executed) const {
-  restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
-  if (r.delta_restored)
-    delta_restores_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_enabled()) {
-    CheckpointMetrics& metrics = checkpoint_metrics();
-    metrics.restores.add();
-    metrics.restored_pages.add(r.restored_pages);
-    metrics.skipped_instructions.add(snapshot_executed);
-    if (r.delta_restored) {
-      metrics.delta_restores.add();
-      metrics.delta_pages.add(r.restored_pages);
-      metrics.dirty_pages.record(r.restored_pages);
-    }
-  }
-}
-
-CheckpointStats PinfiEngine::checkpoint_stats() const {
-  CheckpointStats stats;
-  stats.snapshots = checkpoints_.size();
-  stats.stride = checkpoint_stride_;
-  stats.trials = trials_.load(std::memory_order_relaxed);
-  stats.restored_trials = restored_trials_.load(std::memory_order_relaxed);
-  stats.skipped_instructions =
-      skipped_instructions_.load(std::memory_order_relaxed);
-  stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
-  stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
-  stats.evictions = checkpoints_.evictions();
-  stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
-  stats.converged_instructions =
-      converged_instructions_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-PhaseStats PinfiEngine::phase_stats() const {
-  PhaseStats p;
-  p.restore_seconds =
-      static_cast<double>(restore_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  p.execute_seconds =
-      static_cast<double>(execute_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  p.classify_seconds =
-      static_cast<double>(classify_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  return p;
+TrialRecord PinfiEngine::inject_in(TrialContext* context,
+                                   ir::Category category, std::uint64_t k,
+                                   Rng& rng) {
+  return run_trial(context, category, k, rng,
+                   [&](const FaultPlan& plan, const TrialStart& start) {
+                     return PinfiHook(code_, category, k, plan, model_,
+                                      start);
+                   });
 }
 
 }  // namespace faultlab::fault

@@ -525,9 +525,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     std::uint64_t seq = 0;  // per-worker monotonic event number
     // This worker's resident execution contexts, one per engine it has run
     // trials for. A context's address space survives across trials, which
-    // is what keeps same-window resets on the delta path; engines without
-    // contexts get a cached nullptr (inject_in then falls back to a
-    // per-trial run). The engine list is tiny, so linear scan beats a map.
+    // is what keeps same-window resets on the delta path. The engine list
+    // is tiny, so linear scan beats a map.
     std::vector<std::pair<InjectorEngine*, std::unique_ptr<TrialContext>>>
         contexts;
     const auto context_for = [&contexts](InjectorEngine* engine) {

@@ -1,0 +1,398 @@
+// Shared trial core of the injector engines.
+//
+// LLFI and PINFI differ in *where* they corrupt state (an IR SSA
+// destination vs an x86 register) and in nothing else. This template holds
+// everything else once, over a tool binding (LlfiTool / PinfiTool) that
+// names the executor, its snapshot/result/limits types, how it runs from
+// main, and the tool's bit-draw width:
+//  * the golden run, which doubles as the propagation journal capture,
+//  * profile_all()'s checkpoint capture from the engine's site profile,
+//  * time-trigger placement and window_of(),
+//  * the restore -> execute -> classify skeleton of one trial, and
+//  * the checkpoint and phase accounting behind checkpoint_stats() and
+//    phase_stats().
+// An engine derives from TrialCore<Tool>, enumerates its sites, supplies
+// its injection hook to run_trial(), and keeps its hooked profile(c).
+// The hook type is a template argument, so trials add no virtual call
+// beyond the executor's own hook dispatch.
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "fault/checkpoint_store.h"
+#include "fault/engine.h"
+#include "fault/site_profile.h"
+#include "obs/metrics.h"
+#include "obs/propagation.h"
+#include "obs/trace.h"
+
+namespace faultlab::fault {
+
+/// Where a trial's injection hook starts: what run_trial() hands the
+/// engine's hook factory besides the FaultPlan.
+struct TrialStart {
+  /// Category instances in the skipped golden prefix: primes the hook's
+  /// instance counter so the k-th instance is still the k-th.
+  std::uint64_t seen = 0;
+  /// Absolute dynamic-instruction position of the resume point (0 for a
+  /// run from main).
+  std::uint64_t base = 0;
+  /// Time-trigger point, or 0 for the access trigger.
+  std::uint64_t arm_time = 0;
+  /// Golden journal when propagation tracing is on, else null (a non-null
+  /// journal arms the hook's tracer).
+  const obs::GoldenJournal* journal = nullptr;
+};
+
+template <typename Tool>
+class TrialCore : public InjectorEngine {
+ public:
+  using Code = typename Tool::Code;
+  using Executor = typename Tool::Executor;
+  using Snapshot = typename Tool::Snapshot;
+  using Result = typename Tool::Result;
+  using Limits = typename Tool::Limits;
+
+  const char* tool_name() const noexcept override { return Tool::kName; }
+  std::unique_ptr<TrialContext> make_context() override {
+    return std::make_unique<Context>(code_);
+  }
+  std::uint64_t window_of(ir::Category category,
+                          std::uint64_t k) const override {
+    if (fault_model_.trigger == FaultTrigger::Time) {
+      const std::uint64_t t = time_trigger_point(category, k);
+      if (t != 0) return checkpoints_.window_of_time(t);
+    }
+    return checkpoints_.window_of(category, k);
+  }
+  const Model& fault_model() const noexcept override { return fault_model_; }
+  const std::string& golden_output() const noexcept override {
+    return golden_output_;
+  }
+  std::uint64_t golden_instructions() const noexcept override {
+    return golden_instructions_;
+  }
+  CheckpointStats checkpoint_stats() const override;
+  PhaseStats phase_stats() const override;
+
+  /// Re-applies a snapshot page budget after profiling (tests/tools; the
+  /// campaign path sets it via CheckpointPolicy). Evicts LRU-first, so
+  /// windows no trial has resumed from go before hot ones. Must not run
+  /// concurrently with trials.
+  void set_snapshot_budget(std::uint64_t pages) {
+    checkpoints_.set_budget(pages);
+  }
+
+ protected:
+  /// The code must outlive the engine.
+  TrialCore(const Code& code, FaultModel model, CheckpointPolicy checkpoints,
+            Model fault_model)
+      : code_(code),
+        model_(model),
+        fault_model_(fault_model),
+        checkpoint_policy_(checkpoints) {}
+
+  /// The fault-free run behind golden_output()/golden_instructions(); the
+  /// engine's constructor calls it once. With propagation tracing on it
+  /// also captures the pc journal through `JournalHook` (hooked, so it
+  /// takes the slow path — paid once per engine, only when FAULTLAB_PROP
+  /// is set).
+  template <typename JournalHook>
+  void run_golden();
+
+  /// profile_all() over the engine's site profile (masks set; hits sized
+  /// to the executor's site numbering): one unhooked fast-path run that
+  /// counts every category and captures the checkpoint snapshots.
+  CategoryCounts profile_sites(SiteProfile& sites);
+
+  /// One trial: restore from the nearest snapshot, run with the hook that
+  /// `make_hook(plan, start)` returns, classify. `context` must come from
+  /// make_context().
+  template <typename MakeHook>
+  TrialRecord run_trial(TrialContext* context, ir::Category category,
+                        std::uint64_t k, Rng& rng, MakeHook make_hook);
+
+  const Code& code_;
+  FaultModel model_;
+
+ private:
+  /// Per-worker resident executor: its address space persists between
+  /// trials, so same-window trials reset via the O(dirty) delta path.
+  struct Context final : TrialContext {
+    explicit Context(const Code& code) : exec(code) {}
+    Executor exec;
+  };
+
+  static std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+
+  /// Hang limit: the paper detects hangs as "substantially longer than the
+  /// golden run".
+  Limits faulty_limits() const {
+    Limits limits;
+    limits.max_instructions = golden_instructions_ * 10 + 100'000;
+    return limits;
+  }
+
+  /// Dynamic instruction index at which a time-triggered fault arms for
+  /// trial (category, k): k's share of the golden run, scaled by the
+  /// profiled category density. Zero (= fall back to access trigger)
+  /// until profile_all() has filled the category counts.
+  std::uint64_t time_trigger_point(ir::Category category,
+                                   std::uint64_t k) const {
+    const std::uint64_t count = profile_counts_[category];
+    if (count == 0) return 0;  // profile_all not run: use the access trigger
+    // The k-th of `count` instances maps to its proportional position in
+    // the golden run; +1 keeps the trigger strictly after instruction 0.
+    return (k - 1) * golden_instructions_ / count + 1;
+  }
+
+  /// Restore-side accounting: engine atomics plus the checkpoint-metrics
+  /// mirror. Call only for trials that actually resumed from a snapshot.
+  void account_restore(const Result& r, std::uint64_t snapshot_executed) const;
+
+  /// Record-fill tail: the hook's injection facts plus the run's terminal
+  /// state — everything except outcome classification.
+  template <typename Hook>
+  static void fill_record(TrialRecord& record, const Hook& hook,
+                          const Result& r, std::uint64_t k, bool restored);
+
+  Model fault_model_;
+  CheckpointPolicy checkpoint_policy_;
+  std::string golden_output_;
+  std::uint64_t golden_instructions_ = 0;
+  /// Propagation tracing (obs/propagation.h): latched from prop_enabled()
+  /// by the golden run; the golden pc journal is captured by that run iff
+  /// tracing is on, then read-only during trials.
+  bool trace_prop_ = false;
+  obs::GoldenJournal journal_;
+  /// Filled by profile_all (single-threaded, before trials); during the
+  /// trial phase workers only query it (thread-safe), so concurrent
+  /// trials are safe.
+  CheckpointStore<Snapshot> checkpoints_;
+  CategoryCounts profile_counts_;  ///< filled by profile_all (time trigger)
+  std::uint64_t checkpoint_stride_ = 0;
+  mutable std::atomic<std::uint64_t> trials_{0};
+  mutable std::atomic<std::uint64_t> restored_trials_{0};
+  mutable std::atomic<std::uint64_t> skipped_instructions_{0};
+  mutable std::atomic<std::uint64_t> delta_restores_{0};
+  mutable std::atomic<std::uint64_t> restored_pages_{0};
+  mutable std::atomic<std::uint64_t> converged_trials_{0};
+  mutable std::atomic<std::uint64_t> converged_instructions_{0};
+  mutable std::atomic<std::uint64_t> restore_nanos_{0};
+  mutable std::atomic<std::uint64_t> execute_nanos_{0};
+  mutable std::atomic<std::uint64_t> classify_nanos_{0};
+};
+
+template <typename Tool>
+template <typename JournalHook>
+void TrialCore<Tool>::run_golden() {
+  obs::ScopedSpan span(obs::Tracer::global(), "golden", "engine");
+  trace_prop_ = obs::prop_enabled();
+  JournalHook journal_hook(&journal_);
+  Executor golden(code_, trace_prop_ ? &journal_hook : nullptr);
+  const Result r = golden.run();
+  if (!r.completed())
+    throw std::runtime_error(std::string(Tool::kName) +
+                             ": golden run did not complete");
+  golden_output_ = r.output;
+  golden_instructions_ = r.dynamic_instructions;
+  if (span.active()) {
+    span.tag("tool", Tool::kName);
+    span.tag("instructions", golden_instructions_);
+  }
+}
+
+template <typename Tool>
+CategoryCounts TrialCore<Tool>::profile_sites(SiteProfile& sites) {
+  obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
+  Executor exec(code_);
+  Limits limits;
+  limits.site_hits = sites.hits.data();
+  checkpoints_.clear();
+  checkpoints_.set_budget(checkpoint_policy_.budget_pages);
+  checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
+  limits.snapshot_stride = checkpoint_stride_;
+  if (checkpoint_stride_ != 0) {
+    // The snapshot sink fires between two dynamic instructions, so the
+    // site hits at that moment fold into exactly the per-category instance
+    // counts of the skipped prefix. add() enforces the page budget as the
+    // run advances, so peak residency never exceeds it.
+    limits.snapshot_sink = [this, &sites](Snapshot&& snap) {
+      checkpoints_.add(std::move(snap), sites.counts());
+    };
+  }
+  const Result r = Tool::run(exec, limits);
+  if (!r.completed())
+    throw std::runtime_error(std::string(Tool::kName) +
+                             ": profiling run did not complete");
+  if (obs::metrics_enabled()) {
+    checkpoint_metrics().snapshots.add(checkpoints_.size());
+    checkpoint_metrics().evictions.add(checkpoints_.size() -
+                                       checkpoints_.live_count());
+  }
+  if (span.active()) {
+    span.tag("tool", Tool::kName);
+    span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
+    span.tag("stride", checkpoint_stride_);
+  }
+  profile_counts_ = sites.counts();
+  return profile_counts_;
+}
+
+template <typename Tool>
+template <typename MakeHook>
+TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
+                                       ir::Category category, std::uint64_t k,
+                                       Rng& rng, MakeHook make_hook) {
+  Executor& exec = static_cast<Context&>(*context).exec;
+  obs::Tracer& tracer = obs::Tracer::global();
+  const FaultPlan plan(fault_model_, rng, Tool::kDrawBits);
+  const std::uint64_t arm_time = fault_model_.trigger == FaultTrigger::Time
+                                     ? time_trigger_point(category, k)
+                                     : 0;
+  const typename CheckpointStore<Snapshot>::Entry* cp;
+  {
+    obs::ScopedSpan restore_span(tracer, "restore", "phase");
+    const auto phase_t0 = std::chrono::steady_clock::now();
+    cp = arm_time != 0 ? checkpoints_.before_time(arm_time)
+                       : checkpoints_.before(category, k);
+    if (restore_span.active())
+      restore_span.tag("checkpoint", cp != nullptr ? "hit" : "miss");
+    restore_nanos_.fetch_add(nanos_since(phase_t0),
+                             std::memory_order_relaxed);
+  }
+  const std::uint64_t base = cp != nullptr ? cp->snapshot.executed : 0;
+  auto hook = make_hook(
+      plan, TrialStart{cp != nullptr ? cp->seen[category] : 0, base, arm_time,
+                       trace_prop_ ? &journal_ : nullptr});
+  exec.set_hook(&hook);
+  trials_.fetch_add(1, std::memory_order_relaxed);
+  Limits limits = faulty_limits();
+  // Golden-convergence early exit (DESIGN §4). It fires once the hook has
+  // detached for good or settled with a quiet propagation tracer.
+  limits.golden_after = [this](std::uint64_t executed) {
+    return checkpoints_.after(executed);
+  };
+  Result r;
+  {
+    obs::ScopedSpan exec_span(tracer, "execute", "phase");
+    const auto phase_t0 = std::chrono::steady_clock::now();
+    if (cp != nullptr) {
+      restored_trials_.fetch_add(1, std::memory_order_relaxed);
+      skipped_instructions_.fetch_add(base, std::memory_order_relaxed);
+      r = exec.run_from(cp->snapshot, limits);
+    } else {
+      r = Tool::run(exec, limits);
+    }
+    execute_nanos_.fetch_add(nanos_since(phase_t0),
+                             std::memory_order_relaxed);
+    if (exec_span.active())
+      exec_span.tag("instructions", r.dynamic_instructions - base);
+  }
+  exec.set_hook(nullptr);  // the hook dies with this call
+  if (cp != nullptr) account_restore(r, base);
+  if (r.converged != nullptr) {
+    const std::uint64_t suffix =
+        complete_converged(r, golden_output_, golden_instructions_);
+    converged_trials_.fetch_add(1, std::memory_order_relaxed);
+    converged_instructions_.fetch_add(suffix, std::memory_order_relaxed);
+  }
+
+  TrialRecord record;
+  fill_record(record, hook, r, k, cp != nullptr);
+  {
+    obs::ScopedSpan classify_span(tracer, "classify", "phase");
+    const auto phase_t0 = std::chrono::steady_clock::now();
+    record.outcome = classify(hook.injected(), hook.activated(), r.trapped,
+                              r.timed_out, r.output, golden_output_);
+    classify_nanos_.fetch_add(nanos_since(phase_t0),
+                              std::memory_order_relaxed);
+  }
+  return record;
+}
+
+template <typename Tool>
+template <typename Hook>
+void TrialCore<Tool>::fill_record(TrialRecord& record, const Hook& hook,
+                                  const Result& r, std::uint64_t k,
+                                  bool restored) {
+  record.dynamic_target = k;
+  record.bit = hook.bit();
+  record.static_site = hook.static_site();
+  record.injected = hook.injected();
+  record.site_opcode = hook.site_opcode();
+  record.site_function = hook.site_function();
+  record.total_instructions = r.dynamic_instructions;
+  if (hook.injected())
+    record.inject_instruction = hook.inject_at();  // absolute position
+  if (r.trapped) {
+    record.trap_pc = r.trap_pc;
+    record.trap = r.trap;
+  }
+  record.restored = restored;
+  record.delta_restored = r.delta_restored;
+  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
+  if (hook.tracing()) record.prop = hook.prop_summary();
+}
+
+template <typename Tool>
+void TrialCore<Tool>::account_restore(const Result& r,
+                                      std::uint64_t snapshot_executed) const {
+  restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
+  if (r.delta_restored)
+    delta_restores_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::metrics_enabled()) {
+    CheckpointMetrics& metrics = checkpoint_metrics();
+    metrics.restores.add();
+    metrics.restored_pages.add(r.restored_pages);
+    metrics.skipped_instructions.add(snapshot_executed);
+    if (r.delta_restored) {
+      metrics.delta_restores.add();
+      metrics.delta_pages.add(r.restored_pages);
+      metrics.dirty_pages.record(r.restored_pages);
+    }
+  }
+}
+
+template <typename Tool>
+CheckpointStats TrialCore<Tool>::checkpoint_stats() const {
+  CheckpointStats stats;
+  stats.snapshots = checkpoints_.size();
+  stats.stride = checkpoint_stride_;
+  stats.trials = trials_.load(std::memory_order_relaxed);
+  stats.restored_trials = restored_trials_.load(std::memory_order_relaxed);
+  stats.skipped_instructions =
+      skipped_instructions_.load(std::memory_order_relaxed);
+  stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
+  stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
+  stats.evictions = checkpoints_.evictions();
+  stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
+  stats.converged_instructions =
+      converged_instructions_.load(std::memory_order_relaxed);
+  return stats;
+}
+
+template <typename Tool>
+PhaseStats TrialCore<Tool>::phase_stats() const {
+  const auto seconds = [](const std::atomic<std::uint64_t>& nanos) {
+    return static_cast<double>(nanos.load(std::memory_order_relaxed)) * 1e-9;
+  };
+  PhaseStats p;
+  p.restore_seconds = seconds(restore_nanos_);
+  p.execute_seconds = seconds(execute_nanos_);
+  p.classify_seconds = seconds(classify_nanos_);
+  return p;
+}
+
+}  // namespace faultlab::fault

@@ -62,8 +62,8 @@ struct TrialEvent {
   std::uint64_t trap_pc = 0;      ///< static location of the trap, Crash only
   std::uint64_t inject_instruction = 0;  ///< dynamic index of the injection
   std::uint64_t instructions_total = 0;  ///< whole-run dynamic instructions
-  /// The propagation-distance signal (PropagationTrace computes the same
-  /// number offline): dynamic instructions between injection and run end.
+  /// The propagation-distance signal: dynamic instructions between
+  /// injection and run end.
   std::uint64_t instructions_after_injection = 0;
   bool checkpoint_hit = false;    ///< trial resumed from a snapshot
   double latency_ms = 0.0;        ///< trial wall time

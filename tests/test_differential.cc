@@ -1,14 +1,18 @@
 // Property-based differential testing: a seeded generator produces random
 // mini-C programs; for each one, (a) the optimizer must preserve the
 // output, (b) the machine simulator must agree with the IR interpreter
-// bit-for-bit, and (c) both engines' single-pass category profile must
-// agree with their hooked per-category profile. This cross-checks the
-// frontend, optimizer, backend, and both execution engines against each
-// other.
+// bit-for-bit, (c) both engines' single-pass category profile must agree
+// with their hooked per-category profile, and (d) a trial run on a reused
+// execution context must equal the same trial on a fresh one. This
+// cross-checks the frontend, optimizer, backend, and both execution
+// engines against each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
@@ -201,6 +205,64 @@ TEST_P(RandomProfiles, ProfileAllMatchesPerCategoryProfile) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProfiles,
                          ::testing::Range<std::uint64_t>(1, 51));
+
+/// Runs trials at evenly spaced k, visited in shuffled order, once through
+/// inject() (a fresh context per trial) and once through inject_in() on one
+/// context reused for every trial. The records must match in every field
+/// except the restore-side observability (restored, delta_restored,
+/// restored_pages), which depends on what the context ran before.
+template <typename Engine>
+void expect_reused_context_matches_fresh(Engine& engine, std::uint64_t seed,
+                                         const std::string& src) {
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
+  ASSERT_GT(n, 0u) << src;
+  constexpr std::uint64_t kTrials = 16;
+  std::vector<std::uint64_t> ks;
+  for (std::uint64_t i = 0; i < kTrials; ++i)
+    ks.push_back(1 + i * (n - 1) / (kTrials - 1));
+  Rng order(seed);
+  std::shuffle(ks.begin(), ks.end(), order);
+  const std::unique_ptr<fault::TrialContext> reused = engine.make_context();
+  for (const std::uint64_t k : ks) {
+    Rng fresh_rng(seed * 31 + k);
+    Rng reused_rng(seed * 31 + k);
+    const fault::TrialRecord a =
+        engine.inject(ir::Category::All, k, fresh_rng);
+    const fault::TrialRecord b =
+        engine.inject_in(reused.get(), ir::Category::All, k, reused_rng);
+    const std::string where =
+        std::string(engine.tool_name()) + " k=" + std::to_string(k) + "\n";
+    EXPECT_EQ(a.outcome, b.outcome) << where << src;
+    EXPECT_EQ(a.dynamic_target, b.dynamic_target) << where;
+    EXPECT_EQ(a.bit, b.bit) << where;
+    EXPECT_EQ(a.static_site, b.static_site) << where;
+    EXPECT_EQ(a.injected, b.injected) << where;
+    EXPECT_STREQ(a.site_opcode, b.site_opcode) << where;
+    EXPECT_STREQ(a.site_function, b.site_function) << where;
+    EXPECT_EQ(a.inject_instruction, b.inject_instruction) << where;
+    EXPECT_EQ(a.total_instructions, b.total_instructions) << where;
+    EXPECT_EQ(a.trap, b.trap) << where;
+    EXPECT_EQ(a.trap_pc, b.trap_pc) << where;
+  }
+}
+
+class RandomContexts : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomContexts, ReusedContextMatchesFreshContext) {
+  // A dense stride spreads the trials over many snapshot windows, so the
+  // reused context keeps switching between them.
+  ProgramGenerator gen(GetParam() ^ 0xC0117E47ull);
+  const std::string src = gen.generate();
+  auto prog = driver::compile(src, "rand");
+  const fault::CheckpointPolicy dense{/*stride=*/97, /*enabled=*/true};
+  fault::LlfiEngine llfi(prog.module(), {}, dense, fault::Model{});
+  fault::PinfiEngine pinfi(prog.program(), {}, dense, fault::Model{});
+  expect_reused_context_matches_fresh(llfi, GetParam(), src);
+  expect_reused_context_matches_fresh(pinfi, GetParam(), src);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomContexts,
+                         ::testing::Range<std::uint64_t>(1, 31));
 
 }  // namespace
 }  // namespace faultlab

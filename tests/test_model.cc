@@ -19,7 +19,6 @@ TEST(Model, DefaultIsThePaperModel) {
   const Model m;
   EXPECT_EQ(m.kind, FaultKind::Transient);
   EXPECT_EQ(m.mask, FaultMask::SingleBit);
-  EXPECT_EQ(m.target, FaultTarget::RegisterDest);
   EXPECT_EQ(m.trigger, FaultTrigger::Access);
   EXPECT_FALSE(m.persistent());
   EXPECT_EQ(m.name(), "transient");
@@ -50,9 +49,8 @@ TEST(Model, ParseOptions) {
   EXPECT_EQ(m.mask_bits, 3u);
   EXPECT_EQ(m.trigger, FaultTrigger::Time);
 
-  const Model b = Model::parse("stuck-at-0:mask=byte,target=mem");
+  const Model b = Model::parse("stuck-at-0:mask=byte");
   EXPECT_EQ(b.mask, FaultMask::Byte);
-  EXPECT_EQ(b.target, FaultTarget::MemoryCell);
 
   // bits=1 stays single-bit.
   EXPECT_EQ(Model::parse("transient:bits=1").mask, FaultMask::SingleBit);
@@ -79,6 +77,14 @@ TEST(Model, ParseRejectsBadSpecs) {
   // Overflowing numbers are rejected, not wrapped.
   Model::parse("intermittent:burst=99999999999999999999", &error);
   EXPECT_NE(error.find("burst"), std::string::npos);
+  // Only register destinations are modelled: no target key, no -mem name.
+  error.clear();
+  EXPECT_EQ(Model::parse("transient:target=mem", &error).name(), "transient");
+  EXPECT_NE(error.find("unknown option 'target'"), std::string::npos);
+  error.clear();
+  EXPECT_EQ(Model::parse("stuck-at-0-mem", &error).name(), "transient");
+  EXPECT_NE(error.find("unknown fault kind 'stuck-at-0-mem'"),
+            std::string::npos);
 }
 
 TEST(Model, Names) {
@@ -86,8 +92,8 @@ TEST(Model, Names) {
             "intermittent-b4g1");
   EXPECT_EQ(Model::parse("transient:bits=2").name(), "transient-m2");
   EXPECT_EQ(Model::parse("stuck-at-0:mask=byte").name(), "stuck-at-0-byte");
-  EXPECT_EQ(Model::parse("stuck-at-1:target=mem,trigger=time").name(),
-            "stuck-at-1-mem-time");
+  EXPECT_EQ(Model::parse("stuck-at-1:trigger=time").name(),
+            "stuck-at-1-time");
 }
 
 TEST(Model, RoundTripThroughName) {
@@ -289,17 +295,6 @@ TEST(ModelCampaign, DefaultModelMatchesExplicitTransient) {
                             Model{});
   EXPECT_EQ(fingerprint(run_campaign(plain, small_config())),
             fingerprint(run_campaign(explicit_model, small_config())));
-}
-
-TEST(ModelCampaign, MemoryCellTargetsRejected) {
-  driver::CompiledProgram prog = driver::compile(kModelProgram, "t");
-  const Model mem = Model::parse("transient:target=mem");
-  EXPECT_THROW(
-      LlfiEngine(prog.module(), {}, CheckpointPolicy::from_env(), mem),
-      std::runtime_error);
-  EXPECT_THROW(
-      PinfiEngine(prog.program(), {}, CheckpointPolicy::from_env(), mem),
-      std::runtime_error);
 }
 
 TEST(ModelCampaign, PermanentActivatesMoreThanTransient) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -333,6 +334,85 @@ TEST(VmProp, DivergencePointIsExact) {
   EXPECT_EQ(s.divergence_offset, 2u);
 }
 
+TEST(VmProp, TaintCrossesCallBoundary) {
+  VmHarness h;
+  const ir::Instruction* call = nullptr;
+  const ir::Instruction* ret = nullptr;
+  for (const ir::Instruction* instr : h.instrs) {
+    if (instr->opcode() == ir::Opcode::Call && call == nullptr) call = instr;
+    if (instr->opcode() == ir::Opcode::Ret) ret = instr;
+  }
+  ASSERT_NE(call, nullptr);
+  ASSERT_NE(ret, nullptr);
+  obs::VmPropTracer tracer(nullptr);
+  const vm::DynValueId root{1, h.instrs[0]};
+  tracer.plant_root(root, 5);
+
+  // Frame 1 passes the tainted value to a callee running in frame 2.
+  tracer.on_instruction(6, *call);
+  tracer.on_operand_read(root, *call);
+  tracer.on_call(*call, 2);
+
+  // Another frame's arguments stay clean.
+  const ir::Instruction& user = *h.instrs[1];
+  tracer.on_instruction(7, user);
+  tracer.on_argument_read(3, 0, user);
+  tracer.on_result(vm::DynValueId{3, &user});
+  EXPECT_EQ(tracer.summary().fanout, 0u);
+
+  // The callee's argument read picks the taint up...
+  tracer.on_instruction(8, user);
+  tracer.on_argument_read(2, 0, user);
+  tracer.on_result(vm::DynValueId{2, &user});
+  // ...and its return carries it back into the caller's call result.
+  tracer.on_instruction(9, *ret);
+  tracer.on_operand_read(vm::DynValueId{2, &user}, *ret);
+  tracer.on_result(vm::DynValueId{1, call});
+
+  const obs::PropSummary s = tracer.summary();
+  EXPECT_EQ(s.tainted_reads, 3u);
+  EXPECT_EQ(s.fanout, 2u);
+  EXPECT_EQ(s.depth, 2u);
+  EXPECT_FALSE(tracer.quiet());
+}
+
+TEST(VmProp, DeterministicForSameDraw) {
+  // Unoptimized, so the calls survive and taint crosses frames.
+  driver::CompileOptions unopt;
+  unopt.optimize = false;
+  auto prog = driver::compile(R"(
+    long mix(long v) {
+      long a = v + 1; long b = a * 3;
+      if (b > 1000000) return b;
+      return (b ^ 5) + v;
+    }
+    int main() {
+      long x = 3; int i;
+      for (i = 0; i < 6; i++) x = mix(x);
+      print_int(x);
+      return 0;
+    }
+  )", "prop_det", unopt);
+  ScopedProp on(true);
+  LlfiEngine engine(prog.module(), {}, CheckpointPolicy{}, Model{});
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
+  ASSERT_GT(n, 0u);
+  bool spread = false;
+  for (std::uint64_t k = 1; k <= n; k += 1 + n / 12) {
+    Rng first_rng(k);
+    Rng second_rng(k);
+    const TrialRecord a = engine.inject(ir::Category::All, k, first_rng);
+    const TrialRecord b = engine.inject(ir::Category::All, k, second_rng);
+    EXPECT_TRUE(a.prop.traced) << "k=" << k;
+    EXPECT_EQ(a.outcome, b.outcome) << "k=" << k;
+    EXPECT_EQ(a.bit, b.bit) << "k=" << k;
+    EXPECT_EQ(a.total_instructions, b.total_instructions) << "k=" << k;
+    EXPECT_EQ(a.prop, b.prop) << "k=" << k;
+    if (a.prop.fanout > 0) spread = true;
+  }
+  EXPECT_TRUE(spread);
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level invariance: tracing must never change trial results, and
 // traced trials must carry a filled summary.
@@ -520,14 +600,26 @@ TEST(PropEngine, TracedStuckAtFaultsNeverConverge) {
 // not lose the trials that already completed (scheduler.cc's
 // EventFlushGuard).
 
-/// Succeeds for the first four inject() calls, then explodes — the
+/// Succeeds for the first four inject_in() calls, then explodes — the
 /// completed trials' events sit in un-flushed shard buffers when the
 /// CampaignError unwinds the scheduler.
 class PartialThrowingEngine final : public InjectorEngine {
  public:
   const char* tool_name() const noexcept override { return "MOCK"; }
-  std::uint64_t profile(ir::Category) override { return 64; }
-  TrialRecord inject(ir::Category, std::uint64_t k, Rng&) override {
+  CategoryCounts profile_all() override {
+    CategoryCounts counts;
+    counts.counts.fill(64);
+    return counts;
+  }
+  std::unique_ptr<TrialContext> make_context() override {
+    return std::make_unique<TrialContext>();
+  }
+  std::uint64_t window_of(ir::Category, std::uint64_t) const override {
+    return kNoWindow;
+  }
+  TrialRecord inject_in(TrialContext* context, ir::Category, std::uint64_t k,
+                        Rng&) override {
+    EXPECT_NE(context, nullptr);
     if (calls_.fetch_add(1) >= 4)
       throw std::runtime_error("worker killed mid-run");
     TrialRecord record;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -522,13 +523,25 @@ TEST(Scheduler, WindowBoundaryTrialsMatchCheckpointFreeRuns) {
   }
 }
 
-/// Engine whose inject() always throws — the std::terminate repro.
+/// Engine whose inject_in() always throws — the std::terminate repro.
 class ThrowingEngine final : public InjectorEngine {
  public:
   const char* tool_name() const noexcept override { return "MOCK"; }
-  std::uint64_t profile(ir::Category) override { return 8; }
-  TrialRecord inject(ir::Category, std::uint64_t, Rng&) override {
+  CategoryCounts profile_all() override {
+    CategoryCounts counts;
+    counts.counts.fill(8);
+    return counts;
+  }
+  std::unique_ptr<TrialContext> make_context() override {
+    return std::make_unique<TrialContext>();
+  }
+  TrialRecord inject_in(TrialContext* context, ir::Category, std::uint64_t,
+                        Rng&) override {
+    EXPECT_NE(context, nullptr);
     throw std::runtime_error("injector exploded");
+  }
+  std::uint64_t window_of(ir::Category, std::uint64_t) const override {
+    return kNoWindow;
   }
   const std::string& golden_output() const noexcept override {
     return golden_;
