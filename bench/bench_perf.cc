@@ -162,7 +162,7 @@ BENCHMARK(BM_VmExecutionResident)->Unit(benchmark::kMillisecond);
 void BM_LlfiInjectionTrial(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
   fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/false});
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -175,7 +175,7 @@ BENCHMARK(BM_LlfiInjectionTrial)->Unit(benchmark::kMillisecond);
 void BM_PinfiInjectionTrial(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
   fault::PinfiEngine engine(prog.program(), {}, {0, /*enabled=*/false});
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -191,8 +191,7 @@ void BM_LlfiCheckpointedTrial(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
   fault::LlfiEngine engine(prog.module(), {},
                            {static_cast<std::uint64_t>(state.range(0)), true});
-  engine.profile_all();
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -213,8 +212,7 @@ void BM_PinfiCheckpointedTrial(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
   fault::PinfiEngine engine(prog.program(), {},
                             {static_cast<std::uint64_t>(state.range(0)), true});
-  engine.profile_all();
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -281,8 +279,7 @@ BENCHMARK(BM_MemoryRestoreDelta)->Arg(64)->Arg(256)->Arg(1024);
 void BM_LlfiResidentWindowTrial(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
   fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true});
-  engine.profile_all();
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   const std::uint64_t k = n / 2 == 0 ? 1 : n / 2;  // one fixed window
   auto context = engine.make_context();
   Rng rng(1);
@@ -403,8 +400,7 @@ void BM_VmExecutionProp(benchmark::State& state) {
   obs::set_prop_enabled(state.range(0) != 0);
   auto prog = driver::compile(kKernel, "bench");
   fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true});
-  engine.profile_all();
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -420,8 +416,7 @@ void BM_SimExecutionProp(benchmark::State& state) {
   obs::set_prop_enabled(state.range(0) != 0);
   auto prog = driver::compile(kKernel, "bench");
   fault::PinfiEngine engine(prog.program(), {}, {0, /*enabled=*/true});
-  engine.profile_all();
-  const std::uint64_t n = engine.profile(ir::Category::All);
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
     Rng trial = rng.fork();
@@ -441,18 +436,21 @@ void BM_ProfilingOverheadVm(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilingOverheadVm)->Unit(benchmark::kMillisecond);
 
-// Snapshot capture cost: the instrumented golden run including checkpoint
-// capture at the automatic stride (compare against BM_ProfilingOverheadVm
-// for the marginal cost of copy-on-write snapshots).
+// Snapshot capture cost: the engine's one fault-free run, which counts
+// every category and captures checkpoints at the automatic stride (compare
+// against BM_ProfilingOverheadVm for the marginal cost of copy-on-write
+// snapshots). profile_all() runs once per engine and construction executes
+// nothing, so each iteration times a fresh engine's run.
 void BM_ProfileAllWithCheckpoints(benchmark::State& state) {
   auto prog = driver::compile(kKernel, "bench");
-  fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true});
+  std::uint64_t snapshots = 0;
   for (auto _ : state) {
+    fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true});
     auto counts = engine.profile_all();
     benchmark::DoNotOptimize(counts[ir::Category::All]);
+    snapshots = engine.checkpoint_stats().snapshots;
   }
-  state.counters["snapshots"] =
-      static_cast<double>(engine.checkpoint_stats().snapshots);
+  state.counters["snapshots"] = static_cast<double>(snapshots);
 }
 BENCHMARK(BM_ProfileAllWithCheckpoints)->Unit(benchmark::kMillisecond);
 

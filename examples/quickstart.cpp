@@ -59,8 +59,10 @@ int main() {
   fault::PinfiEngine pinfi(prog.program());
 
   Rng rng(2014);  // the year of the paper
-  const std::uint64_t llfi_targets = llfi.profile(ir::Category::All);
-  const std::uint64_t pinfi_targets = pinfi.profile(ir::Category::All);
+  // profile_all() is each engine's one fault-free run: golden output,
+  // category counts and checkpoint snapshots.
+  const std::uint64_t llfi_targets = llfi.profile_all()[ir::Category::All];
+  const std::uint64_t pinfi_targets = pinfi.profile_all()[ir::Category::All];
   std::cout << "dynamic injection targets ('all'): LLFI " << llfi_targets
             << ", PINFI " << pinfi_targets << "\n\n";
 

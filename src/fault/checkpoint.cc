@@ -1,5 +1,5 @@
-// CheckpointPolicy: stride selection and environment overrides for the
-// checkpoint/restore trial layer (see engine.h).
+// CheckpointPolicy environment overrides and the checkpoint metrics
+// handles of the checkpoint/restore trial layer (see engine.h).
 #include "fault/engine.h"
 #include "support/env.h"
 
@@ -30,14 +30,6 @@ CheckpointPolicy CheckpointPolicy::from_env() {
   policy.stride = support::parse_env_u64("FAULTLAB_SNAPSHOT_STRIDE", 0);
   policy.budget_pages = support::parse_env_u64("FAULTLAB_SNAPSHOT_BUDGET", 0);
   return policy;
-}
-
-std::uint64_t CheckpointPolicy::effective_stride(
-    std::uint64_t golden_instructions) const {
-  if (!enabled) return 0;
-  if (stride != 0) return stride;
-  return std::max<std::uint64_t>(golden_instructions / kAutoWindows,
-                                 kMinStride);
 }
 
 }  // namespace faultlab::fault

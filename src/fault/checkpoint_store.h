@@ -2,7 +2,8 @@
 //
 // Both LLFI and PINFI capture the same thing during profile_all(): an
 // execution snapshot every stride instructions plus the per-category
-// instance counters at that point. This template owns that sequence, the
+// instance counters at that point (halve() thins the sequence when the
+// capture stride doubles). This template owns that sequence, the
 // "nearest resumable point before the k-th instance" query, the "next
 // golden state after instruction n" query behind the golden-convergence
 // early exit, and the snapshot memory budget: when the summed mapped-page
@@ -12,7 +13,7 @@
 // transparently falls back to the nearest earlier live one (or a
 // from-scratch run).
 //
-// Thread-safety contract: add()/clear()/set_budget() are capture/setup
+// Thread-safety contract: add()/halve()/set_budget() are capture/setup
 // operations and must not run concurrently with trials; before(), after()
 // and window_of() are safe to call from many trial workers at once (the
 // only mutation is the per-entry LRU stamp, a relaxed atomic).
@@ -44,14 +45,6 @@ class CheckpointStore {
     mutable std::atomic<std::uint64_t> last_touch{0};
   };
 
-  /// Drops all entries (a new profiling run starts). Eviction counters are
-  /// cumulative across profiling runs, matching the engines' other stats.
-  void clear() {
-    entries_.clear();
-    live_pages_ = 0;
-    live_count_ = 0;
-  }
-
   void set_budget(std::uint64_t pages) {
     budget_pages_ = pages;
     enforce_budget();
@@ -68,6 +61,33 @@ class CheckpointStore {
     live_pages_ += e.pages;
     ++live_count_;
     enforce_budget();
+  }
+
+  /// Drops every other entry — the first, third, ... — keeping every
+  /// second capture: the grid of a stride twice as long, on which the
+  /// capture then continues. Eviction counts are unaffected (halving is
+  /// not an eviction).
+  void halve() {
+    std::deque<Entry> kept;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
+      if (i % 2 == 0) {
+        if (e.alive) {
+          live_pages_ -= e.pages;
+          --live_count_;
+        }
+        continue;
+      }
+      Entry& k = kept.emplace_back();  // Entry is immovable (atomic stamp)
+      k.snapshot = std::move(e.snapshot);
+      k.seen = e.seen;
+      k.executed = e.executed;
+      k.pages = e.pages;
+      k.alive = e.alive;
+      k.last_touch.store(e.last_touch.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+    }
+    entries_.swap(kept);
   }
 
   /// Latest live entry whose prefix holds fewer than k `category`

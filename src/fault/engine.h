@@ -35,15 +35,19 @@ struct FaultModel {
   bool llfi_gep_as_arithmetic = false;
 };
 
-/// Checkpoint configuration shared by both engines. During the single-pass
-/// profiling run (profile_all) the engine captures a
-/// copy-on-write snapshot every `stride` dynamic instructions, together
-/// with the per-category instance counters at that point; each trial then
-/// resumes from the nearest snapshot at or before its injection point
-/// instead of re-executing the golden prefix.
+/// Checkpoint configuration shared by both engines. During the engine's one
+/// fault-free run (profile_all) the engine captures a copy-on-write
+/// snapshot every `stride` dynamic instructions, together with the
+/// per-category instance counters at that point; each trial then resumes
+/// from the nearest snapshot at or before its injection point instead of
+/// re-executing the golden prefix.
 struct CheckpointPolicy {
-  /// Dynamic-instruction stride between snapshots (0 = automatic: the
-  /// golden run length divided into kAutoWindows, floored at kMinStride).
+  /// Dynamic-instruction stride between snapshots. 0 = automatic: capture
+  /// starts at kMinStride and the stride doubles (every second snapshot is
+  /// dropped) each time 2 * kAutoWindows snapshots are held, so a run ends
+  /// with kAutoWindows to 2 * kAutoWindows - 1 windows, or one per
+  /// kMinStride instructions when it is shorter. An explicit stride never
+  /// changes.
   std::uint64_t stride = 0;
   /// Master switch; with checkpointing off every trial runs from main().
   bool enabled = true;
@@ -61,8 +65,6 @@ struct CheckpointPolicy {
   /// FAULTLAB_SNAPSHOT_STRIDE=<n> fixes the stride,
   /// FAULTLAB_SNAPSHOT_BUDGET=<pages> caps resident snapshot pages.
   static CheckpointPolicy from_env();
-
-  std::uint64_t effective_stride(std::uint64_t golden_instructions) const;
 };
 
 /// Handles to the checkpoint layer's counters in the process-wide metrics
@@ -91,7 +93,7 @@ CheckpointMetrics& checkpoint_metrics();
 /// to benches and the perf manifest.
 struct CheckpointStats {
   std::uint64_t snapshots = 0;        ///< snapshots captured by profile_all
-  std::uint64_t stride = 0;           ///< effective stride in force
+  std::uint64_t stride = 0;           ///< final capture stride
   std::uint64_t trials = 0;           ///< trials run
   std::uint64_t restored_trials = 0;  ///< trials resumed from a snapshot
   std::uint64_t skipped_instructions = 0;  ///< golden prefix not re-executed
@@ -153,7 +155,7 @@ struct PhaseStats {
 
 /// Dynamic instruction counts for every Table III category, indexed by
 /// `ir::Category`. Produced by `InjectorEngine::profile_all()` so one
-/// golden run covers the whole category grid.
+/// fault-free run covers the whole category grid.
 struct CategoryCounts {
   std::array<std::uint64_t, ir::kNumCategories> counts{};
 
@@ -186,14 +188,18 @@ class InjectorEngine {
   virtual const char* tool_name() const noexcept = 0;
 
   /// Dynamic counts for every category (the paper's Table IV entries);
-  /// the campaign scheduler calls it once per engine before any trial.
-  /// LlfiEngine and PinfiEngine count every category in one unhooked
-  /// fast-path run, which also captures the checkpoint snapshots; their
-  /// hooked profile(category) is the oracle these counts must match.
+  /// the campaign scheduler calls it once per engine before any trial, on
+  /// its worker threads. LlfiEngine and PinfiEngine make their one
+  /// fault-free run here: it counts every category on the fast path,
+  /// records the golden output and length, and captures the checkpoint
+  /// snapshots. It runs once, whichever thread calls first; later calls
+  /// return the cached counts. Their hooked profile(category) is the
+  /// oracle these counts must match.
   virtual CategoryCounts profile_all() = 0;
 
-  /// Fresh per-worker execution state for inject_in(); never null. Called
-  /// after profiling, from any thread.
+  /// Fresh per-worker execution state for inject_in(); never null. Callable
+  /// from any thread; LlfiEngine and PinfiEngine profile first if nobody
+  /// has.
   virtual std::unique_ptr<TrialContext> make_context() = 0;
 
   /// Runs one trial against a resident context, flipping one random bit
@@ -227,9 +233,10 @@ class InjectorEngine {
     return kDefault;
   }
 
-  /// Output of the fault-free run (SDC reference).
+  /// Output of the fault-free run (SDC reference). For LlfiEngine and
+  /// PinfiEngine, valid after profile_all() or make_context().
   virtual const std::string& golden_output() const noexcept = 0;
-  /// Dynamic instruction count of the fault-free run.
+  /// Dynamic instruction count of the fault-free run (same validity).
   virtual std::uint64_t golden_instructions() const noexcept = 0;
 
   /// Checkpoint-layer counters (zero for engines without checkpointing).

@@ -240,7 +240,7 @@ class InjectHook final : public vm::ExecHook {
 };
 
 /// Golden-run journal capture: one pc fingerprint per dynamic instruction
-/// (attached to the ctor's golden run only when FAULTLAB_PROP is on).
+/// (attached to the profiling run only when propagation tracing is on).
 class JournalHook final : public vm::ExecHook {
  public:
   explicit JournalHook(obs::GoldenJournal* journal) : journal_(journal) {}
@@ -266,9 +266,7 @@ bool LlfiEngine::is_target(const ir::Instruction& instr, ir::Category category,
 
 LlfiEngine::LlfiEngine(const ir::Module& module, FaultModel model,
                        CheckpointPolicy checkpoints, Model fault_model)
-    : TrialCore(module, model, checkpoints, fault_model) {
-  run_golden<JournalHook>();
-}
+    : TrialCore(module, model, checkpoints, fault_model) {}
 
 std::uint64_t LlfiEngine::profile(ir::Category category) {
   ProfileHook hook(category, model_);
@@ -280,12 +278,14 @@ std::uint64_t LlfiEngine::profile(ir::Category category) {
 }
 
 CategoryCounts LlfiEngine::profile_all() {
-  SiteProfile sites;
-  for (const ir::Instruction* instr : vm::site_order(code_))
-    sites.add_site(
-        [&](ir::Category c) { return is_target(*instr, c, model_); });
-  sites.hits.assign(sites.masks.size(), 0);
-  return profile_sites(sites);
+  return profile_once<JournalHook>([this] {
+    SiteProfile sites;
+    for (const ir::Instruction* instr : vm::site_order(code_))
+      sites.add_site(
+          [&](ir::Category c) { return is_target(*instr, c, model_); });
+    sites.hits.assign(sites.masks.size(), 0);
+    return sites;
+  });
 }
 
 TrialRecord LlfiEngine::inject_in(TrialContext* context, ir::Category category,

@@ -11,14 +11,15 @@
 //    by some instruction.
 //
 // Trial execution is shared with PINFI through TrialCore (trial_core.h):
-// profile_all()'s golden run, which counts category instances on the fast
-// path, captures copy-on-write interpreter snapshots every
-// `CheckpointPolicy` stride (with the per-category instance counters at
-// each point), and each trial resumes from the nearest snapshot before its
-// injection point instead of re-running the golden prefix from main(); a
-// trial whose state later equals a golden snapshot's stops there instead
-// of re-running the golden suffix (the golden-convergence early exit,
-// DESIGN §4). Results are bit-identical to direct execution.
+// profile_all()'s golden run — the engine's only fault-free execution —
+// counts category instances on the fast path, captures copy-on-write
+// interpreter snapshots every `CheckpointPolicy` stride (with the
+// per-category instance counters at each point), and each trial resumes
+// from the nearest snapshot before its injection point instead of
+// re-running the golden prefix from main(); a trial whose state later
+// equals a golden snapshot's stops there instead of re-running the golden
+// suffix (the golden-convergence early exit, DESIGN §4). Results are
+// bit-identical to direct execution.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,8 @@ class LlfiEngine final : public TrialCore<LlfiTool> {
  public:
   /// The module must outlive the engine. `fault_model` selects the
   /// hardware fault model (fault::Model — kind/mask/trigger); `model`
-  /// keeps the tool-heuristic knobs.
+  /// keeps the tool-heuristic knobs. Construction executes nothing:
+  /// profile_all() (or the first make_context()) makes the fault-free run.
   explicit LlfiEngine(const ir::Module& module, FaultModel model = {},
                       CheckpointPolicy checkpoints = CheckpointPolicy::from_env(),
                       Model fault_model = Model::from_env());

@@ -371,8 +371,8 @@ class PinfiHook final : public x86::SimHook {
 };
 
 /// Golden-run journal capture: one pc fingerprint (the code index) per
-/// dynamic instruction, attached to the ctor's golden run only when
-/// FAULTLAB_PROP is on.
+/// dynamic instruction, attached to the profiling run only when
+/// propagation tracing is on.
 class JournalHook final : public x86::SimHook {
  public:
   explicit JournalHook(obs::GoldenJournal* journal) : journal_(journal) {}
@@ -417,9 +417,7 @@ bool PinfiEngine::is_target(const Inst& inst, const Inst* next,
 
 PinfiEngine::PinfiEngine(const x86::Program& program, FaultModel model,
                          CheckpointPolicy checkpoints, Model fault_model)
-    : TrialCore(program, model, checkpoints, fault_model) {
-  run_golden<JournalHook>();
-}
+    : TrialCore(program, model, checkpoints, fault_model) {}
 
 std::uint64_t PinfiEngine::profile(ir::Category category) {
   ProfileHook hook(code_, category);
@@ -431,15 +429,17 @@ std::uint64_t PinfiEngine::profile(ir::Category category) {
 }
 
 CategoryCounts PinfiEngine::profile_all() {
-  const std::vector<Inst>& code = code_.code;
-  SiteProfile sites;
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const Inst* next = i + 1 < code.size() ? &code[i + 1] : nullptr;
-    sites.add_site(
-        [&](ir::Category c) { return is_target(code[i], next, c); });
-  }
-  sites.hits.assign(code.size() + 1, 0);  // + the fetch sentinel's slot
-  return profile_sites(sites);
+  return profile_once<JournalHook>([this] {
+    const std::vector<Inst>& code = code_.code;
+    SiteProfile sites;
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      const Inst* next = i + 1 < code.size() ? &code[i + 1] : nullptr;
+      sites.add_site(
+          [&](ir::Category c) { return is_target(code[i], next, c); });
+    }
+    sites.hits.assign(code.size() + 1, 0);  // + the fetch sentinel's slot
+    return sites;
+  });
 }
 
 TrialRecord PinfiEngine::inject_in(TrialContext* context,

@@ -14,13 +14,13 @@
 //    flag bit) must be read before being overwritten.
 //
 // Trial execution is shared with LLFI through TrialCore (trial_core.h):
-// profile_all()'s golden run, which counts category instances on the fast
-// path, captures copy-on-write simulator snapshots every
-// `CheckpointPolicy` stride (with per-category instance counters), and
-// each trial resumes from the nearest snapshot before its injection point;
-// a trial whose state later equals a golden snapshot's stops there (the
-// golden-convergence early exit, DESIGN §4). Results are bit-identical to
-// direct execution.
+// profile_all()'s golden run — the engine's only fault-free execution —
+// counts category instances on the fast path, captures copy-on-write
+// simulator snapshots every `CheckpointPolicy` stride (with per-category
+// instance counters), and each trial resumes from the nearest snapshot
+// before its injection point; a trial whose state later equals a golden
+// snapshot's stops there (the golden-convergence early exit, DESIGN §4).
+// Results are bit-identical to direct execution.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,8 @@ class PinfiEngine final : public TrialCore<PinfiTool> {
  public:
   /// The program must outlive the engine. `fault_model` selects the
   /// hardware fault model (fault::Model — kind/mask/trigger); `model`
-  /// keeps the tool-heuristic knobs.
+  /// keeps the tool-heuristic knobs. Construction executes nothing:
+  /// profile_all() (or the first make_context()) makes the fault-free run.
   PinfiEngine(const x86::Program& program, FaultModel model = {},
               CheckpointPolicy checkpoints = CheckpointPolicy::from_env(),
               Model fault_model = Model::from_env());

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -245,23 +246,54 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   const machine::DispatchCountersSnapshot dispatch_before =
       machine::dispatch_counters_snapshot();
 
-  // Phase 1 — profiling: one single-pass golden run per distinct engine
-  // covers every category it appears with.
+  std::size_t workers = options_.threads != 0 ? options_.threads
+                                              : env_threads();
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+
+  // Phase 1 — profiling: each distinct engine makes its one fault-free run
+  // (profile_all), which covers every category it appears with. Up to
+  // `workers` threads pull engines from an atomic index; with one worker
+  // the phase stays serial. Every profiling thread joins before an
+  // engine's exception is rethrown, the lowest engine index first.
   WallTimer profile_timer;
-  std::vector<std::pair<InjectorEngine*, CategoryCounts>> profiles;
-  for (const Entry& entry : entries_) {
-    const auto known = std::find_if(
-        profiles.begin(), profiles.end(),
-        [&](const auto& p) { return p.first == entry.engine; });
-    if (known == profiles.end())
-      profiles.emplace_back(entry.engine, entry.engine->profile_all());
+  std::vector<InjectorEngine*> engines;  // distinct, in add() order
+  for (const Entry& entry : entries_)
+    if (std::find(engines.begin(), engines.end(), entry.engine) ==
+        engines.end())
+      engines.push_back(entry.engine);
+  std::vector<CategoryCounts> profiles(engines.size());
+  {
+    std::vector<std::exception_ptr> errors(engines.size());
+    std::atomic<std::size_t> next_engine{0};
+    const auto profile = [&] {
+      for (std::size_t i = next_engine.fetch_add(1); i < engines.size();
+           i = next_engine.fetch_add(1)) {
+        try {
+          profiles[i] = engines[i]->profile_all();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    const std::size_t profilers = std::min(workers, engines.size());
+    if (profilers <= 1) {
+      profile();
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(profilers);
+      for (std::size_t t = 0; t < profilers; ++t) pool.emplace_back(profile);
+      for (std::thread& th : pool) th.join();
+    }
+    for (const std::exception_ptr& error : errors)
+      if (error != nullptr) std::rethrow_exception(error);
   }
   manifest_.profile_seconds = profile_timer.seconds();
   // Engine checkpoint counters are cumulative across runs; the manifest
   // keeps this run's share.
-  const auto checkpoint_totals = [&profiles] {
+  const auto checkpoint_totals = [&engines] {
     CheckpointStats sum;
-    for (const auto& p : profiles) sum += p.first->checkpoint_stats();
+    for (const InjectorEngine* engine : engines)
+      sum += engine->checkpoint_stats();
     return sum;
   };
   const CheckpointStats checkpoints_before = checkpoint_totals();
@@ -274,9 +306,9 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     Campaign& c = campaigns.emplace_back();
     c.entry = &entry;
     const CategoryCounts& counts =
-        std::find_if(profiles.begin(), profiles.end(),
-                     [&](const auto& p) { return p.first == entry.engine; })
-            ->second;
+        profiles[static_cast<std::size_t>(
+            std::find(engines.begin(), engines.end(), entry.engine) -
+            engines.begin())];
     c.result.app = entry.config.app;
     c.result.tool = entry.engine->tool_name();
     c.result.category = entry.config.category;
@@ -353,9 +385,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   // to measure its overhead in one process.
   const bool events_on = obs::EventLog::global().enabled();
   ProgressCounters progress_counters;
-  std::size_t workers = options_.threads != 0 ? options_.threads
-                                              : env_threads();
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   workers = std::min(workers, std::max<std::size_t>(chunks.size(), 1));
   progress_counters.size_workers(workers);
 
@@ -376,9 +405,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       monitor->add_cell(c.result.app, c.result.tool,
                         ir::category_name(c.result.category),
                         c.result.fault_model, c.draws.size());
-    std::vector<InjectorEngine*> engines;
-    engines.reserve(profiles.size());
-    for (const auto& p : profiles) engines.push_back(p.first);
     const std::string dispatch_mode = manifest_.dispatch_mode;
     monitor->set_aux_source([engines, dispatch_before, dispatch_mode] {
       obs::MonitorAux aux;

@@ -2,9 +2,10 @@
 // injection campaigns on one shared worker pool.
 //
 // Compared to calling run_campaign per cell, the scheduler
-//  * profiles each engine once — a single golden run records the dynamic
-//    counts of *all* categories (InjectorEngine::profile_all),
-//    instead of one golden re-run per category,
+//  * profiles each engine once — its one fault-free run, which is also its
+//    golden run, records the dynamic counts of *all* categories
+//    (InjectorEngine::profile_all) instead of one re-run per category —
+//    and profiles the engines in parallel on up to the worker count,
 //  * spins the thread pool up once for the whole grid: trials from every
 //    campaign land in one shared queue that idle workers steal from, so
 //    cores never drain between campaigns,
@@ -118,7 +119,10 @@ struct CampaignTiming {
 struct RunManifest {
   std::size_t threads = 0;        ///< worker count actually used
   FaultModel model;               ///< fault-model knobs in effect
-  double profile_seconds = 0.0;   ///< single-pass profiling phase
+  /// Phase 1 wall time: every engine's one fault-free run (golden output,
+  /// category counts and snapshot capture), in parallel on up to the
+  /// worker count.
+  double profile_seconds = 0.0;
   double wall_seconds = 0.0;      ///< whole run() call
   /// Dispatch mode in effect ("threaded" | "switch"), and the trace-cache
   /// activity attributable to this run (process-wide counter deltas across
@@ -179,7 +183,9 @@ class CampaignScheduler {
 
   /// Runs every queued trial on one shared pool and returns the campaign
   /// results in add() order. Clears the queue. Throws CampaignError when a
-  /// worker throws (after all workers have been joined).
+  /// trial worker throws (after all workers have been joined); an engine's
+  /// profile_all() exception propagates as is, once every profiling thread
+  /// has joined (the first engine in add() order wins).
   std::vector<CampaignResult> run();
 
   /// Manifest of the last run() call.

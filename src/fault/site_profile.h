@@ -1,6 +1,7 @@
 // Category instance counting for profile_all(), shared by both engines.
 //
-// The golden run executes unhooked on the executors' fast path with a
+// The engine's one fault-free run executes on the executors' fast path
+// (unhooked unless propagation tracing captures the golden journal) with a
 // per-static-site hit array (vm::RunLimits / x86::SimLimits::site_hits).
 // Each site carries a category bitmask precomputed from the engine's
 // static is_target predicate, so folding hits through the masks yields the

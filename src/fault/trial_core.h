@@ -5,14 +5,17 @@
 // everything else once, over a tool binding (LlfiTool / PinfiTool) that
 // names the executor, its snapshot/result/limits types, how it runs from
 // main, and the tool's bit-draw width:
-//  * the golden run, which doubles as the propagation journal capture,
-//  * profile_all()'s checkpoint capture from the engine's site profile,
+//  * profile_all()'s single fault-free run, which records the golden
+//    output and length, counts every category over the engine's site
+//    profile, captures the checkpoint snapshots at a doubling stride and,
+//    with propagation tracing on, the golden pc journal,
 //  * time-trigger placement and window_of(),
 //  * the restore -> execute -> classify skeleton of one trial, and
 //  * the checkpoint and phase accounting behind checkpoint_stats() and
 //    phase_stats().
-// An engine derives from TrialCore<Tool>, enumerates its sites, supplies
-// its injection hook to run_trial(), and keeps its hooked profile(c).
+// An engine derives from TrialCore<Tool>, enumerates its sites for
+// profile_once(), supplies its injection hook to run_trial(), and keeps its
+// hooked profile(c).
 // The hook type is a template argument, so trials add no virtual call
 // beyond the executor's own hook dispatch.
 #pragma once
@@ -21,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -61,6 +65,7 @@ class TrialCore : public InjectorEngine {
 
   const char* tool_name() const noexcept override { return Tool::kName; }
   std::unique_ptr<TrialContext> make_context() override {
+    profile_all();  // every trial needs the golden run and the snapshots
     return std::make_unique<Context>(code_);
   }
   std::uint64_t window_of(ir::Category category,
@@ -72,6 +77,8 @@ class TrialCore : public InjectorEngine {
     return checkpoints_.window_of(category, k);
   }
   const Model& fault_model() const noexcept override { return fault_model_; }
+  /// golden_output() and golden_instructions() are valid after
+  /// profile_all() or make_context().
   const std::string& golden_output() const noexcept override {
     return golden_output_;
   }
@@ -90,26 +97,31 @@ class TrialCore : public InjectorEngine {
   }
 
  protected:
-  /// The code must outlive the engine.
+  /// The code must outlive the engine. Binds the code and the policies
+  /// and latches propagation tracing from obs::prop_enabled(); executes
+  /// nothing (the fault-free run waits for profile_once()).
   TrialCore(const Code& code, FaultModel model, CheckpointPolicy checkpoints,
             Model fault_model)
       : code_(code),
         model_(model),
         fault_model_(fault_model),
-        checkpoint_policy_(checkpoints) {}
+        checkpoint_policy_(checkpoints),
+        trace_prop_(obs::prop_enabled()) {}
 
-  /// The fault-free run behind golden_output()/golden_instructions(); the
-  /// engine's constructor calls it once. With propagation tracing on it
-  /// also captures the pc journal through `JournalHook` (hooked, so it
-  /// takes the slow path — paid once per engine, only when FAULTLAB_PROP
-  /// is set).
-  template <typename JournalHook>
-  void run_golden();
-
-  /// profile_all() over the engine's site profile (masks set; hits sized
-  /// to the executor's site numbering): one unhooked fast-path run that
-  /// counts every category and captures the checkpoint snapshots.
-  CategoryCounts profile_sites(SiteProfile& sites);
+  /// profile_all(): the engine's one fault-free run, executed by the first
+  /// call only (std::call_once: concurrent first callers wait for it; a
+  /// program whose fault-free run does not complete throws on every call,
+  /// and the engine stays unusable). `make_sites()`
+  /// returns the engine's site profile (masks set, hits sized to the
+  /// executor's site numbering). Returns the cached category counts.
+  template <typename JournalHook, typename MakeSites>
+  CategoryCounts profile_once(MakeSites make_sites) {
+    std::call_once(profiled_, [&] {
+      SiteProfile sites = make_sites();
+      profile_sites<JournalHook>(sites);
+    });
+    return profile_counts_;
+  }
 
   /// One trial: restore from the nearest snapshot, run with the hook that
   /// `make_hook(plan, start)` returns, classify. `context` must come from
@@ -129,6 +141,15 @@ class TrialCore : public InjectorEngine {
     Executor exec;
   };
 
+  /// The fault-free run behind profile_once(): counts every category
+  /// through `sites.hits`, captures the checkpoint snapshots, and records
+  /// golden_output()/golden_instructions() from its own result. It runs
+  /// unhooked on the fast path, unless propagation tracing is on: then
+  /// `JournalHook` rides along and captures the golden pc journal in the
+  /// same pass (hooked, so on the slow path).
+  template <typename JournalHook>
+  void profile_sites(SiteProfile& sites);
+
   static std::uint64_t nanos_since(std::chrono::steady_clock::time_point t0) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -146,12 +167,12 @@ class TrialCore : public InjectorEngine {
 
   /// Dynamic instruction index at which a time-triggered fault arms for
   /// trial (category, k): k's share of the golden run, scaled by the
-  /// profiled category density. Zero (= fall back to access trigger)
-  /// until profile_all() has filled the category counts.
+  /// profiled category density. Zero (= fall back to access trigger) for a
+  /// category without instances.
   std::uint64_t time_trigger_point(ir::Category category,
                                    std::uint64_t k) const {
     const std::uint64_t count = profile_counts_[category];
-    if (count == 0) return 0;  // profile_all not run: use the access trigger
+    if (count == 0) return 0;  // nothing to arm on: use the access trigger
     // The k-th of `count` instances maps to its proportional position in
     // the golden run; +1 keeps the trigger strictly after instruction 0.
     return (k - 1) * golden_instructions_ / count + 1;
@@ -169,19 +190,21 @@ class TrialCore : public InjectorEngine {
 
   Model fault_model_;
   CheckpointPolicy checkpoint_policy_;
+  /// Propagation tracing (obs/propagation.h): latched from prop_enabled()
+  /// by the constructor; the golden pc journal is captured by the
+  /// profiling run iff tracing is on, then read-only during trials.
+  bool trace_prop_ = false;
+  /// Guards the one profiling run; everything below up to the counters is
+  /// written by it and only read afterwards.
+  std::once_flag profiled_;
   std::string golden_output_;
   std::uint64_t golden_instructions_ = 0;
-  /// Propagation tracing (obs/propagation.h): latched from prop_enabled()
-  /// by the golden run; the golden pc journal is captured by that run iff
-  /// tracing is on, then read-only during trials.
-  bool trace_prop_ = false;
   obs::GoldenJournal journal_;
-  /// Filled by profile_all (single-threaded, before trials); during the
-  /// trial phase workers only query it (thread-safe), so concurrent
-  /// trials are safe.
+  /// During the trial phase workers only query the store (thread-safe), so
+  /// concurrent trials are safe.
   CheckpointStore<Snapshot> checkpoints_;
-  CategoryCounts profile_counts_;  ///< filled by profile_all (time trigger)
-  std::uint64_t checkpoint_stride_ = 0;
+  CategoryCounts profile_counts_;
+  std::uint64_t checkpoint_stride_ = 0;  ///< final capture stride
   mutable std::atomic<std::uint64_t> trials_{0};
   mutable std::atomic<std::uint64_t> restored_trials_{0};
   mutable std::atomic<std::uint64_t> skipped_instructions_{0};
@@ -196,58 +219,55 @@ class TrialCore : public InjectorEngine {
 
 template <typename Tool>
 template <typename JournalHook>
-void TrialCore<Tool>::run_golden() {
-  obs::ScopedSpan span(obs::Tracer::global(), "golden", "engine");
-  trace_prop_ = obs::prop_enabled();
-  JournalHook journal_hook(&journal_);
-  Executor golden(code_, trace_prop_ ? &journal_hook : nullptr);
-  const Result r = golden.run();
-  if (!r.completed())
-    throw std::runtime_error(std::string(Tool::kName) +
-                             ": golden run did not complete");
-  golden_output_ = r.output;
-  golden_instructions_ = r.dynamic_instructions;
-  if (span.active()) {
-    span.tag("tool", Tool::kName);
-    span.tag("instructions", golden_instructions_);
-  }
-}
-
-template <typename Tool>
-CategoryCounts TrialCore<Tool>::profile_sites(SiteProfile& sites) {
+void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
   obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
-  Executor exec(code_);
+  JournalHook journal_hook(&journal_);
+  Executor exec(code_, trace_prop_ ? &journal_hook : nullptr);
   Limits limits;
   limits.site_hits = sites.hits.data();
-  checkpoints_.clear();
   checkpoints_.set_budget(checkpoint_policy_.budget_pages);
-  checkpoint_stride_ = checkpoint_policy_.effective_stride(golden_instructions_);
-  limits.snapshot_stride = checkpoint_stride_;
-  if (checkpoint_stride_ != 0) {
+  if (checkpoint_policy_.enabled) {
+    // The golden length is unknown until this run ends, so an automatic
+    // stride starts at kMinStride and doubles each time the store fills up
+    // to 2 * kAutoWindows snapshots; halve() then keeps every second one,
+    // the grid of the doubled stride. The run ends with between
+    // kAutoWindows and 2 * kAutoWindows - 1 windows (fewer only when the
+    // run is shorter than that many kMinStride windows).
+    const bool automatic = checkpoint_policy_.stride == 0;
+    checkpoint_stride_ =
+        automatic ? CheckpointPolicy::kMinStride : checkpoint_policy_.stride;
+    limits.snapshot_stride = checkpoint_stride_;
     // The snapshot sink fires between two dynamic instructions, so the
     // site hits at that moment fold into exactly the per-category instance
     // counts of the skipped prefix. add() enforces the page budget as the
     // run advances, so peak residency never exceeds it.
-    limits.snapshot_sink = [this, &sites](Snapshot&& snap) {
+    limits.snapshot_sink = [this, &sites, automatic](Snapshot&& snap) {
       checkpoints_.add(std::move(snap), sites.counts());
+      if (automatic &&
+          checkpoints_.size() == 2 * CheckpointPolicy::kAutoWindows) {
+        checkpoints_.halve();
+        checkpoint_stride_ *= 2;
+      }
+      return checkpoint_stride_;
     };
   }
-  const Result r = Tool::run(exec, limits);
+  Result r = Tool::run(exec, limits);
   if (!r.completed())
     throw std::runtime_error(std::string(Tool::kName) +
-                             ": profiling run did not complete");
+                             ": fault-free run did not complete");
+  golden_output_ = std::move(r.output);
+  golden_instructions_ = r.dynamic_instructions;
+  profile_counts_ = sites.counts();
   if (obs::metrics_enabled()) {
     checkpoint_metrics().snapshots.add(checkpoints_.size());
-    checkpoint_metrics().evictions.add(checkpoints_.size() -
-                                       checkpoints_.live_count());
+    checkpoint_metrics().evictions.add(checkpoints_.evictions());
   }
   if (span.active()) {
     span.tag("tool", Tool::kName);
+    span.tag("instructions", golden_instructions_);
     span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
     span.tag("stride", checkpoint_stride_);
   }
-  profile_counts_ = sites.counts();
-  return profile_counts_;
 }
 
 template <typename Tool>

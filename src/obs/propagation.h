@@ -83,7 +83,8 @@ struct PropSummary {
 };
 
 /// Golden-run pc journal: one 32-bit fingerprint per dynamic instruction,
-/// captured once per engine (ctor golden run) when tracing is enabled.
+/// captured once per engine (by its one fault-free run, the profiling run)
+/// when tracing is enabled.
 /// Fingerprints are only ever compared within the capturing process.
 struct GoldenJournal {
   std::vector<std::uint32_t> pc;

@@ -304,8 +304,8 @@ class Interpreter::Impl {
     snap.next_frame_id = next_frame_id_;
     snap.memory = memory_.snapshot();
     snap.runtime = runtime_.save();
-    next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    limits_.snapshot_sink(std::move(snap));
+    const std::uint64_t stride = limits_.snapshot_sink(std::move(snap));
+    next_snapshot_at_ = stride != 0 ? executed_ + stride : 0;
   }
 
   /// Golden-convergence check between two instructions (see
@@ -501,9 +501,14 @@ class Interpreter::Impl {
   }
 
   /// Slow-path twin of the counting fast loop's per-dispatch increment.
+  /// A traced profiling run counts every instruction here, so the
+  /// function's site base is looked up only when the function changes.
   void count_site(const Frame& frame, const ir::Instruction& instr) {
-    ++limits_.site_hits[cache_.function(*frame.function).site_base +
-                        instr.id()];
+    if (frame.function != count_function_) {
+      count_function_ = frame.function;
+      count_base_ = cache_.function(*frame.function).site_base;
+    }
+    ++limits_.site_hits[count_base_ + instr.id()];
   }
 
   /// Reads one pre-resolved operand slot (the fast path's hook-free
@@ -1303,6 +1308,8 @@ class Interpreter::Impl {
   const Snapshot* converged_ = nullptr;    // set when converges() matched
   machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
   TraceCache cache_;
+  const ir::Function* count_function_ = nullptr;  // count_site()'s memo
+  std::uint64_t count_base_ = 0;
   /// Fast-path call-stack mirror: (function, block) trace pointers for
   /// every frame entered during the current fast_run.
   std::vector<std::pair<TraceFunction*, TraceBlock*>> shadow_;

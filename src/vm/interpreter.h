@@ -154,10 +154,11 @@ struct RunLimits {
   /// `executed`, so a restored trial times out exactly where a full run
   /// would.
   std::uint64_t max_instructions = 200'000'000;
-  /// When nonzero, capture a Snapshot every `snapshot_stride` retired
-  /// instructions and hand it to `snapshot_sink`.
+  /// When nonzero, capture a Snapshot once `snapshot_stride` more
+  /// instructions have retired and hand it to `snapshot_sink`, which
+  /// returns the stride to the next capture (0 stops capturing).
   std::uint64_t snapshot_stride = 0;
-  std::function<void(Snapshot&&)> snapshot_sink;
+  std::function<std::uint64_t(Snapshot&&)> snapshot_sink;
   /// Golden-convergence early exit. When set, returns the golden run's
   /// snapshot captured at the first position strictly after `executed`
   /// (nullptr when none is left). Once the hook has detached for good or

@@ -167,8 +167,8 @@ class Machine {
     snap.executed = executed_;
     snap.memory = memory_.snapshot();
     snap.runtime = runtime_.save();
-    next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    limits_.snapshot_sink(std::move(snap));
+    const std::uint64_t stride = limits_.snapshot_sink(std::move(snap));
+    next_snapshot_at_ = stride != 0 ? executed_ + stride : 0;
   }
 
   /// Golden-convergence check between two instructions (see

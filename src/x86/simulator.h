@@ -121,10 +121,11 @@ struct SimLimits {
   /// `executed`, so a restored trial times out exactly where a full run
   /// would.
   std::uint64_t max_instructions = 400'000'000;
-  /// When nonzero, capture a SimSnapshot every `snapshot_stride` retired
-  /// instructions and hand it to `snapshot_sink`.
+  /// When nonzero, capture a SimSnapshot once `snapshot_stride` more
+  /// instructions have retired and hand it to `snapshot_sink`, which
+  /// returns the stride to the next capture (0 stops capturing).
   std::uint64_t snapshot_stride = 0;
-  std::function<void(SimSnapshot&&)> snapshot_sink;
+  std::function<std::uint64_t(SimSnapshot&&)> snapshot_sink;
   /// Golden-convergence early exit (see vm::RunLimits::golden_after): the
   /// golden snapshot captured at the first position strictly after
   /// `executed`, or nullptr. Once the hook has detached for good or

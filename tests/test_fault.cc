@@ -61,6 +61,8 @@ struct Engines {
 
 TEST(Engines, GoldenRunsAgree) {
   Engines e;
+  e.llfi.profile_all();  // the golden run is the profiling run
+  e.pinfi.profile_all();
   EXPECT_EQ(e.llfi.golden_output(), e.pinfi.golden_output());
   EXPECT_GT(e.llfi.golden_instructions(), 0u);
   EXPECT_GT(e.pinfi.golden_instructions(), 0u);

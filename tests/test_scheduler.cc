@@ -1,13 +1,20 @@
 // Campaign scheduler tests: grid determinism across thread counts,
-// single-pass profiling equivalence, exception propagation from trial
-// workers, manifest contents, and FAULTLAB_TRIALS parsing.
+// single-pass profiling equivalence (one fault-free run per engine,
+// profiled in parallel), the snapshot stride's doubling rule, exception
+// propagation from profiling and trial workers, manifest contents, and
+// FAULTLAB_TRIALS parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
@@ -16,8 +23,11 @@
 #include "fault/checkpoint_store.h"
 #include "fault/llfi.h"
 #include "fault/pinfi.h"
+#include "fault/report.h"
 #include "fault/scheduler.h"
 #include "machine/dispatch.h"
+#include "obs/propagation.h"
+#include "obs/trace.h"
 
 namespace faultlab::fault {
 namespace {
@@ -388,10 +398,32 @@ TEST(CheckpointStore, BudgetEnforcedDuringCapture) {
   EXPECT_EQ(store.size(), 8u);  // dead entries keep their counters
   EXPECT_EQ(store.live_count(), 2u);
   EXPECT_EQ(store.evictions(), 6u);
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.live_pages(), 0u);
-  EXPECT_EQ(store.evictions(), 6u);  // cumulative, like the engine stats
+}
+
+TEST(CheckpointStore, HalveKeepsEverySecondEntry) {
+  CheckpointStore<FakeSnapshot> store;
+  for (std::uint64_t i = 0; i < 8; ++i)
+    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
+  store.set_budget(70);  // untouched and evenly spaced: evicts the first
+  ASSERT_EQ(store.evictions(), 1u);
+  ASSERT_EQ(store.live_count(), 7u);
+  store.halve();
+  // The second, fourth, ... captures survive; the dead first entry goes
+  // without counting as a second eviction.
+  ASSERT_EQ(store.size(), 4u);
+  EXPECT_EQ(store.live_count(), 4u);
+  EXPECT_EQ(store.live_pages(), 40u);
+  EXPECT_EQ(store.evictions(), 1u);
+  std::uint64_t at = 0;
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    const FakeSnapshot* next = store.after(at);
+    ASSERT_NE(next, nullptr);
+    at = (w + 1) * 200;
+    EXPECT_EQ(next->executed, at);
+    EXPECT_EQ(store.window_of(ir::Category::All, (w + 1) * 20 + 1), w);
+  }
+  EXPECT_EQ(store.after(at), nullptr);
+  EXPECT_EQ(store.window_of(ir::Category::All, 20), store.kNoWindow);
 }
 
 class CheckpointEnv : public ::testing::Test {
@@ -427,17 +459,70 @@ TEST_F(CheckpointEnv, PolicyParsesEnvironment) {
   EXPECT_EQ(CheckpointPolicy::from_env().budget_pages, 0u);
 }
 
-TEST_F(CheckpointEnv, EffectiveStrideSelection) {
-  CheckpointPolicy p;
-  p.enabled = false;
-  EXPECT_EQ(p.effective_stride(1'000'000), 0u);  // disabled -> no snapshots
-  p.enabled = true;
-  p.stride = 777;
-  EXPECT_EQ(p.effective_stride(1'000'000), 777u);  // explicit wins
-  p.stride = 0;
-  // Automatic: golden length over kAutoWindows, floored at kMinStride.
-  EXPECT_EQ(p.effective_stride(64 * 50'000), 50'000u);
-  EXPECT_EQ(p.effective_stride(1'000), CheckpointPolicy::kMinStride);
+/// The automatic stride starts at kMinStride and doubles each time the
+/// store holds 2 * kAutoWindows snapshots, so a profiled engine ends with
+/// kMinStride * 2^j and kAutoWindows to 2 * kAutoWindows - 1 windows, or
+/// with one window per kMinStride instructions when its run is shorter.
+void expect_doubling_rule(const InjectorEngine& engine,
+                          const std::string& label) {
+  const CheckpointStats stats = engine.checkpoint_stats();
+  const std::uint64_t golden = engine.golden_instructions();
+  std::uint64_t stride = CheckpointPolicy::kMinStride;
+  while (stride < stats.stride) stride *= 2;
+  EXPECT_EQ(stats.stride, stride) << label;
+  if (stride == CheckpointPolicy::kMinStride) {
+    EXPECT_EQ(stats.snapshots, golden / stride) << label;
+  } else {
+    EXPECT_GE(stats.snapshots, CheckpointPolicy::kAutoWindows) << label;
+    EXPECT_LT(stats.snapshots, 2 * CheckpointPolicy::kAutoWindows) << label;
+  }
+}
+
+TEST_F(CheckpointEnv, StrideDoublesOnlyWhenAutomatic) {
+  const apps::Benchmark* longest = nullptr;
+  std::uint64_t longest_golden = 0;
+  std::size_t doubled = 0;
+  for (const apps::Benchmark& app : apps::all_benchmarks()) {
+    auto prog = driver::compile(app.source, app.name);
+    LlfiEngine llfi(prog.module(), {}, CheckpointPolicy{}, Model{});
+    PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy{}, Model{});
+    llfi.profile_all();
+    pinfi.profile_all();
+    expect_doubling_rule(llfi, app.name + " LLFI");
+    expect_doubling_rule(pinfi, app.name + " PINFI");
+    for (const InjectorEngine* e : {static_cast<InjectorEngine*>(&llfi),
+                                    static_cast<InjectorEngine*>(&pinfi)})
+      doubled += e->checkpoint_stats().stride > CheckpointPolicy::kMinStride;
+    if (llfi.golden_instructions() > longest_golden) {
+      longest = &app;
+      longest_golden = llfi.golden_instructions();
+    }
+  }
+  EXPECT_GT(doubled, 0u) << "no app is long enough to double the stride";
+
+  // An explicit stride, from the policy or FAULTLAB_SNAPSHOT_STRIDE, never
+  // doubles: the longest app keeps one window per stride, far more than
+  // 2 * kAutoWindows.
+  ASSERT_NE(longest, nullptr);
+  auto prog = driver::compile(longest->source, longest->name);
+  CheckpointPolicy fixed;
+  fixed.stride = 10'000;
+  setenv("FAULTLAB_SNAPSHOT_STRIDE", "10000", 1);
+  for (const CheckpointPolicy& policy : {fixed, CheckpointPolicy::from_env()}) {
+    LlfiEngine llfi(prog.module(), {}, policy, Model{});
+    llfi.profile_all();
+    const CheckpointStats stats = llfi.checkpoint_stats();
+    EXPECT_EQ(stats.stride, 10'000u);
+    EXPECT_EQ(stats.snapshots, longest_golden / 10'000);
+    EXPECT_GE(stats.snapshots, 2 * CheckpointPolicy::kAutoWindows);
+  }
+
+  CheckpointPolicy off;
+  off.enabled = false;
+  PinfiEngine direct(prog.program(), {}, off, Model{});
+  direct.profile_all();
+  EXPECT_EQ(direct.checkpoint_stats().stride, 0u);
+  EXPECT_EQ(direct.checkpoint_stats().snapshots, 0u);
 }
 
 TEST(Scheduler, ProfileAllMatchesPerCategoryProfile) {
@@ -501,6 +586,9 @@ void expect_window_boundaries_match(InjectorEngine& checkpointed,
 }
 
 TEST(Scheduler, WindowBoundaryTrialsMatchCheckpointFreeRuns) {
+  // The automatic stride doubles on the longer apps (see
+  // StrideDoublesOnlyWhenAutomatic), so these boundaries include snapshots
+  // kept by CheckpointStore::halve().
   CheckpointPolicy direct_policy;
   direct_policy.enabled = false;
   for (const apps::Benchmark& app : apps::all_benchmarks()) {
@@ -630,6 +718,239 @@ TEST(Scheduler, ManifestRecordsTimingsAndCounters) {
   EXPECT_NE(csv.find("trials_per_second"), std::string::npos);
   EXPECT_NE(csv.find("grid,LLFI,all"), std::string::npos);
   EXPECT_NE(csv.find("grid,PINFI,all"), std::string::npos);
+}
+
+/// Engine whose profile_all() throws `message`.
+class ProfileThrowingEngine final : public InjectorEngine {
+ public:
+  explicit ProfileThrowingEngine(const char* message) : message_(message) {}
+  const char* tool_name() const noexcept override { return "MOCK"; }
+  CategoryCounts profile_all() override { throw std::runtime_error(message_); }
+  std::unique_ptr<TrialContext> make_context() override {
+    return std::make_unique<TrialContext>();
+  }
+  TrialRecord inject_in(TrialContext*, ir::Category, std::uint64_t,
+                        Rng&) override {
+    ADD_FAILURE() << "trial on an engine that never profiled";
+    return {};
+  }
+  std::uint64_t window_of(ir::Category, std::uint64_t) const override {
+    return kNoWindow;
+  }
+  const std::string& golden_output() const noexcept override {
+    return golden_;
+  }
+  std::uint64_t golden_instructions() const noexcept override { return 1; }
+
+ private:
+  const char* message_;
+  std::string golden_;
+};
+
+const apps::Benchmark& benchmark(std::string_view name) {
+  for (const apps::Benchmark& app : apps::all_benchmarks())
+    if (app.name == name) return app;
+  throw std::invalid_argument("no benchmark " + std::string(name));
+}
+
+TEST(Scheduler, ProfileExceptionSurfacesAfterEveryProfilerJoins) {
+  auto grid = driver::compile(kGridProgram, "grid");
+  auto mcf = driver::compile(benchmark("mcf").source, "mcf");
+  LlfiEngine a(grid.module());
+  PinfiEngine b(grid.program());
+  LlfiEngine c(mcf.module());
+  PinfiEngine d(mcf.program());
+  ProfileThrowingEngine first("first profile exploded");
+  ProfileThrowingEngine second("second profile exploded");
+  SchedulerOptions options;
+  options.threads = 4;
+  CampaignScheduler scheduler(options);
+  CampaignConfig cfg;
+  cfg.app = "grid";
+  cfg.trials = 4;
+  for (InjectorEngine* engine : std::vector<InjectorEngine*>{
+           &a, &first, &b, &second, &c, &d})
+    scheduler.add(*engine, cfg);
+  try {
+    scheduler.run();
+    FAIL() << "expected the profiling exception";
+  } catch (const CampaignError& e) {
+    FAIL() << "profiling failures are not trial failures: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first profile exploded");  // lowest index wins
+  }
+  // Every real engine finished its run before the rethrow.
+  for (const InjectorEngine* engine :
+       std::vector<const InjectorEngine*>{&a, &b, &c, &d})
+    EXPECT_GT(engine->golden_instructions(), 1u) << engine->tool_name();
+}
+
+TEST(Scheduler, ParallelProfilingMatchesSerialProfiling) {
+  // Phase 1 profiles on up to `threads` workers: results CSVs, category
+  // counts and checkpoint stats must not depend on it.
+  std::vector<driver::CompiledProgram> programs;
+  programs.push_back(driver::compile(kGridProgram, "grid"));
+  for (const char* name : {"mcf", "libquantum"})
+    programs.push_back(driver::compile(benchmark(name).source, name));
+  struct Run {
+    std::string csv;
+    std::vector<CategoryCounts> counts;
+    std::vector<CheckpointStats> checkpoints;
+  };
+  const auto run = [&](std::size_t threads) {
+    std::vector<std::unique_ptr<InjectorEngine>> engines;
+    SchedulerOptions options;
+    options.threads = threads;
+    CampaignScheduler scheduler(options);
+    for (const driver::CompiledProgram& prog : programs) {
+      engines.push_back(std::make_unique<LlfiEngine>(prog.module()));
+      engines.push_back(std::make_unique<PinfiEngine>(prog.program()));
+      for (ir::Category c : {ir::Category::All, ir::Category::Cmp}) {
+        CampaignConfig cfg;
+        cfg.app = prog.module().name();
+        cfg.category = c;
+        cfg.trials = 8;
+        cfg.seed = 7;
+        scheduler.add(*engines[engines.size() - 2], cfg);
+        scheduler.add(*engines.back(), cfg);
+      }
+    }
+    ResultSet results;
+    for (CampaignResult& r : scheduler.run()) results.add(std::move(r));
+    Run out;
+    out.csv = results_csv(results).to_string();
+    for (const auto& engine : engines) {
+      out.counts.push_back(engine->profile_all());
+      out.checkpoints.push_back(engine->checkpoint_stats());
+    }
+    return out;
+  };
+  const Run serial = run(1);
+  const Run parallel = run(4);
+  EXPECT_EQ(serial.csv, parallel.csv);
+  ASSERT_EQ(serial.counts.size(), parallel.counts.size());
+  for (std::size_t i = 0; i < serial.counts.size(); ++i) {
+    EXPECT_EQ(serial.counts[i].counts, parallel.counts[i].counts) << i;
+    EXPECT_EQ(serial.checkpoints[i].snapshots,
+              parallel.checkpoints[i].snapshots) << i;
+    EXPECT_EQ(serial.checkpoints[i].stride, parallel.checkpoints[i].stride)
+        << i;
+  }
+}
+
+/// Fault-free runs the engines make while `body` runs, counted by their
+/// "engine" spans: the profiling run is the only one, so any other
+/// execution of the program would show up as an extra span.
+template <typename Body>
+std::size_t fault_free_runs(Body body) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  body();
+  tracer.set_enabled(false);
+  std::size_t runs = 0;
+  for (const obs::Span& span : tracer.spans())
+    runs += std::string_view(span.cat) == "engine";
+  tracer.clear();
+  return runs;
+}
+
+template <typename Engine, typename Code>
+void expect_one_fault_free_run(const Code& code, const std::string& label) {
+  std::unique_ptr<Engine> by_context;
+  std::unique_ptr<Engine> by_profile;
+  // Construction executes nothing; make_context() alone and profile_all()
+  // each make the one run.
+  EXPECT_EQ(fault_free_runs([&] {
+              by_context = std::make_unique<Engine>(code);
+              by_profile = std::make_unique<Engine>(code);
+            }),
+            0u)
+      << label;
+  EXPECT_EQ(fault_free_runs([&] {
+              by_context->make_context();
+              by_profile->profile_all();
+            }),
+            2u)
+      << label;
+  EXPECT_EQ(by_context->golden_instructions(),
+            by_profile->golden_instructions())
+      << label;
+  EXPECT_EQ(by_context->golden_output(), by_profile->golden_output()) << label;
+  const CheckpointStats before = by_profile->checkpoint_stats();
+  EXPECT_GT(before.snapshots, 0u) << label;
+  EXPECT_EQ(fault_free_runs([&] {
+              EXPECT_EQ(by_profile->profile_all().counts,
+                        by_context->profile_all().counts)
+                  << label;
+              by_profile->make_context();
+            }),
+            0u)
+      << label;
+  const CheckpointStats after = by_profile->checkpoint_stats();
+  EXPECT_EQ(after.snapshots, before.snapshots) << label;
+  EXPECT_EQ(after.stride, before.stride) << label;
+  EXPECT_EQ(after.evictions, before.evictions) << label;
+}
+
+TEST(Engines, OneFaultFreeRunServesGoldenProfileAndSnapshots) {
+  auto prog = driver::compile(benchmark("mcf").source, "mcf");
+  expect_one_fault_free_run<LlfiEngine>(prog.module(), "LLFI");
+  expect_one_fault_free_run<PinfiEngine>(prog.program(), "PINFI");
+}
+
+TEST(Engines, ConcurrentFirstCallsMakeOneRun) {
+  // Four threads make an engine's first call at once, half through
+  // profile_all() and half through make_context(); a traced engine
+  // captures its golden journal in that same run, so its trials trace
+  // exactly like a checkpoint-free engine's.
+  auto prog = driver::compile(benchmark("mcf").source, "mcf");
+  CheckpointPolicy off;
+  off.enabled = false;
+  for (bool traced : {false, true}) {
+    obs::set_prop_enabled(traced);
+    LlfiEngine llfi(prog.module());
+    PinfiEngine pinfi(prog.program());
+    LlfiEngine llfi_direct(prog.module(), {}, off);
+    PinfiEngine pinfi_direct(prog.program(), {}, off);
+    obs::set_prop_enabled(false);
+    for (auto [engine, direct] :
+         std::vector<std::pair<InjectorEngine*, InjectorEngine*>>{
+             {&llfi, &llfi_direct}, {&pinfi, &pinfi_direct}}) {
+      const std::string label =
+          std::string(engine->tool_name()) + (traced ? " traced" : "");
+      std::atomic<bool> go{false};
+      std::vector<CategoryCounts> counts(4);
+      const std::size_t runs = fault_free_runs([&] {
+        std::vector<std::thread> pool;
+        for (std::size_t t = 0; t < 4; ++t) {
+          pool.emplace_back([&, t] {
+            while (!go.load()) std::this_thread::yield();
+            if (t % 2 == 0) {
+              counts[t] = engine->profile_all();
+            } else {
+              engine->make_context();
+              counts[t] = engine->profile_all();
+            }
+          });
+        }
+        go.store(true);
+        for (std::thread& th : pool) th.join();
+      });
+      EXPECT_EQ(runs, 1u) << label;
+      for (const CategoryCounts& c : counts)
+        EXPECT_EQ(c.counts, counts[0].counts) << label;
+      const std::uint64_t k = counts[0][ir::Category::All] / 2;
+      Rng r1(11);
+      Rng r2(11);
+      const TrialRecord record = engine->inject(ir::Category::All, k, r1);
+      const TrialRecord reference = direct->inject(ir::Category::All, k, r2);
+      EXPECT_TRUE(record.restored) << label;
+      EXPECT_EQ(record.prop.traced, traced) << label;
+      EXPECT_EQ(record.prop, reference.prop) << label;
+      expect_same_records({record}, {reference});
+    }
+  }
 }
 
 TEST(Scheduler, EmptyAndZeroTrialCampaigns) {

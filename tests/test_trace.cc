@@ -305,6 +305,7 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
   capture.snapshot_stride = 997;
   capture.snapshot_sink = [&](vm::Snapshot&& s) {
     snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
   };
   machine::set_dispatch_mode(DispatchMode::Switch);
   const vm::RunResult full = prog.run_ir(nullptr, capture);
@@ -318,6 +319,7 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
   recapture.snapshot_stride = 997;
   recapture.snapshot_sink = [&](vm::Snapshot&& s) {
     threaded_at.push_back(s.executed);
+    return recapture.snapshot_stride;
   };
   machine::set_dispatch_mode(DispatchMode::Threaded);
   ASSERT_TRUE(prog.run_ir(nullptr, recapture).completed());
@@ -347,6 +349,7 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
   capture.snapshot_stride = 997;
   capture.snapshot_sink = [&](x86::SimSnapshot&& s) {
     snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
   };
   machine::set_dispatch_mode(DispatchMode::Switch);
   const x86::SimResult full = prog.run_asm(nullptr, capture);
@@ -358,6 +361,7 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
   recapture.snapshot_stride = 997;
   recapture.snapshot_sink = [&](x86::SimSnapshot&& s) {
     threaded_at.push_back(s.executed);
+    return recapture.snapshot_stride;
   };
   machine::set_dispatch_mode(DispatchMode::Threaded);
   ASSERT_FALSE(prog.run_asm(nullptr, recapture).trapped);

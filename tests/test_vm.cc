@@ -255,7 +255,10 @@ TEST(VmSnapshot, ResumeReproducesDirectRunFromEverySnapshot) {
   std::vector<Snapshot> snaps;
   RunLimits capture;
   capture.snapshot_stride = 3'000;
-  capture.snapshot_sink = [&](Snapshot&& s) { snaps.push_back(std::move(s)); };
+  capture.snapshot_sink = [&](Snapshot&& s) {
+    snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
+  };
   Interpreter recorder(*m);
   const auto recorded = recorder.run("main", capture);
   ASSERT_TRUE(recorded.completed());
@@ -293,7 +296,10 @@ TEST(VmSnapshot, ResumePreservesCallFramesAndHeap) {
   std::vector<Snapshot> snaps;
   RunLimits capture;
   capture.snapshot_stride = 500;  // dense: some land mid-recursion
-  capture.snapshot_sink = [&](Snapshot&& s) { snaps.push_back(std::move(s)); };
+  capture.snapshot_sink = [&](Snapshot&& s) {
+    snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
+  };
   Interpreter recorder(*m);
   ASSERT_TRUE(recorder.run("main", capture).completed());
   ASSERT_GE(snaps.size(), 2u);
@@ -322,7 +328,10 @@ TEST(VmSnapshot, SnapshotReusableAndIsolatedAcrossResumes) {
   std::vector<Snapshot> snaps;
   RunLimits capture;
   capture.snapshot_stride = 2'000;
-  capture.snapshot_sink = [&](Snapshot&& s) { snaps.push_back(std::move(s)); };
+  capture.snapshot_sink = [&](Snapshot&& s) {
+    snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
+  };
   Interpreter recorder(*m);
   const auto golden = recorder.run("main", capture);
   ASSERT_TRUE(golden.completed());
@@ -345,7 +354,10 @@ TEST(VmSnapshot, ResumedRunHonoursTotalInstructionBudget) {
   RunLimits capture;
   capture.snapshot_stride = 5'000;
   capture.max_instructions = 12'000;
-  capture.snapshot_sink = [&](Snapshot&& s) { snaps.push_back(std::move(s)); };
+  capture.snapshot_sink = [&](Snapshot&& s) {
+    snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
+  };
   Interpreter recorder(*m);
   EXPECT_TRUE(recorder.run("main", capture).timed_out);
   ASSERT_GE(snaps.size(), 1u);

@@ -312,6 +312,7 @@ TEST(SimSnapshotTest, ResumeReproducesDirectRunFromEverySnapshot) {
   capture.snapshot_stride = 7'000;
   capture.snapshot_sink = [&](SimSnapshot&& s) {
     snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
   };
   Simulator recorder(p);
   const SimResult recorded = recorder.run(capture);
@@ -336,6 +337,7 @@ TEST(SimSnapshotTest, SnapshotReusableAcrossResumes) {
   capture.snapshot_stride = 4'000;
   capture.snapshot_sink = [&](SimSnapshot&& s) {
     snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
   };
   Simulator recorder(p);
   const SimResult golden = recorder.run(capture);
@@ -366,6 +368,7 @@ TEST(SimSnapshotTest, ResumedRunHonoursTotalInstructionBudget) {
   capture.max_instructions = 1'200;
   capture.snapshot_sink = [&](SimSnapshot&& s) {
     snaps.push_back(std::move(s));
+    return capture.snapshot_stride;
   };
   Simulator recorder(p);
   EXPECT_TRUE(recorder.run(capture).timed_out);

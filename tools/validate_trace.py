@@ -9,8 +9,8 @@ that the span structure matches what the campaign scheduler promises:
   * every `trial` span is tagged with app, tool, category, k, checkpoint
     (hit|miss), and outcome;
   * phase spans (restore/execute/classify) nest inside a trial span on
-    the same thread (engine-level golden/profile spans are exempt — they
-    run outside any trial);
+    the same thread (engine-level profile spans are exempt — they run
+    outside any trial);
   * optionally, the number of trial spans matches --expect-trials.
 
 With --events, the file is instead validated as a FAULTLAB_EVENTS trial
