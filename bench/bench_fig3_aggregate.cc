@@ -1,11 +1,12 @@
 // Figure 3: aggregated fault-injection outcomes (crash / SDC / benign) for
 // both tools, 'all' instruction category, across the six benchmarks.
 //
-// The experiment runs twice in this process — once per dispatch mode — so
-// BENCH_perf.json always holds an interleaved threaded/switch A/B pair
-// (`fig3_aggregate` vs `fig3_aggregate_switchdispatch`) measured on the
-// same machine state, and the binary itself re-checks that the two modes
-// produce byte-identical results.
+// The experiment runs twice in this process — once per dispatch mode, each
+// leg on engines built with that mode — so BENCH_perf.json always holds an
+// interleaved threaded/switch A/B pair (`fig3_aggregate` vs
+// `fig3_aggregate_switchdispatch`) measured on the same machine state, and
+// the binary itself re-checks that the two modes produce byte-identical
+// results.
 #include <cstdlib>
 #include <iostream>
 
@@ -18,10 +19,11 @@ int main() {
   benchx::print_banner("Figure 3: aggregated fault injection results", trials);
 
   auto apps = benchx::compile_all_apps();
-  const machine::DispatchMode env_mode = machine::dispatch_mode();
-  machine::set_dispatch_mode(machine::DispatchMode::Threaded);
-  benchx::ExperimentRun run =
-      benchx::run_experiment(apps, {ir::Category::All}, trials);
+  fault::ExecConfig exec = fault::ExecConfig::from_env();
+  exec.dispatch = machine::DispatchMode::Threaded;
+  benchx::ExperimentRun run = benchx::run_experiment(
+      apps, {ir::Category::All}, trials, {}, fault::Model::from_env(),
+      benchx::kDefaultSeed, exec);
   const fault::ResultSet& rs = run.results;
 
   std::cout << "\n" << fault::render_figure3(rs);
@@ -46,10 +48,10 @@ int main() {
 
   // The switch-dispatch leg of the A/B pair: identical grid, seed, and
   // draws; write_perf_entry keys it `fig3_aggregate_switchdispatch`.
-  machine::set_dispatch_mode(machine::DispatchMode::Switch);
-  const benchx::ExperimentRun ab =
-      benchx::run_experiment(apps, {ir::Category::All}, trials);
-  machine::set_dispatch_mode(env_mode);
+  exec.dispatch = machine::DispatchMode::Switch;
+  const benchx::ExperimentRun ab = benchx::run_experiment(
+      apps, {ir::Category::All}, trials, {}, fault::Model::from_env(),
+      benchx::kDefaultSeed, exec);
   benchx::write_perf_entry("fig3_aggregate", ab);
   const bool identical = fault::results_csv(ab.results).to_string() ==
                          fault::results_csv(run.results).to_string();

@@ -10,7 +10,6 @@
 #include "machine/memory.h"
 #include "obs/events.h"
 #include "obs/monitor.h"
-#include "obs/propagation.h"
 #include "x86/trace.h"
 
 namespace {
@@ -76,8 +75,8 @@ BENCHMARK(BM_SimExecution)->Unit(benchmark::kMillisecond);
 
 // Dispatch A/B on the execution engines: the identical kernel under
 // switch dispatch (range 0) and the pre-decoded threaded fast path
-// (range 1), pinned per bench run so FAULTLAB_DISPATCH can't skew the
-// pair. run_ir()/run_asm() build a fresh engine per iteration, so the
+// (range 1), set per run through the limits. run_ir()/run_asm() build a
+// fresh engine per iteration, so the
 // threaded numbers include a full trace decode every time — the decode
 // benches below isolate that cost, and the resident variant shows it
 // amortized away.
@@ -88,16 +87,15 @@ machine::DispatchMode bench_mode(benchmark::State& state) {
 
 void BM_VmExecutionDispatch(benchmark::State& state) {
   const machine::DispatchMode mode = bench_mode(state);
-  const machine::DispatchMode saved = machine::dispatch_mode();
-  machine::set_dispatch_mode(mode);
+  vm::RunLimits limits;
+  limits.dispatch = mode;
   auto prog = driver::compile(kKernel, "bench");
   std::uint64_t instructions = 0;
   for (auto _ : state) {
-    auto r = prog.run_ir();
+    auto r = prog.run_ir(nullptr, limits);
     instructions += r.dynamic_instructions;
     benchmark::DoNotOptimize(r.exit_value);
   }
-  machine::set_dispatch_mode(saved);
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
   state.SetLabel(machine::dispatch_mode_name(mode));
@@ -106,16 +104,15 @@ BENCHMARK(BM_VmExecutionDispatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 
 void BM_SimExecutionDispatch(benchmark::State& state) {
   const machine::DispatchMode mode = bench_mode(state);
-  const machine::DispatchMode saved = machine::dispatch_mode();
-  machine::set_dispatch_mode(mode);
+  x86::SimLimits limits;
+  limits.dispatch = mode;
   auto prog = driver::compile(kKernel, "bench");
   std::uint64_t instructions = 0;
   for (auto _ : state) {
-    auto r = prog.run_asm();
+    auto r = prog.run_asm(nullptr, limits);
     instructions += r.dynamic_instructions;
     benchmark::DoNotOptimize(r.exit_value);
   }
-  machine::set_dispatch_mode(saved);
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
   state.SetLabel(machine::dispatch_mode_name(mode));
@@ -141,8 +138,6 @@ BENCHMARK(BM_X86TraceDecode);
 // steady-state runs replay cached traces. Compare against the threaded
 // BM_VmExecutionDispatch above, which re-decodes per iteration.
 void BM_VmExecutionResident(benchmark::State& state) {
-  const machine::DispatchMode saved = machine::dispatch_mode();
-  machine::set_dispatch_mode(machine::DispatchMode::Threaded);
   auto prog = driver::compile(kKernel, "bench");
   vm::Interpreter interp(prog.module());
   std::uint64_t instructions = 0;
@@ -151,7 +146,6 @@ void BM_VmExecutionResident(benchmark::State& state) {
     instructions += r.dynamic_instructions;
     benchmark::DoNotOptimize(r.exit_value);
   }
-  machine::set_dispatch_mode(saved);
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
@@ -395,11 +389,17 @@ BENCHMARK(BM_MonitorRecordDisabled);
 // FAULTLAB_PROP path). The traced leg pays the hooked slow path for the
 // entire post-injection suffix plus taint bookkeeping; the untraced leg
 // must measure identical to the same bench before this feature existed —
-// tracer off is one latched-bool branch at engine construction.
+// tracer off is one bool branch per trial.
+fault::ExecConfig bench_exec(benchmark::State& state) {
+  fault::ExecConfig exec = fault::ExecConfig::from_env();
+  exec.trace_prop = state.range(0) != 0;
+  return exec;
+}
+
 void BM_VmExecutionProp(benchmark::State& state) {
-  obs::set_prop_enabled(state.range(0) != 0);
   auto prog = driver::compile(kKernel, "bench");
-  fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true});
+  fault::LlfiEngine engine(prog.module(), {}, {0, /*enabled=*/true},
+                           fault::Model::from_env(), bench_exec(state));
   const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
@@ -407,15 +407,14 @@ void BM_VmExecutionProp(benchmark::State& state) {
     auto r = engine.inject(ir::Category::All, rng.range(1, n), trial);
     benchmark::DoNotOptimize(r.outcome);
   }
-  obs::set_prop_enabled(false);
   state.SetLabel(state.range(0) != 0 ? "prop_on" : "prop_off");
 }
 BENCHMARK(BM_VmExecutionProp)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SimExecutionProp(benchmark::State& state) {
-  obs::set_prop_enabled(state.range(0) != 0);
   auto prog = driver::compile(kKernel, "bench");
-  fault::PinfiEngine engine(prog.program(), {}, {0, /*enabled=*/true});
+  fault::PinfiEngine engine(prog.program(), {}, {0, /*enabled=*/true},
+                            fault::Model::from_env(), bench_exec(state));
   const std::uint64_t n = engine.profile_all()[ir::Category::All];
   Rng rng(1);
   for (auto _ : state) {
@@ -423,7 +422,6 @@ void BM_SimExecutionProp(benchmark::State& state) {
     auto r = engine.inject(ir::Category::All, rng.range(1, n), trial);
     benchmark::DoNotOptimize(r.outcome);
   }
-  obs::set_prop_enabled(false);
   state.SetLabel(state.range(0) != 0 ? "prop_on" : "prop_off");
 }
 BENCHMARK(BM_SimExecutionProp)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
@@ -491,10 +489,11 @@ int main(int argc, char** argv) {
   // experiment with the tracer armed. write_perf_entry suffixes the key
   // ("bench_perf_prop"), so the untraced "bench_perf" entry above is the
   // paired baseline.
-  obs::set_prop_enabled(true);
+  fault::ExecConfig traced = fault::ExecConfig::from_env();
+  traced.trace_prop = true;
   const benchx::ExperimentRun prop = benchx::run_experiment(
-      apps, {ir::Category::All}, fault::default_trials());
+      apps, {ir::Category::All}, fault::default_trials(), {},
+      fault::Model::from_env(), benchx::kDefaultSeed, traced);
   benchx::write_perf_entry("bench_perf", prop);
-  obs::set_prop_enabled(false);
   return 0;
 }

@@ -8,7 +8,6 @@
 #include "common.h"
 #include "fault/attribution.h"
 #include "fault/compare.h"
-#include "obs/propagation.h"
 
 int main() {
   using namespace faultlab;
@@ -19,12 +18,15 @@ int main() {
   // Propagation tracing on for the whole bench: results are byte-identical
   // either way (the PropEquiv fixtures pin this), and the traced trials
   // feed table5_propagation.csv — the why behind the crash-gap table.
-  obs::set_prop_enabled(true);
+  fault::ExecConfig exec = fault::ExecConfig::from_env();
+  exec.trace_prop = true;
 
   auto apps = benchx::compile_all_apps();
   const std::vector<ir::Category> cats(std::begin(ir::kAllCategories),
                                        std::end(ir::kAllCategories));
-  benchx::ExperimentRun run = benchx::run_experiment(apps, cats, trials);
+  benchx::ExperimentRun run =
+      benchx::run_experiment(apps, cats, trials, {}, fault::Model::from_env(),
+                             benchx::kDefaultSeed, exec);
   const fault::ResultSet& rs = run.results;
 
   std::cout << "\n" << fault::render_table5(rs);
@@ -49,7 +51,7 @@ int main() {
   std::vector<std::pair<std::string, fault::ResultSet>> per_model;
   for (const fault::Model& m : fault::Model::builtin_suite()) {
     benchx::ExperimentRun mrun = benchx::run_experiment(
-        apps, {ir::Category::All}, trials, {}, m);
+        apps, {ir::Category::All}, trials, {}, m, benchx::kDefaultSeed, exec);
     double crash_sum[2] = {0, 0};
     int counts[2] = {0, 0};
     for (const fault::CampaignResult& r : mrun.results.all()) {

@@ -10,7 +10,7 @@
 #include <memory>
 #include <sstream>
 
-#include "machine/memory.h"
+#include "machine/dispatch.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "support/env.h"
@@ -99,17 +99,18 @@ ExperimentRun run_experiment(const std::vector<CompiledApp>& apps,
                              std::size_t trials,
                              const fault::FaultModel& model,
                              const fault::Model& fault_model,
-                             std::uint64_t seed) {
+                             std::uint64_t seed,
+                             const fault::ExecConfig& exec) {
   fault::CampaignScheduler scheduler(default_scheduler_options(model));
   std::vector<std::unique_ptr<fault::InjectorEngine>> engines;
   for (const CompiledApp& app : apps) {
     engines.push_back(std::make_unique<fault::LlfiEngine>(
         app.program.module(), model, fault::CheckpointPolicy::from_env(),
-        fault_model));
+        fault_model, exec));
     fault::InjectorEngine& llfi = *engines.back();
     engines.push_back(std::make_unique<fault::PinfiEngine>(
         app.program.program(), model, fault::CheckpointPolicy::from_env(),
-        fault_model));
+        fault_model, exec));
     fault::InjectorEngine& pinfi = *engines.back();
     for (ir::Category category : categories) {
       fault::CampaignConfig cfg;
@@ -127,6 +128,7 @@ ExperimentRun run_experiment(const std::vector<CompiledApp>& apps,
     out.results.add(std::move(r));
   out.manifest = scheduler.manifest();
   out.seed = seed;
+  out.exec = exec;
   // The engines die with this scope: fold their checkpoint counters and
   // phase times into the run record first.
   for (const auto& engine : engines) {
@@ -172,25 +174,20 @@ void write_perf_entry(const std::string& experiment,
     trials += t.trials;
   const double wall = run.manifest.wall_seconds;
   const fault::CheckpointStats& cp = run.checkpoints;
-  // A zero stride means checkpointing was off (FAULTLAB_CHECKPOINTS=0) and
-  // a checkpointed run with FAULTLAB_DELTA_RESTORE=0 rewrites the full page
-  // table per trial; keep each mode under its own key so the manifest holds
-  // every side of the direct / full-restore / delta-restore comparison
-  // across PRs.
-  const bool delta = machine::delta_restore_enabled();
-  std::string key = cp.stride == 0
-                        ? experiment + "_direct"
-                        : (delta ? experiment
-                                 : experiment + "_fullrestore");
+  // A zero stride means checkpointing was off (FAULTLAB_CHECKPOINTS=0);
+  // keep it under its own key so the manifest holds both sides of the
+  // direct / checkpointed comparison across PRs.
+  std::string key = cp.stride == 0 ? experiment + "_direct" : experiment;
   // Non-default dispatch runs get their own key (e.g.
   // "fig3_aggregate_switchdispatch"), so an interleaved A/B pair from one
   // process coexists in the manifest; threaded owns the plain key.
-  if (run.manifest.dispatch_mode != "threaded")
-    key += "_" + run.manifest.dispatch_mode + "dispatch";
-  // Propagation-traced runs (FAULTLAB_PROP) pay the hooked slow path while
-  // taint is live; keep them under their own key so the untraced baseline
-  // is never overwritten by the traced leg.
-  if (obs::prop_enabled()) key += "_prop";
+  if (run.exec.dispatch != machine::DispatchMode::Threaded)
+    key += std::string("_") + machine::dispatch_mode_name(run.exec.dispatch) +
+           "dispatch";
+  // Propagation-traced runs pay the hooked slow path while taint is live;
+  // keep them under their own key so the untraced baseline is never
+  // overwritten by the traced leg.
+  if (run.exec.trace_prop) key += "_prop";
 
   // One entry = one line, so the upsert below can merge without a JSON
   // parser: keep every other experiment's line, replace ours.
@@ -208,11 +205,9 @@ void write_perf_entry(const std::string& experiment,
         << "\"restored_trials\": " << cp.restored_trials << ", "
         << "\"snapshot_hit_rate\": " << cp.hit_rate() << ", "
         << "\"skipped_instructions\": " << cp.skipped_instructions << ", "
-        << "\"delta_restore\": " << (delta ? "true" : "false") << ", "
         << "\"delta_restores\": " << cp.delta_restores << ", "
         << "\"restored_pages\": " << cp.restored_pages << ", "
         << "\"mean_restored_pages\": " << cp.mean_restored_pages() << ", "
-        << "\"snapshot_evictions\": " << cp.evictions << ", "
         << "\"dispatch_mode\": \""
         << obs::json_escape(run.manifest.dispatch_mode) << "\", "
         << "\"trace_decodes\": " << run.manifest.trace_decodes << ", "

@@ -35,7 +35,12 @@ struct ExperimentRun {
   /// Restore/execute/classify wall time summed over every engine's trials.
   fault::PhaseStats phases;
   std::uint64_t seed = 0;
+  /// Execution strategy every engine of the run was built with.
+  fault::ExecConfig exec;
 };
+
+/// Campaign seed of every bench grid.
+inline constexpr std::uint64_t kDefaultSeed = 0xDA7A5EED;
 
 /// Scheduler options shared by every bench binary: FAULTLAB_THREADS pins
 /// the worker count, and a per-campaign completion line goes to stderr
@@ -48,14 +53,17 @@ fault::SchedulerOptions default_scheduler_options(
 /// shared CampaignScheduler: each engine is profiled once for all
 /// categories, and every trial of the grid goes through one worker pool.
 /// `fault_model` selects the hardware fault model both engines inject
-/// (defaults to FAULTLAB_FAULT_MODEL, i.e. the transient baseline).
+/// (defaults to FAULTLAB_FAULT_MODEL, i.e. the transient baseline), and
+/// `exec` how they execute (defaults to FAULTLAB_DISPATCH/FAULTLAB_PROP).
 ExperimentRun run_experiment(const std::vector<CompiledApp>& apps,
                              const std::vector<ir::Category>& categories,
                              std::size_t trials,
                              const fault::FaultModel& model = {},
                              const fault::Model& fault_model =
                                  fault::Model::from_env(),
-                             std::uint64_t seed = 0xDA7A5EED);
+                             std::uint64_t seed = kDefaultSeed,
+                             const fault::ExecConfig& exec =
+                                 fault::ExecConfig::from_env());
 
 /// Prints a standard experiment banner (paper reference + trial count).
 void print_banner(const std::string& what, std::size_t trials);
@@ -73,8 +81,10 @@ void save_results(const ExperimentRun& run, const std::string& filename);
 /// Records wall time, trials/sec, thread count, seed, the checkpoint
 /// layer's stride/snapshot/hit-rate and golden-convergence counters,
 /// dispatch provenance (mode + trace-cache counters), and the
-/// restore/execute/classify phase split. Runs under a non-default dispatch
-/// mode are keyed `<experiment>_<mode>dispatch`, so A/B pairs coexist.
+/// restore/execute/classify phase split. The key follows the run's
+/// strategy: `_direct` without checkpoints, `_<mode>dispatch` under a
+/// non-default dispatch mode, `_prop` with propagation tracing, so A/B
+/// pairs coexist.
 void write_perf_entry(const std::string& experiment, const ExperimentRun& run);
 
 }  // namespace faultlab::benchx

@@ -6,7 +6,7 @@
 //
 // Each sampled injection runs as an ordinary LLFI trial with the
 // propagation tracer armed (obs/propagation.h, the same tracer
-// FAULTLAB_PROP=1 turns on for whole campaigns). The table shows how far
+// ExecConfig::trace_prop — FAULTLAB_PROP=1 — turns on for whole campaigns). The table shows how far
 // the corruption spread (def-use depth and fan-out, memory, branches) and
 // whether and how soon the run left the golden control flow — the raw
 // material for answering "why did this particular fault become an SDC
@@ -37,10 +37,12 @@ int main(int argc, char** argv) {
 
   driver::CompiledProgram prog =
       driver::compile(apps::benchmark(app).source, app);
-  // Tracing must be on before the engine's golden run captures the
-  // journal that divergence is measured against.
-  obs::set_prop_enabled(true);
-  fault::LlfiEngine llfi(prog.module());
+  // The engine traces from its golden run on, which captures the journal
+  // that divergence is measured against.
+  fault::ExecConfig exec = fault::ExecConfig::from_env();
+  exec.trace_prop = true;
+  fault::LlfiEngine llfi(prog.module(), {}, fault::CheckpointPolicy::from_env(),
+                         fault::Model::from_env(), exec);
   const std::uint64_t n = llfi.profile_all()[*category];
   std::cout << "Tracing " << samples << " injections into '" << app
             << "' (category " << ir::category_name(*category) << ", " << n

@@ -1,5 +1,6 @@
-// CheckpointPolicy environment overrides and the checkpoint metrics
-// handles of the checkpoint/restore trial layer (see engine.h).
+// Environment overrides of the engine configuration values
+// (CheckpointPolicy, ExecConfig) and the checkpoint metrics handles of the
+// checkpoint/restore trial layer (see engine.h).
 #include "fault/engine.h"
 #include "support/env.h"
 
@@ -15,7 +16,6 @@ CheckpointMetrics& checkpoint_metrics() {
         registry.counter("checkpoint.skipped_instructions"),
         registry.counter("checkpoint.delta_restores"),
         registry.counter("checkpoint.delta_pages"),
-        registry.counter("checkpoint.evictions"),
         registry.counter("checkpoint.converged_trials"),
         registry.counter("checkpoint.converged_instructions"),
         registry.histogram("checkpoint.dirty_pages"),
@@ -28,8 +28,16 @@ CheckpointPolicy CheckpointPolicy::from_env() {
   CheckpointPolicy policy;
   policy.enabled = support::parse_env_u64("FAULTLAB_CHECKPOINTS", 1) != 0;
   policy.stride = support::parse_env_u64("FAULTLAB_SNAPSHOT_STRIDE", 0);
-  policy.budget_pages = support::parse_env_u64("FAULTLAB_SNAPSHOT_BUDGET", 0);
   return policy;
+}
+
+ExecConfig ExecConfig::from_env() {
+  static const char* const kDispatch[] = {"threaded", "switch"};
+  ExecConfig config;
+  if (support::parse_env_choice("FAULTLAB_DISPATCH", kDispatch, 2, 0) == 1)
+    config.dispatch = machine::DispatchMode::Switch;
+  config.trace_prop = support::parse_env_flag("FAULTLAB_PROP", false);
+  return config;
 }
 
 }  // namespace faultlab::fault

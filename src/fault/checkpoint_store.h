@@ -4,27 +4,22 @@
 // execution snapshot every stride instructions plus the per-category
 // instance counters at that point (halve() thins the sequence when the
 // capture stride doubles). This template owns that sequence, the
-// "nearest resumable point before the k-th instance" query, the "next
+// "nearest resumable point before the k-th instance" query, and the "next
 // golden state after instruction n" query behind the golden-convergence
-// early exit, and the snapshot memory budget: when the summed mapped-page
-// counts of live snapshots exceed the budget, entries are evicted —
-// least-recently-used first, interval thinning (smallest coverage gap left
-// behind) as the tie-break — and a trial whose ideal window was evicted
-// transparently falls back to the nearest earlier live one (or a
-// from-scratch run).
+// early exit. The automatic stride's doubling bounds the sequence to fewer
+// than 2 * CheckpointPolicy::kAutoWindows entries; an explicit stride
+// keeps every capture.
 //
-// Thread-safety contract: add()/halve()/set_budget() are capture/setup
-// operations and must not run concurrently with trials; before(), after()
-// and window_of() are safe to call from many trial workers at once (the
-// only mutation is the per-entry LRU stamp, a relaxed atomic).
+// Thread-safety contract: add()/halve() are capture operations and must not
+// run concurrently with trials; the queries are const and safe to call from
+// many trial workers at once.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/engine.h"
 #include "ir/category.h"
@@ -39,210 +34,95 @@ class CheckpointStore {
   struct Entry {
     SnapshotT snapshot;
     CategoryCounts seen;
-    std::uint64_t executed = 0;  ///< golden position (kept after eviction)
-    std::size_t pages = 0;       ///< mapped pages at capture time
-    bool alive = true;
-    mutable std::atomic<std::uint64_t> last_touch{0};
   };
 
-  void set_budget(std::uint64_t pages) {
-    budget_pages_ = pages;
-    enforce_budget();
-  }
-
-  /// Appends a snapshot captured at `seen` instance counts, then evicts
-  /// until the live set fits the budget again.
+  /// Appends a snapshot captured at `seen` instance counts.
   void add(SnapshotT&& snapshot, const CategoryCounts& seen) {
-    Entry& e = entries_.emplace_back();  // deque: growth never moves entries
-    e.executed = snapshot.executed;
-    e.pages = snapshot.memory.mapped_pages();
-    e.snapshot = std::move(snapshot);
-    e.seen = seen;
-    live_pages_ += e.pages;
-    ++live_count_;
-    enforce_budget();
+    entries_.push_back(Entry{std::move(snapshot), seen});
   }
 
   /// Drops every other entry — the first, third, ... — keeping every
   /// second capture: the grid of a stride twice as long, on which the
-  /// capture then continues. Eviction counts are unaffected (halving is
-  /// not an eviction).
+  /// capture then continues.
   void halve() {
-    std::deque<Entry> kept;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      Entry& e = entries_[i];
-      if (i % 2 == 0) {
-        if (e.alive) {
-          live_pages_ -= e.pages;
-          --live_count_;
-        }
-        continue;
-      }
-      Entry& k = kept.emplace_back();  // Entry is immovable (atomic stamp)
-      k.snapshot = std::move(e.snapshot);
-      k.seen = e.seen;
-      k.executed = e.executed;
-      k.pages = e.pages;
-      k.alive = e.alive;
-      k.last_touch.store(e.last_touch.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    }
-    entries_.swap(kept);
+    std::size_t kept = 0;
+    for (std::size_t i = 1; i < entries_.size(); i += 2)
+      entries_[kept++] = std::move(entries_[i]);
+    entries_.resize(kept);
   }
 
-  /// Latest live entry whose prefix holds fewer than k `category`
-  /// instances, or nullptr (run from scratch). Stamps the entry's LRU
-  /// clock.
+  /// Latest entry whose prefix holds fewer than k `category` instances, or
+  /// nullptr (run from scratch).
   const Entry* before(ir::Category category, std::uint64_t k) const {
-    const std::size_t idx = index_before(category, k);
-    if (idx == entries_.size()) return nullptr;
-    const Entry& e = entries_[idx];
-    e.last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    return &e;
+    return entry_at(index_before(category, k));
   }
 
   /// Index of the entry before() would resume from, or kNoWindow. Used by
-  /// the scheduler to group trials sharing a resident snapshot; does not
-  /// stamp the LRU clock.
+  /// the scheduler to group trials sharing a resident snapshot.
   std::uint64_t window_of(ir::Category category, std::uint64_t k) const {
-    const std::size_t idx = index_before(category, k);
-    return idx == entries_.size() ? kNoWindow
-                                  : static_cast<std::uint64_t>(idx);
+    return window_at(index_before(category, k));
   }
 
-  /// Latest live entry captured strictly before dynamic instruction `t`,
-  /// or nullptr (run from scratch). The time-triggered analogue of
-  /// before(): resuming it replays every instruction from `executed` to
-  /// `t`, so a hook armed at `t` misses nothing. Stamps the LRU clock.
+  /// Latest entry captured strictly before dynamic instruction `t`, or
+  /// nullptr (run from scratch). The time-triggered analogue of before():
+  /// resuming it replays every instruction from `executed` to `t`, so a
+  /// hook armed at `t` misses nothing.
   const Entry* before_time(std::uint64_t t) const {
-    const std::size_t idx = index_before_time(t);
-    if (idx == entries_.size()) return nullptr;
-    const Entry& e = entries_[idx];
-    e.last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    return &e;
+    return entry_at(index_before_time(t));
   }
 
   /// Index of the entry before_time() would resume from, or kNoWindow.
   std::uint64_t window_of_time(std::uint64_t t) const {
-    const std::size_t idx = index_before_time(t);
-    return idx == entries_.size() ? kNoWindow
-                                  : static_cast<std::uint64_t>(idx);
+    return window_at(index_before_time(t));
   }
 
-  /// Snapshot of the first live entry captured strictly after dynamic
+  /// Snapshot of the first entry captured strictly after dynamic
   /// instruction `executed`, or nullptr: the next golden state a trial
-  /// standing at `executed` can converge on (evicted entries are skipped).
+  /// standing at `executed` can converge on.
   const SnapshotT* after(std::uint64_t executed) const {
-    auto it = std::upper_bound(
+    const auto it = std::upper_bound(
         entries_.begin(), entries_.end(), executed,
-        [](std::uint64_t t, const Entry& e) { return t < e.executed; });
-    while (it != entries_.end() && !it->alive) ++it;
+        [](std::uint64_t t, const Entry& e) { return t < e.snapshot.executed; });
     return it != entries_.end() ? &it->snapshot : nullptr;
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
-  std::size_t live_count() const noexcept { return live_count_; }
-  std::uint64_t live_pages() const noexcept { return live_pages_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
-  std::uint64_t budget_pages() const noexcept { return budget_pages_; }
 
  private:
-  /// Index of the latest live entry with seen[category] < k, or size().
+  const Entry* entry_at(std::size_t idx) const {
+    return idx == entries_.size() ? nullptr : &entries_[idx];
+  }
+  std::uint64_t window_at(std::size_t idx) const {
+    return idx == entries_.size() ? kNoWindow : static_cast<std::uint64_t>(idx);
+  }
+
+  /// Index of the latest entry with seen[category] < k, or size(). Entries
+  /// are in execution order and seen-counts are monotonic, so the entries
+  /// satisfying it form a prefix.
   std::size_t index_before(ir::Category category, std::uint64_t k) const {
-    // Entries are in execution order and seen-counts are monotonic (dead
-    // entries keep their counters), so binary search still applies; walk
-    // left past evicted entries to the nearest live resume point.
-    std::size_t hi = entries_.size();
-    std::size_t lo = 0;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (entries_[mid].seen[category] < k)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    while (lo > 0) {
-      if (entries_[lo - 1].alive) return lo - 1;
-      --lo;
-    }
-    return entries_.size();
+    const auto end = std::partition_point(
+        entries_.begin(), entries_.end(),
+        [&](const Entry& e) { return e.seen[category] < k; });
+    return last_of(end);
   }
 
-  /// Index of the latest live entry with executed < t, or size(). Same
-  /// shape as index_before(): executed counts are strictly increasing, so
-  /// binary search applies, then walk left past evicted entries.
+  /// Index of the latest entry with executed < t, or size(). Same shape as
+  /// index_before(): executed counts are strictly increasing.
   std::size_t index_before_time(std::uint64_t t) const {
-    std::size_t hi = entries_.size();
-    std::size_t lo = 0;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (entries_[mid].executed < t)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    while (lo > 0) {
-      if (entries_[lo - 1].alive) return lo - 1;
-      --lo;
-    }
-    return entries_.size();
+    const auto end = std::partition_point(
+        entries_.begin(), entries_.end(),
+        [t](const Entry& e) { return e.snapshot.executed < t; });
+    return last_of(end);
   }
 
-  void enforce_budget() {
-    if (budget_pages_ == 0) return;
-    while (live_pages_ > budget_pages_ && live_count_ > 0) evict_one();
+  /// Index of the entry before `end`, or size() when `end` is the start.
+  std::size_t last_of(typename std::vector<Entry>::const_iterator end) const {
+    return end == entries_.begin()
+               ? entries_.size()
+               : static_cast<std::size_t>(end - entries_.begin()) - 1;
   }
 
-  /// Evicts the live entry with the oldest LRU stamp; among equals, the
-  /// one whose removal leaves the smallest gap between its live neighbours
-  /// (interval thinning — untouched stores degrade to evenly-thinned
-  /// coverage instead of dropping a whole flank). The final live entry
-  /// has an unbounded trailing gap, so the most recent resume point
-  /// survives longest.
-  void evict_one() {
-    constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
-    std::size_t victim = entries_.size();
-    std::uint64_t victim_touch = kInf;
-    std::uint64_t victim_gap = kInf;
-    std::uint64_t prev_executed = 0;  // golden run starts at instruction 0
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].alive) continue;
-      std::uint64_t next_executed = kInf;
-      for (std::size_t j = i + 1; j < entries_.size(); ++j) {
-        if (entries_[j].alive) {
-          next_executed = entries_[j].executed;
-          break;
-        }
-      }
-      const std::uint64_t touch =
-          entries_[i].last_touch.load(std::memory_order_relaxed);
-      const std::uint64_t gap =
-          next_executed == kInf ? kInf : next_executed - prev_executed;
-      if (touch < victim_touch ||
-          (touch == victim_touch && gap < victim_gap)) {
-        victim = i;
-        victim_touch = touch;
-        victim_gap = gap;
-      }
-      prev_executed = entries_[i].executed;
-    }
-    if (victim == entries_.size()) return;
-    Entry& e = entries_[victim];
-    e.alive = false;
-    e.snapshot = SnapshotT{};  // release the pages now
-    live_pages_ -= e.pages;
-    --live_count_;
-    ++evictions_;
-  }
-
-  std::deque<Entry> entries_;
-  std::uint64_t budget_pages_ = 0;
-  std::uint64_t live_pages_ = 0;
-  std::size_t live_count_ = 0;
-  std::uint64_t evictions_ = 0;
-  mutable std::atomic<std::uint64_t> clock_{0};
+  std::vector<Entry> entries_;
 };
 
 /// Completes a run that stopped on golden snapshot `r.converged` (DESIGN

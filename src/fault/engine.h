@@ -13,6 +13,7 @@
 #include "fault/model.h"
 #include "fault/outcome.h"
 #include "ir/category.h"
+#include "machine/dispatch.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
 
@@ -51,20 +52,30 @@ struct CheckpointPolicy {
   std::uint64_t stride = 0;
   /// Master switch; with checkpointing off every trial runs from main().
   bool enabled = true;
-  /// Cap on the engine's resident snapshot pages, summed over live
-  /// snapshots' mapped-page counts (0 = unlimited). Over-budget snapshots
-  /// are evicted (LRU, interval-thinning tie-break); trials whose window
-  /// was evicted fall back to the nearest earlier live snapshot, so
-  /// campaign outcomes are unchanged.
-  std::uint64_t budget_pages = 0;
 
   static constexpr std::uint64_t kAutoWindows = 64;
   static constexpr std::uint64_t kMinStride = 20'000;
 
   /// Environment overrides: FAULTLAB_CHECKPOINTS=0 disables,
-  /// FAULTLAB_SNAPSHOT_STRIDE=<n> fixes the stride,
-  /// FAULTLAB_SNAPSHOT_BUDGET=<pages> caps resident snapshot pages.
+  /// FAULTLAB_SNAPSHOT_STRIDE=<n> fixes the stride.
   static CheckpointPolicy from_env();
+};
+
+/// How an engine executes its runs. Every choice here is result-neutral:
+/// two engines that differ only in their ExecConfig produce identical
+/// trial records (propagation tracing only adds TrialRecord::prop). Each
+/// engine owns its value, so strategies can be compared side by side in
+/// one process.
+struct ExecConfig {
+  /// Dispatch of every run the engine makes (machine/dispatch.h).
+  machine::DispatchMode dispatch = machine::DispatchMode::Threaded;
+  /// Propagation tracing (obs/propagation.h): the profiling run captures
+  /// the golden pc journal, and every trial carries a PropSummary.
+  bool trace_prop = false;
+
+  /// Read when an engine is constructed: FAULTLAB_DISPATCH=threaded|switch
+  /// (unknown values warn and keep threaded), FAULTLAB_PROP=1 traces.
+  static ExecConfig from_env();
 };
 
 /// Handles to the checkpoint layer's counters in the process-wide metrics
@@ -79,7 +90,6 @@ struct CheckpointMetrics {
   obs::Counter skipped_instructions;  ///< golden prefix not re-executed
   obs::Counter delta_restores;        ///< restores that walked only dirty pages
   obs::Counter delta_pages;           ///< pages rewritten by delta restores
-  obs::Counter evictions;             ///< snapshots evicted by the budget
   obs::Counter converged_trials;      ///< trials stopped on the golden state
   obs::Counter converged_instructions;  ///< golden suffix not simulated
   obs::Histogram dirty_pages;         ///< dirty-set size per delta restore
@@ -99,7 +109,6 @@ struct CheckpointStats {
   std::uint64_t skipped_instructions = 0;  ///< golden prefix not re-executed
   std::uint64_t delta_restores = 0;   ///< restores on the O(dirty) path
   std::uint64_t restored_pages = 0;   ///< page-table entries rewritten
-  std::uint64_t evictions = 0;        ///< snapshots evicted by the budget
   /// Trials that stopped early because their state converged on a golden
   /// snapshot (DESIGN §4), and the golden-suffix instructions they did not
   /// simulate. TrialRecord totals still count those instructions.
@@ -129,7 +138,6 @@ struct CheckpointStats {
     skipped_instructions += o.skipped_instructions;
     delta_restores += o.delta_restores;
     restored_pages += o.restored_pages;
-    evictions += o.evictions;
     converged_trials += o.converged_trials;
     converged_instructions += o.converged_instructions;
     return *this;
@@ -142,7 +150,7 @@ struct CheckpointStats {
 /// aggregate behind the obs layer's per-trial phase spans, so the perf
 /// manifest can report the execute-phase share without event tracing.
 struct PhaseStats {
-  double restore_seconds = 0.0;   ///< snapshot lookup + state reset
+  double restore_seconds = 0.0;   ///< snapshot lookup + executor restore
   double execute_seconds = 0.0;   ///< interpreter / simulator run
   double classify_seconds = 0.0;  ///< outcome classification
   PhaseStats& operator+=(const PhaseStats& o) noexcept {
@@ -245,6 +253,10 @@ class InjectorEngine {
   /// Accumulated restore/execute/classify wall time over every trial this
   /// engine ran (zero for engines that don't track it).
   virtual PhaseStats phase_stats() const { return {}; }
+
+  /// The execution strategy this engine runs with (the run manifest
+  /// reports its dispatch mode). The default fits engines without one.
+  virtual ExecConfig exec_config() const { return {}; }
 };
 
 }  // namespace faultlab::fault

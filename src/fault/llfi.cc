@@ -265,13 +265,14 @@ bool LlfiEngine::is_target(const ir::Instruction& instr, ir::Category category,
 }
 
 LlfiEngine::LlfiEngine(const ir::Module& module, FaultModel model,
-                       CheckpointPolicy checkpoints, Model fault_model)
-    : TrialCore(module, model, checkpoints, fault_model) {}
+                       CheckpointPolicy checkpoints, Model fault_model,
+                       ExecConfig exec)
+    : TrialCore(module, model, checkpoints, fault_model, exec) {}
 
 std::uint64_t LlfiEngine::profile(ir::Category category) {
   ProfileHook hook(category, model_);
   vm::Interpreter interp(code_, &hook);
-  const vm::RunResult r = interp.run();
+  const vm::RunResult r = interp.run("main", exec_limits());
   if (!r.completed())
     throw std::runtime_error("LLFI: profiling run did not complete");
   return hook.count();

@@ -53,11 +53,13 @@ class LlfiEngine final : public TrialCore<LlfiTool> {
  public:
   /// The module must outlive the engine. `fault_model` selects the
   /// hardware fault model (fault::Model — kind/mask/trigger); `model`
-  /// keeps the tool-heuristic knobs. Construction executes nothing:
-  /// profile_all() (or the first make_context()) makes the fault-free run.
+  /// keeps the tool-heuristic knobs; `exec` the execution strategy.
+  /// Construction executes nothing: profile_all() (or the first
+  /// make_context()) makes the fault-free run.
   explicit LlfiEngine(const ir::Module& module, FaultModel model = {},
                       CheckpointPolicy checkpoints = CheckpointPolicy::from_env(),
-                      Model fault_model = Model::from_env());
+                      Model fault_model = Model::from_env(),
+                      ExecConfig exec = ExecConfig::from_env());
 
   CategoryCounts profile_all() override;  ///< one run, all categories
   TrialRecord inject_in(TrialContext* context, ir::Category category,

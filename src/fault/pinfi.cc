@@ -416,13 +416,14 @@ bool PinfiEngine::is_target(const Inst& inst, const Inst* next,
 }
 
 PinfiEngine::PinfiEngine(const x86::Program& program, FaultModel model,
-                         CheckpointPolicy checkpoints, Model fault_model)
-    : TrialCore(program, model, checkpoints, fault_model) {}
+                         CheckpointPolicy checkpoints, Model fault_model,
+                         ExecConfig exec)
+    : TrialCore(program, model, checkpoints, fault_model, exec) {}
 
 std::uint64_t PinfiEngine::profile(ir::Category category) {
   ProfileHook hook(code_, category);
   x86::Simulator sim(code_, &hook);
-  const x86::SimResult r = sim.run();
+  const x86::SimResult r = sim.run(exec_limits());
   if (!r.completed())
     throw std::runtime_error("PINFI: profiling run did not complete");
   return hook.count();

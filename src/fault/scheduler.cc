@@ -241,8 +241,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   } event_flush_guard;
   manifest_ = RunManifest{};
   manifest_.model = options_.model;
-  manifest_.dispatch_mode =
-      machine::dispatch_mode_name(machine::dispatch_mode());
   const machine::DispatchCountersSnapshot dispatch_before =
       machine::dispatch_counters_snapshot();
 
@@ -261,6 +259,15 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     if (std::find(engines.begin(), engines.end(), entry.engine) ==
         engines.end())
       engines.push_back(entry.engine);
+  // The engines' common dispatch mode, or "mixed" when they differ.
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const char* mode =
+        machine::dispatch_mode_name(engines[i]->exec_config().dispatch);
+    if (i == 0)
+      manifest_.dispatch_mode = mode;
+    else if (manifest_.dispatch_mode != mode)
+      manifest_.dispatch_mode = "mixed";
+  }
   std::vector<CategoryCounts> profiles(engines.size());
   {
     std::vector<std::exception_ptr> errors(engines.size());
@@ -417,7 +424,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         aux.checkpoint_snapshots += ck.snapshots;
         aux.checkpoint_restores += ck.restored_trials;
         aux.delta_restores += ck.delta_restores;
-        aux.snapshot_evictions += ck.evictions;
         aux.converged_trials += ck.converged_trials;
         aux.converged_instructions += ck.converged_instructions;
       }

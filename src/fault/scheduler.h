@@ -124,9 +124,10 @@ struct RunManifest {
   /// worker count.
   double profile_seconds = 0.0;
   double wall_seconds = 0.0;      ///< whole run() call
-  /// Dispatch mode in effect ("threaded" | "switch"), and the trace-cache
-  /// activity attributable to this run (process-wide counter deltas across
-  /// run(); see machine/dispatch.h).
+  /// Dispatch mode the run's engines ran with ("threaded" | "switch", or
+  /// "mixed" when they differ; InjectorEngine::exec_config), and the
+  /// trace-cache activity attributable to this run (process-wide counter
+  /// deltas across run(); see machine/dispatch.h).
   std::string dispatch_mode = "threaded";
   std::uint64_t trace_decodes = 0;
   std::uint64_t trace_hits = 0;

@@ -10,7 +10,9 @@
 //    profile, captures the checkpoint snapshots at a doubling stride and,
 //    with propagation tracing on, the golden pc journal,
 //  * time-trigger placement and window_of(),
-//  * the restore -> execute -> classify skeleton of one trial, and
+//  * the restore -> execute -> classify skeleton of one trial,
+//  * the engine's ExecConfig, applied to the profiling run and to every
+//    trial, and
 //  * the checkpoint and phase accounting behind checkpoint_stats() and
 //    phase_stats().
 // An engine derives from TrialCore<Tool>, enumerates its sites for
@@ -87,26 +89,19 @@ class TrialCore : public InjectorEngine {
   }
   CheckpointStats checkpoint_stats() const override;
   PhaseStats phase_stats() const override;
-
-  /// Re-applies a snapshot page budget after profiling (tests/tools; the
-  /// campaign path sets it via CheckpointPolicy). Evicts LRU-first, so
-  /// windows no trial has resumed from go before hot ones. Must not run
-  /// concurrently with trials.
-  void set_snapshot_budget(std::uint64_t pages) {
-    checkpoints_.set_budget(pages);
-  }
+  ExecConfig exec_config() const override { return exec_; }
 
  protected:
-  /// The code must outlive the engine. Binds the code and the policies
-  /// and latches propagation tracing from obs::prop_enabled(); executes
-  /// nothing (the fault-free run waits for profile_once()).
+  /// The code must outlive the engine. Binds the code, the policies and
+  /// the execution strategy; executes nothing (the fault-free run waits for
+  /// profile_once()).
   TrialCore(const Code& code, FaultModel model, CheckpointPolicy checkpoints,
-            Model fault_model)
+            Model fault_model, ExecConfig exec)
       : code_(code),
         model_(model),
         fault_model_(fault_model),
         checkpoint_policy_(checkpoints),
-        trace_prop_(obs::prop_enabled()) {}
+        exec_(exec) {}
 
   /// profile_all(): the engine's one fault-free run, executed by the first
   /// call only (std::call_once: concurrent first callers wait for it; a
@@ -129,6 +124,13 @@ class TrialCore : public InjectorEngine {
   template <typename MakeHook>
   TrialRecord run_trial(TrialContext* context, ir::Category category,
                         std::uint64_t k, Rng& rng, MakeHook make_hook);
+
+  /// Default limits of every run the engine makes: its dispatch mode.
+  Limits exec_limits() const {
+    Limits limits;
+    limits.dispatch = exec_.dispatch;
+    return limits;
+  }
 
   const Code& code_;
   FaultModel model_;
@@ -160,7 +162,7 @@ class TrialCore : public InjectorEngine {
   /// Hang limit: the paper detects hangs as "substantially longer than the
   /// golden run".
   Limits faulty_limits() const {
-    Limits limits;
+    Limits limits = exec_limits();
     limits.max_instructions = golden_instructions_ * 10 + 100'000;
     return limits;
   }
@@ -180,20 +182,22 @@ class TrialCore : public InjectorEngine {
 
   /// Restore-side accounting: engine atomics plus the checkpoint-metrics
   /// mirror. Call only for trials that actually resumed from a snapshot.
-  void account_restore(const Result& r, std::uint64_t snapshot_executed) const;
+  void account_restore(const machine::Memory::RestoreStats& restore,
+                       std::uint64_t snapshot_executed) const;
 
   /// Record-fill tail: the hook's injection facts plus the run's terminal
-  /// state — everything except outcome classification.
+  /// state — everything except outcome classification. `restore` is null
+  /// for a run from main.
   template <typename Hook>
   static void fill_record(TrialRecord& record, const Hook& hook,
-                          const Result& r, std::uint64_t k, bool restored);
+                          const Result& r, std::uint64_t k,
+                          const machine::Memory::RestoreStats* restore);
 
   Model fault_model_;
   CheckpointPolicy checkpoint_policy_;
-  /// Propagation tracing (obs/propagation.h): latched from prop_enabled()
-  /// by the constructor; the golden pc journal is captured by the
-  /// profiling run iff tracing is on, then read-only during trials.
-  bool trace_prop_ = false;
+  /// Execution strategy. With exec_.trace_prop the golden pc journal is
+  /// captured by the profiling run, then read-only during trials.
+  ExecConfig exec_;
   /// Guards the one profiling run; everything below up to the counters is
   /// written by it and only read afterwards.
   std::once_flag profiled_;
@@ -222,10 +226,9 @@ template <typename JournalHook>
 void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
   obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
   JournalHook journal_hook(&journal_);
-  Executor exec(code_, trace_prop_ ? &journal_hook : nullptr);
-  Limits limits;
+  Executor exec(code_, exec_.trace_prop ? &journal_hook : nullptr);
+  Limits limits = exec_limits();
   limits.site_hits = sites.hits.data();
-  checkpoints_.set_budget(checkpoint_policy_.budget_pages);
   if (checkpoint_policy_.enabled) {
     // The golden length is unknown until this run ends, so an automatic
     // stride starts at kMinStride and doubles each time the store fills up
@@ -239,8 +242,7 @@ void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
     limits.snapshot_stride = checkpoint_stride_;
     // The snapshot sink fires between two dynamic instructions, so the
     // site hits at that moment fold into exactly the per-category instance
-    // counts of the skipped prefix. add() enforces the page budget as the
-    // run advances, so peak residency never exceeds it.
+    // counts of the skipped prefix.
     limits.snapshot_sink = [this, &sites, automatic](Snapshot&& snap) {
       checkpoints_.add(std::move(snap), sites.counts());
       if (automatic &&
@@ -258,10 +260,8 @@ void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
   golden_output_ = std::move(r.output);
   golden_instructions_ = r.dynamic_instructions;
   profile_counts_ = sites.counts();
-  if (obs::metrics_enabled()) {
+  if (obs::metrics_enabled())
     checkpoint_metrics().snapshots.add(checkpoints_.size());
-    checkpoint_metrics().evictions.add(checkpoints_.evictions());
-  }
   if (span.active()) {
     span.tag("tool", Tool::kName);
     span.tag("instructions", golden_instructions_);
@@ -281,12 +281,16 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   const std::uint64_t arm_time = fault_model_.trigger == FaultTrigger::Time
                                      ? time_trigger_point(category, k)
                                      : 0;
+  // Restore phase: the snapshot lookup plus, on a hit, the executor's
+  // restore of memory, runtime and registers.
   const typename CheckpointStore<Snapshot>::Entry* cp;
+  machine::Memory::RestoreStats restore;
   {
     obs::ScopedSpan restore_span(tracer, "restore", "phase");
     const auto phase_t0 = std::chrono::steady_clock::now();
     cp = arm_time != 0 ? checkpoints_.before_time(arm_time)
                        : checkpoints_.before(category, k);
+    if (cp != nullptr) restore = exec.restore(cp->snapshot);
     if (restore_span.active())
       restore_span.tag("checkpoint", cp != nullptr ? "hit" : "miss");
     restore_nanos_.fetch_add(nanos_since(phase_t0),
@@ -295,7 +299,7 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   const std::uint64_t base = cp != nullptr ? cp->snapshot.executed : 0;
   auto hook = make_hook(
       plan, TrialStart{cp != nullptr ? cp->seen[category] : 0, base, arm_time,
-                       trace_prop_ ? &journal_ : nullptr});
+                       exec_.trace_prop ? &journal_ : nullptr});
   exec.set_hook(&hook);
   trials_.fetch_add(1, std::memory_order_relaxed);
   Limits limits = faulty_limits();
@@ -308,20 +312,14 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   {
     obs::ScopedSpan exec_span(tracer, "execute", "phase");
     const auto phase_t0 = std::chrono::steady_clock::now();
-    if (cp != nullptr) {
-      restored_trials_.fetch_add(1, std::memory_order_relaxed);
-      skipped_instructions_.fetch_add(base, std::memory_order_relaxed);
-      r = exec.run_from(cp->snapshot, limits);
-    } else {
-      r = Tool::run(exec, limits);
-    }
+    r = cp != nullptr ? exec.resume(limits) : Tool::run(exec, limits);
     execute_nanos_.fetch_add(nanos_since(phase_t0),
                              std::memory_order_relaxed);
     if (exec_span.active())
       exec_span.tag("instructions", r.dynamic_instructions - base);
   }
   exec.set_hook(nullptr);  // the hook dies with this call
-  if (cp != nullptr) account_restore(r, base);
+  if (cp != nullptr) account_restore(restore, base);
   if (r.converged != nullptr) {
     const std::uint64_t suffix =
         complete_converged(r, golden_output_, golden_instructions_);
@@ -330,7 +328,7 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   }
 
   TrialRecord record;
-  fill_record(record, hook, r, k, cp != nullptr);
+  fill_record(record, hook, r, k, cp != nullptr ? &restore : nullptr);
   {
     obs::ScopedSpan classify_span(tracer, "classify", "phase");
     const auto phase_t0 = std::chrono::steady_clock::now();
@@ -344,9 +342,9 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
 
 template <typename Tool>
 template <typename Hook>
-void TrialCore<Tool>::fill_record(TrialRecord& record, const Hook& hook,
-                                  const Result& r, std::uint64_t k,
-                                  bool restored) {
+void TrialCore<Tool>::fill_record(
+    TrialRecord& record, const Hook& hook, const Result& r, std::uint64_t k,
+    const machine::Memory::RestoreStats* restore) {
   record.dynamic_target = k;
   record.bit = hook.bit();
   record.static_site = hook.static_site();
@@ -360,27 +358,31 @@ void TrialCore<Tool>::fill_record(TrialRecord& record, const Hook& hook,
     record.trap_pc = r.trap_pc;
     record.trap = r.trap;
   }
-  record.restored = restored;
-  record.delta_restored = r.delta_restored;
-  record.restored_pages = static_cast<std::uint32_t>(r.restored_pages);
+  if (restore != nullptr) {
+    record.restored = true;
+    record.delta_restored = restore->delta;
+    record.restored_pages = static_cast<std::uint32_t>(restore->pages);
+  }
   if (hook.tracing()) record.prop = hook.prop_summary();
 }
 
 template <typename Tool>
-void TrialCore<Tool>::account_restore(const Result& r,
-                                      std::uint64_t snapshot_executed) const {
-  restored_pages_.fetch_add(r.restored_pages, std::memory_order_relaxed);
-  if (r.delta_restored)
-    delta_restores_.fetch_add(1, std::memory_order_relaxed);
+void TrialCore<Tool>::account_restore(
+    const machine::Memory::RestoreStats& restore,
+    std::uint64_t snapshot_executed) const {
+  restored_trials_.fetch_add(1, std::memory_order_relaxed);
+  skipped_instructions_.fetch_add(snapshot_executed, std::memory_order_relaxed);
+  restored_pages_.fetch_add(restore.pages, std::memory_order_relaxed);
+  if (restore.delta) delta_restores_.fetch_add(1, std::memory_order_relaxed);
   if (obs::metrics_enabled()) {
     CheckpointMetrics& metrics = checkpoint_metrics();
     metrics.restores.add();
-    metrics.restored_pages.add(r.restored_pages);
+    metrics.restored_pages.add(restore.pages);
     metrics.skipped_instructions.add(snapshot_executed);
-    if (r.delta_restored) {
+    if (restore.delta) {
       metrics.delta_restores.add();
-      metrics.delta_pages.add(r.restored_pages);
-      metrics.dirty_pages.record(r.restored_pages);
+      metrics.delta_pages.add(restore.pages);
+      metrics.dirty_pages.record(restore.pages);
     }
   }
 }
@@ -396,7 +398,6 @@ CheckpointStats TrialCore<Tool>::checkpoint_stats() const {
       skipped_instructions_.load(std::memory_order_relaxed);
   stats.delta_restores = delta_restores_.load(std::memory_order_relaxed);
   stats.restored_pages = restored_pages_.load(std::memory_order_relaxed);
-  stats.evictions = checkpoints_.evictions();
   stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
   stats.converged_instructions =
       converged_instructions_.load(std::memory_order_relaxed);

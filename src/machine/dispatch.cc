@@ -3,33 +3,8 @@
 #include <mutex>
 
 #include "obs/metrics.h"
-#include "support/env.h"
 
 namespace faultlab::machine {
-
-namespace {
-
-std::atomic<int>& mode_cell() noexcept {
-  static std::atomic<int> cell{[] {
-    static const char* const kChoices[] = {"threaded", "switch"};
-    const std::size_t picked =
-        support::parse_env_choice("FAULTLAB_DISPATCH", kChoices, 2, 0);
-    return picked == 1 ? static_cast<int>(DispatchMode::Switch)
-                       : static_cast<int>(DispatchMode::Threaded);
-  }()};
-  return cell;
-}
-
-}  // namespace
-
-DispatchMode dispatch_mode() noexcept {
-  return static_cast<DispatchMode>(
-      mode_cell().load(std::memory_order_relaxed));
-}
-
-void set_dispatch_mode(DispatchMode mode) noexcept {
-  mode_cell().store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 const char* dispatch_mode_name(DispatchMode mode) noexcept {
   return mode == DispatchMode::Switch ? "switch" : "threaded";

@@ -13,7 +13,10 @@
 //
 // `DispatchMode::Switch` disables the fast path entirely, pinning the
 // engines to the historical loop: equivalence fixtures A/B the two modes
-// and require byte-identical campaign results.
+// and require byte-identical campaign results. The mode is a per-run value
+// (vm::RunLimits / x86::SimLimits::dispatch, set by the injector engines
+// from their fault::ExecConfig), so engines in different modes can run
+// side by side in one process.
 //
 // The counters here are always-on relaxed atomics (they are touched once
 // per trace entry / decode, not per instruction, so gating them behind
@@ -31,16 +34,6 @@ enum class DispatchMode : int {
   Threaded = 0,  ///< pre-decoded micro-op traces + slow path for armed windows
   Switch = 1,    ///< original hooked switch loop only
 };
-
-/// Process-wide dispatch mode. First call reads FAULTLAB_DISPATCH
-/// ("threaded" | "switch", default threaded, unknown values warn); later
-/// calls return the cached or programmatically overridden value.
-DispatchMode dispatch_mode() noexcept;
-
-/// Overrides the dispatch mode for the rest of the process (or until the
-/// next override). Benches use this to run interleaved A/B pairs in one
-/// process; it affects runs started after the call.
-void set_dispatch_mode(DispatchMode mode) noexcept;
 
 /// Canonical spelling, matching the FAULTLAB_DISPATCH values.
 const char* dispatch_mode_name(DispatchMode mode) noexcept;

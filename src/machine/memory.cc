@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/metrics.h"
-#include "support/env.h"
 
 namespace faultlab::machine {
 
@@ -30,12 +29,6 @@ void count_cow_clone() {
 std::atomic<std::uint64_t> next_snapshot_id{1};
 
 }  // namespace
-
-bool delta_restore_enabled() noexcept {
-  static const bool enabled =
-      support::parse_env_flag("FAULTLAB_DELTA_RESTORE", true);
-  return enabled;
-}
 
 const char* trap_kind_name(TrapKind kind) noexcept {
   switch (kind) {
@@ -204,10 +197,8 @@ void Memory::restore(const Snapshot& snapshot) {
 }
 
 Memory::RestoreStats Memory::restore_delta(const Snapshot& snapshot) {
-  if (delta_base_ == 0 || delta_base_ != snapshot.id_ ||
-      !delta_restore_enabled()) {
+  if (delta_base_ == 0 || delta_base_ != snapshot.id_) {
     restore(snapshot);
-    if (!delta_restore_enabled()) delta_base_ = 0;  // keep tracking off
     return {pages_.size(), false};
   }
   std::size_t touched = 0;

@@ -106,8 +106,7 @@ class Memory {
   /// Equivalent to restore(), but when the image already derives from this
   /// exact snapshot (same id as the last restore, no reset() since) it only
   /// re-shares the pages recorded dirty. Falls back to a full restore on
-  /// first use, after reset(), on a base mismatch, or when
-  /// delta_restore_enabled() is off (env FAULTLAB_DELTA_RESTORE=0).
+  /// first use, after reset(), or on a base mismatch.
   RestoreStats restore_delta(const Snapshot& snapshot);
   /// True when the image holds exactly the snapshot's pages: the same
   /// page numbers with the same bytes. Pages still shared with the
@@ -180,9 +179,5 @@ class PageShadowSet {
  private:
   std::unordered_map<std::uint64_t, std::uint32_t> pages_;
 };
-
-/// Cached FAULTLAB_DELTA_RESTORE flag (default on; =0 disables the delta
-/// path process-wide, forcing every restore_delta() to a full restore).
-bool delta_restore_enabled() noexcept;
 
 }  // namespace faultlab::machine

@@ -444,8 +444,6 @@ std::string CampaignMonitor::status_json_locked(bool final_snapshot) const {
   append_u64(out, aux.checkpoint_restores);
   out += ", \"delta_restores\": ";
   append_u64(out, aux.delta_restores);
-  out += ", \"snapshot_evictions\": ";
-  append_u64(out, aux.snapshot_evictions);
   out += ", \"converged_trials\": ";
   append_u64(out, aux.converged_trials);
   out += ", \"converged_instructions\": ";

@@ -185,7 +185,6 @@ struct MonitorAux {
   std::uint64_t checkpoint_snapshots = 0;
   std::uint64_t checkpoint_restores = 0;
   std::uint64_t delta_restores = 0;
-  std::uint64_t snapshot_evictions = 0;
   std::uint64_t converged_trials = 0;
   std::uint64_t converged_instructions = 0;
   std::uint64_t trace_decodes = 0;

@@ -1,31 +1,11 @@
 #include "obs/propagation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "ir/instruction.h"
-#include "support/env.h"
 
 namespace faultlab::obs {
-
-namespace {
-// -1 = not yet read from the environment; 0/1 = cached/overridden value.
-std::atomic<int> g_prop_enabled{-1};
-}  // namespace
-
-bool prop_enabled() noexcept {
-  int v = g_prop_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = support::parse_env_flag("FAULTLAB_PROP", false) ? 1 : 0;
-    g_prop_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void set_prop_enabled(bool on) noexcept {
-  g_prop_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // VmPropTracer

@@ -14,10 +14,11 @@
 // edges, peak tainted footprint, and the first control-flow divergence
 // point (static pc + dynamic offset after injection).
 //
-// Opt-in via FAULTLAB_PROP=1 (or set_prop_enabled() for benches/tests),
-// with the same inert-when-disabled discipline as the event log: the
-// disabled path is one cached-bool branch at trial setup — no journal, no
-// shadow state, no hook retention. Tracing never changes results: the
+// Opt-in per engine via fault::ExecConfig::trace_prop (which
+// ExecConfig::from_env() reads from FAULTLAB_PROP=1), with the same
+// inert-when-disabled discipline as the event log: the disabled path is one
+// bool branch at trial setup — no journal, no shadow state, no hook
+// retention. Tracing never changes results: the
 // tracer only *reads* the callbacks both injectors already receive, and
 // keeping the injection hook attached after activation is exactly the
 // (slower) path persistent fault models always take — the PropEquiv
@@ -39,15 +40,6 @@
 #include "x86/isa.h"
 
 namespace faultlab::obs {
-
-/// True when FAULTLAB_PROP is set truthy (cached on first call). Trial
-/// paths gate on it before building any tracer state, so the disabled
-/// path costs one branch.
-bool prop_enabled() noexcept;
-/// Programmatic override (benches and tests; mirrors EventLog::open()'s
-/// sanctioned programmatic use). Takes effect for trials set up after the
-/// call — not thread-safe against concurrently *starting* campaigns.
-void set_prop_enabled(bool on) noexcept;
 
 /// Aggregate taint/divergence statistics of one traced trial. Carried on
 /// fault::TrialRecord (excluded from results CSVs, like the checkpoint

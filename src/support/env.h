@@ -31,7 +31,7 @@ double parse_env_double(const char* name, double fallback, double min,
 /// Parses env var `name` as a boolean switch. Unset or empty returns
 /// `fallback`; the literal "0" returns false; any other value returns
 /// true. (Matches the historical semantics of FAULTLAB_METRICS,
-/// FAULTLAB_PROGRESS, and FAULTLAB_DELTA_RESTORE.)
+/// FAULTLAB_PROGRESS, and FAULTLAB_PROP.)
 bool parse_env_flag(const char* name, bool fallback);
 
 /// Reads env var `name` as a string. Returns nullptr when the variable is

@@ -34,7 +34,7 @@ std::uint64_t type_mask(const ir::Type* t) {
   return faultlab::low_mask(t->register_bits());
 }
 
-/// Instructions actually executed per run()/run_from() call (the delta, not
+/// Instructions actually executed per run()/resume() call (the delta, not
 /// the snapshot-primed absolute count), log2-bucketed in the global
 /// registry. One handle lookup per process; one branch when disabled.
 void record_run_instructions(std::uint64_t delta) {
@@ -59,8 +59,8 @@ void record_run_instructions(std::uint64_t delta) {
 // (exec_loop) only enters it while no hook can observe execution, and
 // pre-computes the dynamic-instruction index where the fast path must
 // side-exit so timeouts, snapshot points and hook re-arms land on exactly
-// the same instruction as a pure slow-path run. FAULTLAB_DISPATCH=switch
-// pins the slow path for A/B equivalence checks.
+// the same instruction as a pure slow-path run. RunLimits::dispatch =
+// Switch pins the slow path for A/B equivalence checks.
 class Interpreter::Impl {
  public:
   using Frame = Snapshot::Frame;
@@ -76,7 +76,6 @@ class Interpreter::Impl {
     live_hook_ = nullptr;
     limits_ = limits;
     next_snapshot_at_ = 0;
-    mode_ = machine::dispatch_mode();
   }
 
   RunResult run(const std::string& entry) {
@@ -85,7 +84,8 @@ class Interpreter::Impl {
       throw std::invalid_argument("no such entry function: " + entry);
 
     // Fresh image: releasing the mappings also disarms delta tracking, so
-    // a later run_from() knows to fall back to a full restore.
+    // a later restore() knows to fall back to a full restore.
+    loaded_ = false;
     memory_.reset();
     runtime_.reset();
     frames_.clear();
@@ -98,9 +98,9 @@ class Interpreter::Impl {
     return drive();
   }
 
-  RunResult run_from(const Snapshot& snapshot) {
+  machine::Memory::RestoreStats restore(const Snapshot& snapshot) {
     assert(!snapshot.frames.empty() && "snapshot of a finished run");
-    const machine::Memory::RestoreStats restore =
+    const machine::Memory::RestoreStats stats =
         memory_.restore_delta(snapshot.memory);
     runtime_.restore(snapshot.runtime);
     // Copy-assign reuses the resident vectors' capacity (including each
@@ -110,13 +110,20 @@ class Interpreter::Impl {
     sp_ = snapshot.sp;
     executed_ = snapshot.executed;
     next_frame_id_ = snapshot.next_frame_id;
-    // Snapshots already past this run's budget time out on the next
-    // instruction, matching where the non-checkpointed run would stop.
-    RunResult result = drive();
-    result.restored_pages = restore.pages;
-    result.delta_restored = restore.delta;
-    return result;
+    loaded_ = true;
+    return stats;
   }
+
+  /// Runs the restored state. Snapshots already past this run's budget
+  /// time out on the next instruction, matching where the non-checkpointed
+  /// run would stop.
+  RunResult resume() {
+    loaded_ = false;
+    return drive();
+  }
+
+  bool loaded() const noexcept { return loaded_; }
+  std::uint64_t executed() const noexcept { return executed_; }
 
  private:
   RunResult drive() {
@@ -337,7 +344,7 @@ class Interpreter::Impl {
   template <bool kCount>
   std::uint64_t exec_loop() {
     std::uint64_t ret = 0;
-    if (mode_ == machine::DispatchMode::Switch) {
+    if (limits_.dispatch == machine::DispatchMode::Switch) {
       while (!slow_step(&ret)) {
       }
       return ret;
@@ -1306,7 +1313,7 @@ class Interpreter::Impl {
   std::uint64_t next_snapshot_at_ = 0;
   const Snapshot* golden_next_ = nullptr;  // next convergence candidate
   const Snapshot* converged_ = nullptr;    // set when converges() matched
-  machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
+  bool loaded_ = false;  // restore() ran and resume() has not consumed it
   TraceCache cache_;
   const ir::Function* count_function_ = nullptr;  // count_site()'s memo
   std::uint64_t count_base_ = 0;
@@ -1338,14 +1345,20 @@ RunResult Interpreter::run(const std::string& entry, const RunLimits& limits) {
   return r;
 }
 
-RunResult Interpreter::run_from(const Snapshot& snapshot,
-                                const RunLimits& limits) {
+machine::Memory::RestoreStats Interpreter::restore(const Snapshot& snapshot) {
   if (impl_ == nullptr) impl_ = std::make_unique<Impl>(module_, layout_);
+  return impl_->restore(snapshot);
+}
+
+RunResult Interpreter::resume(const RunLimits& limits) {
+  if (impl_ == nullptr || !impl_->loaded())
+    throw std::logic_error("Interpreter::resume() without a pending restore()");
   impl_->prepare(hook_, limits);
-  RunResult r = impl_->run_from(snapshot);
+  const std::uint64_t base = impl_->executed();
+  RunResult r = impl_->resume();
   // dynamic_instructions is snapshot-primed (absolute position in the
   // golden schedule); the histogram tracks work actually done here.
-  record_run_instructions(r.dynamic_instructions - snapshot.executed);
+  record_run_instructions(r.dynamic_instructions - base);
   return r;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "machine/dispatch.h"
 #include "machine/memory.h"
 #include "machine/runtime.h"
 
@@ -124,7 +125,7 @@ class ExecHook {
 /// runtime state, so capturing is O(live frames + mapped pages). A snapshot
 /// with `executed == n` resumes exactly before dynamic instruction n+1; all
 /// pointers reference the (const, outliving) module, so any interpreter
-/// over the same module can run_from() it — including concurrently, each
+/// over the same module can restore() it — including concurrently, each
 /// trial getting its own copy-on-write view of the pages.
 struct Snapshot {
   struct Frame {
@@ -150,7 +151,7 @@ struct Snapshot {
 
 struct RunLimits {
   /// Budget on *total* dynamic instructions, including any golden prefix a
-  /// resumed run skipped: run_from() keeps counting from the snapshot's
+  /// resumed run skipped: resume() keeps counting from the snapshot's
   /// `executed`, so a restored trial times out exactly where a full run
   /// would.
   std::uint64_t max_instructions = 200'000'000;
@@ -175,6 +176,10 @@ struct RunLimits {
   /// prefix. Profiling uses this to count category instances without a
   /// hook; runs without it take the non-counting fast loop.
   std::uint64_t* site_hits = nullptr;
+  /// Execution strategy (machine/dispatch.h). Threaded runs pre-decoded
+  /// traces while no hook can observe execution; Switch pins the hooked
+  /// loop. Results are identical either way.
+  machine::DispatchMode dispatch = machine::DispatchMode::Threaded;
 };
 
 struct RunResult {
@@ -191,11 +196,6 @@ struct RunResult {
   std::int64_t exit_value = 0;
   std::uint64_t dynamic_instructions = 0;
   std::string output;
-  /// Page-table entries rewritten by run_from()'s restore, and whether it
-  /// took the O(dirty) delta path (checkpoint observability; both 0/false
-  /// for run()).
-  std::uint64_t restored_pages = 0;
-  bool delta_restored = false;
   /// The golden snapshot the run converged on (RunLimits::golden_after),
   /// or nullptr when it ran to its end. A converged result stops there:
   /// `dynamic_instructions` is the snapshot's position and `output` the
@@ -233,16 +233,21 @@ class Interpreter {
   RunResult run(const std::string& entry = "main",
                 const RunLimits& limits = {});
 
-  /// Resumes execution from `snapshot` (captured on this module) and runs
-  /// to completion. The result reports totals for the whole logical run:
-  /// `dynamic_instructions` and `output` include the skipped prefix, so
-  /// Crash/SDC/Hang/Benign classification matches a from-scratch run.
+  /// Loads `snapshot` (captured on this module) as the state the next
+  /// resume() runs from, and reports what the page-table restore did.
   ///
   /// The execution state is resident: it persists across calls, so
-  /// resuming the same snapshot repeatedly rides Memory::restore_delta()'s
+  /// restoring the same snapshot repeatedly rides Memory::restore_delta()'s
   /// O(pages the previous trial touched) path, and frame/register vectors
   /// reuse their allocations instead of being rebuilt per trial.
-  RunResult run_from(const Snapshot& snapshot, const RunLimits& limits = {});
+  machine::Memory::RestoreStats restore(const Snapshot& snapshot);
+
+  /// Runs the state the last restore() loaded to completion. The result
+  /// reports totals for the whole logical run: `dynamic_instructions` and
+  /// `output` include the skipped prefix, so Crash/SDC/Hang/Benign
+  /// classification matches a from-scratch run. Each restore() allows one
+  /// resume(); any other call throws std::logic_error.
+  RunResult resume(const RunLimits& limits = {});
 
  private:
   class Impl;

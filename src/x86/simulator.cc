@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "machine/dispatch.h"
 #include "obs/metrics.h"
@@ -25,7 +26,7 @@ namespace faultlab::x86 {
 
 namespace {
 
-/// Instructions actually executed per run()/run_from() call (the delta, not
+/// Instructions actually executed per run()/resume() call (the delta, not
 /// the snapshot-primed absolute count), log2-bucketed in the global
 /// registry. One handle lookup per process; one branch when disabled.
 void record_run_instructions(std::uint64_t delta) {
@@ -51,7 +52,7 @@ struct Flags {
 }  // namespace
 
 // Resident execution state behind Simulator: memory, runtime, and
-// architectural registers persist across runs so consecutive run_from()
+// architectural registers persist across runs so consecutive restore()
 // calls of the same snapshot stay on Memory's delta-restore path.
 class Machine {
  public:
@@ -63,12 +64,12 @@ class Machine {
     hook_ = hook;
     limits_ = limits;
     next_snapshot_at_ = 0;
-    mode_ = machine::dispatch_mode();
   }
 
   SimResult run() {
     // Fresh image: releasing the mappings also disarms delta tracking, so
-    // a later run_from() knows to fall back to a full restore.
+    // a later restore() knows to fall back to a full restore.
+    loaded_ = false;
     memory_.reset();
     runtime_.reset();
     state_ = MachineState{};
@@ -87,17 +88,24 @@ class Machine {
     return drive();
   }
 
-  SimResult run_from(const SimSnapshot& snapshot) {
-    const machine::Memory::RestoreStats restore =
+  machine::Memory::RestoreStats restore(const SimSnapshot& snapshot) {
+    const machine::Memory::RestoreStats stats =
         memory_.restore_delta(snapshot.memory);
     runtime_.restore(snapshot.runtime);
     state_ = snapshot.state;
     executed_ = snapshot.executed;
-    SimResult result = drive();
-    result.restored_pages = restore.pages;
-    result.delta_restored = restore.delta;
-    return result;
+    loaded_ = true;
+    return stats;
   }
+
+  /// Runs the restored state.
+  SimResult resume() {
+    loaded_ = false;
+    return drive();
+  }
+
+  bool loaded() const noexcept { return loaded_; }
+  std::uint64_t executed() const noexcept { return executed_; }
 
  private:
   SimResult drive() {
@@ -332,7 +340,7 @@ class Machine {
   /// the fast loop that also fills SimLimits::site_hits.
   template <bool kCount>
   void loop() {
-    if (mode_ == machine::DispatchMode::Switch) {
+    if (limits_.dispatch == machine::DispatchMode::Switch) {
       while (!slow_step()) {
       }
       return;
@@ -1188,7 +1196,7 @@ class Machine {
   const SimSnapshot* golden_next_ = nullptr;  // next convergence candidate
   const SimSnapshot* converged_ = nullptr;    // set when converges() matched
   std::uint64_t current_index_ = 0;  // instruction being executed (trap_pc)
-  machine::DispatchMode mode_ = machine::DispatchMode::Threaded;
+  bool loaded_ = false;  // restore() ran and resume() has not consumed it
   std::unique_ptr<XTrace> trace_;  // decoded on first fast-path entry
 };
 
@@ -1205,14 +1213,21 @@ SimResult Simulator::run(const SimLimits& limits) {
   return r;
 }
 
-SimResult Simulator::run_from(const SimSnapshot& snapshot,
-                              const SimLimits& limits) {
+machine::Memory::RestoreStats Simulator::restore(
+    const SimSnapshot& snapshot) {
   if (machine_ == nullptr) machine_ = std::make_unique<Machine>(program_);
+  return machine_->restore(snapshot);
+}
+
+SimResult Simulator::resume(const SimLimits& limits) {
+  if (machine_ == nullptr || !machine_->loaded())
+    throw std::logic_error("Simulator::resume() without a pending restore()");
   machine_->prepare(hook_, limits);
-  SimResult r = machine_->run_from(snapshot);
+  const std::uint64_t base = machine_->executed();
+  SimResult r = machine_->resume();
   // dynamic_instructions is snapshot-primed (absolute position in the
   // golden schedule); the histogram tracks work actually done here.
-  record_run_instructions(r.dynamic_instructions - snapshot.executed);
+  record_run_instructions(r.dynamic_instructions - base);
   return r;
 }
 

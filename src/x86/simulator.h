@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 
+#include "machine/dispatch.h"
 #include "machine/memory.h"
 #include "machine/runtime.h"
 #include "x86/program.h"
@@ -106,7 +107,7 @@ class SimHook {
 /// Resumable machine state captured between two retired instructions:
 /// architectural registers plus copy-on-write memory and runtime state.
 /// `executed == n` means the snapshot resumes exactly before dynamic
-/// instruction n+1. Any simulator over the same program can run_from() it,
+/// instruction n+1. Any simulator over the same program can restore() it,
 /// including several concurrently (each gets its own copy-on-write view).
 struct SimSnapshot {
   MachineState state;
@@ -117,7 +118,7 @@ struct SimSnapshot {
 
 struct SimLimits {
   /// Budget on *total* dynamic instructions, including any golden prefix a
-  /// resumed run skipped: run_from() keeps counting from the snapshot's
+  /// resumed run skipped: resume() keeps counting from the snapshot's
   /// `executed`, so a restored trial times out exactly where a full run
   /// would.
   std::uint64_t max_instructions = 400'000'000;
@@ -141,6 +142,8 @@ struct SimLimits {
   /// this to count category instances without a hook; runs without it
   /// take the non-counting fast loop.
   std::uint64_t* site_hits = nullptr;
+  /// Execution strategy (see vm::RunLimits::dispatch).
+  machine::DispatchMode dispatch = machine::DispatchMode::Threaded;
 };
 
 struct SimResult {
@@ -157,11 +160,6 @@ struct SimResult {
   std::int64_t exit_value = 0;
   std::uint64_t dynamic_instructions = 0;
   std::string output;
-  /// Page-table entries rewritten by run_from()'s restore, and whether it
-  /// took the O(dirty) delta path (checkpoint observability; both 0/false
-  /// for run()).
-  std::uint64_t restored_pages = 0;
-  bool delta_restored = false;
   /// The golden snapshot the run converged on, or nullptr when it ran to
   /// its end. A converged result stops there: `dynamic_instructions` is
   /// the snapshot's position and `output` the output so far.
@@ -189,15 +187,20 @@ class Simulator {
   /// image.
   SimResult run(const SimLimits& limits = {});
 
-  /// Resumes execution from `snapshot` (captured on this program) and runs
-  /// to completion. `dynamic_instructions` and `output` report whole-run
-  /// totals including the skipped prefix, so outcome classification matches
-  /// a from-scratch run.
+  /// Loads `snapshot` (captured on this program) as the state the next
+  /// resume() runs from, and reports what the page-table restore did.
   ///
-  /// The machine is resident: it persists across calls, so resuming the
+  /// The machine is resident: it persists across calls, so restoring the
   /// same snapshot repeatedly rides Memory::restore_delta()'s O(pages the
   /// previous trial touched) path instead of rebuilding the page table.
-  SimResult run_from(const SimSnapshot& snapshot, const SimLimits& limits = {});
+  machine::Memory::RestoreStats restore(const SimSnapshot& snapshot);
+
+  /// Runs the state the last restore() loaded to completion.
+  /// `dynamic_instructions` and `output` report whole-run totals including
+  /// the skipped prefix, so outcome classification matches a from-scratch
+  /// run. Each restore() allows one resume(); any other call throws
+  /// std::logic_error.
+  SimResult resume(const SimLimits& limits = {});
 
  private:
   const Program& program_;

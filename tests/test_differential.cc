@@ -3,15 +3,20 @@
 // output, (b) the machine simulator must agree with the IR interpreter
 // bit-for-bit, (c) both engines' single-pass category profile must agree
 // with their hooked per-category profile, and (d) a trial run on a reused
-// execution context must equal the same trial on a fresh one. This
+// execution context must equal the same trial on a fresh one (a fresh
+// context takes a full restore, a reused one mostly the delta path). This
 // cross-checks the frontend, optimizer, backend, and both execution
-// engines against each other.
+// engines against each other. Last, (e) engines that differ only in their
+// execution strategy (threaded vs switch dispatch, propagation tracing on
+// vs off) must produce the same records side by side in one process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "driver/pipeline.h"
@@ -206,43 +211,130 @@ TEST_P(RandomProfiles, ProfileAllMatchesPerCategoryProfile) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProfiles,
                          ::testing::Range<std::uint64_t>(1, 51));
 
-/// Runs trials at evenly spaced k, visited in shuffled order, once through
-/// inject() (a fresh context per trial) and once through inject_in() on one
-/// context reused for every trial. The records must match in every field
-/// except the restore-side observability (restored, delta_restored,
-/// restored_pages), which depends on what the context ran before.
-template <typename Engine>
-void expect_reused_context_matches_fresh(Engine& engine, std::uint64_t seed,
-                                         const std::string& src) {
-  const std::uint64_t n = engine.profile_all()[ir::Category::All];
-  ASSERT_GT(n, 0u) << src;
+/// Every TrialRecord field except the restore-side observability
+/// (restored, delta_restored, restored_pages), which depends on what the
+/// context ran before, and the propagation summary.
+void expect_same_core(const fault::TrialRecord& a, const fault::TrialRecord& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.outcome, b.outcome) << where;
+  EXPECT_EQ(a.dynamic_target, b.dynamic_target) << where;
+  EXPECT_EQ(a.bit, b.bit) << where;
+  EXPECT_EQ(a.static_site, b.static_site) << where;
+  EXPECT_EQ(a.injected, b.injected) << where;
+  EXPECT_STREQ(a.site_opcode, b.site_opcode) << where;
+  EXPECT_STREQ(a.site_function, b.site_function) << where;
+  EXPECT_EQ(a.inject_instruction, b.inject_instruction) << where;
+  EXPECT_EQ(a.total_instructions, b.total_instructions) << where;
+  EXPECT_EQ(a.trap, b.trap) << where;
+  EXPECT_EQ(a.trap_pc, b.trap_pc) << where;
+}
+
+/// kTrials instance indices spread evenly over [1, n], in shuffled order.
+std::vector<std::uint64_t> shuffled_targets(std::uint64_t n,
+                                            std::uint64_t seed) {
   constexpr std::uint64_t kTrials = 16;
   std::vector<std::uint64_t> ks;
   for (std::uint64_t i = 0; i < kTrials; ++i)
     ks.push_back(1 + i * (n - 1) / (kTrials - 1));
   Rng order(seed);
   std::shuffle(ks.begin(), ks.end(), order);
+  return ks;
+}
+
+/// Runs trials at evenly spaced k, visited in shuffled order, once through
+/// inject() (a fresh context per trial) and once through inject_in() on one
+/// context reused for every trial. The core records must match.
+template <typename Engine>
+void expect_reused_context_matches_fresh(Engine& engine, std::uint64_t seed,
+                                         const std::string& src) {
+  const std::uint64_t n = engine.profile_all()[ir::Category::All];
+  ASSERT_GT(n, 0u) << src;
   const std::unique_ptr<fault::TrialContext> reused = engine.make_context();
-  for (const std::uint64_t k : ks) {
+  for (const std::uint64_t k : shuffled_targets(n, seed)) {
     Rng fresh_rng(seed * 31 + k);
     Rng reused_rng(seed * 31 + k);
     const fault::TrialRecord a =
         engine.inject(ir::Category::All, k, fresh_rng);
     const fault::TrialRecord b =
         engine.inject_in(reused.get(), ir::Category::All, k, reused_rng);
-    const std::string where =
-        std::string(engine.tool_name()) + " k=" + std::to_string(k) + "\n";
-    EXPECT_EQ(a.outcome, b.outcome) << where << src;
-    EXPECT_EQ(a.dynamic_target, b.dynamic_target) << where;
-    EXPECT_EQ(a.bit, b.bit) << where;
-    EXPECT_EQ(a.static_site, b.static_site) << where;
-    EXPECT_EQ(a.injected, b.injected) << where;
-    EXPECT_STREQ(a.site_opcode, b.site_opcode) << where;
-    EXPECT_STREQ(a.site_function, b.site_function) << where;
-    EXPECT_EQ(a.inject_instruction, b.inject_instruction) << where;
-    EXPECT_EQ(a.total_instructions, b.total_instructions) << where;
-    EXPECT_EQ(a.trap, b.trap) << where;
-    EXPECT_EQ(a.trap_pc, b.trap_pc) << where;
+    expect_same_core(a, b,
+                     std::string(engine.tool_name()) + " k=" +
+                         std::to_string(k) + "\n" + src);
+  }
+}
+
+/// The trials of `ks` on one reused context of `engine`, drawn as in
+/// expect_reused_context_matches_fresh().
+std::vector<fault::TrialRecord> run_targets(fault::InjectorEngine& engine,
+                                            const std::vector<std::uint64_t>& ks,
+                                            std::uint64_t seed) {
+  std::vector<fault::TrialRecord> records;
+  const std::unique_ptr<fault::TrialContext> context = engine.make_context();
+  for (const std::uint64_t k : ks) {
+    Rng rng(seed * 31 + k);
+    records.push_back(
+        engine.inject_in(context.get(), ir::Category::All, k, rng));
+  }
+  return records;
+}
+
+/// Four engines over `code` that differ only in their ExecConfig: threaded
+/// and switch dispatch, each untraced and traced. The same (k, draw) must
+/// give the same core record on all four, and the traced pair the same
+/// PropSummary. Each pair runs its trials on two threads at once.
+template <typename Engine, typename Code>
+void expect_strategies_agree(const Code& code, std::uint64_t seed,
+                             const std::string& src) {
+  using machine::DispatchMode;
+  const fault::CheckpointPolicy dense{/*stride=*/97, /*enabled=*/true};
+  Engine threaded(code, {}, dense, fault::Model{},
+                  fault::ExecConfig{DispatchMode::Threaded, false});
+  Engine switched(code, {}, dense, fault::Model{},
+                  fault::ExecConfig{DispatchMode::Switch, false});
+  Engine traced_threaded(code, {}, dense, fault::Model{},
+                         fault::ExecConfig{DispatchMode::Threaded, true});
+  Engine traced_switched(code, {}, dense, fault::Model{},
+                         fault::ExecConfig{DispatchMode::Switch, true});
+  const std::uint64_t n = threaded.profile_all()[ir::Category::All];
+  ASSERT_GT(n, 0u) << src;
+  const std::vector<std::uint64_t> ks = shuffled_targets(n, seed);
+
+  const auto side_by_side = [&](fault::InjectorEngine& a,
+                                fault::InjectorEngine& b) {
+    std::vector<fault::TrialRecord> a_records;
+    std::vector<fault::TrialRecord> b_records;
+    std::exception_ptr error;
+    {
+      std::jthread worker([&] {
+        try {
+          a_records = run_targets(a, ks, seed);
+        } catch (...) {
+          error = std::current_exception();
+        }
+      });
+      b_records = run_targets(b, ks, seed);
+    }  // joins the worker, also when run_targets(b) throws
+    if (error != nullptr) std::rethrow_exception(error);
+    return std::make_pair(std::move(a_records), std::move(b_records));
+  };
+  const auto [plain_t, plain_s] = side_by_side(threaded, switched);
+  const auto [traced_t, traced_s] = side_by_side(traced_threaded,
+                                                 traced_switched);
+
+  EXPECT_EQ(switched.golden_output(), threaded.golden_output());
+  EXPECT_EQ(switched.golden_instructions(), threaded.golden_instructions());
+  EXPECT_EQ(traced_switched.profile_all().counts,
+            threaded.profile_all().counts);
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    const std::string where = std::string(threaded.tool_name()) +
+                              " k=" + std::to_string(ks[i]) + "\n" + src;
+    expect_same_core(plain_t[i], plain_s[i], "switch " + where);
+    expect_same_core(plain_t[i], traced_t[i], "traced " + where);
+    expect_same_core(plain_t[i], traced_s[i], "traced switch " + where);
+    EXPECT_FALSE(plain_t[i].prop.traced) << where;
+    EXPECT_FALSE(plain_s[i].prop.traced) << where;
+    EXPECT_EQ(traced_t[i].prop.traced, traced_t[i].injected) << where;
+    EXPECT_TRUE(traced_t[i].prop == traced_s[i].prop) << where;
   }
 }
 
@@ -259,6 +351,14 @@ TEST_P(RandomContexts, ReusedContextMatchesFreshContext) {
   fault::PinfiEngine pinfi(prog.program(), {}, dense, fault::Model{});
   expect_reused_context_matches_fresh(llfi, GetParam(), src);
   expect_reused_context_matches_fresh(pinfi, GetParam(), src);
+}
+
+TEST_P(RandomContexts, StrategiesAgreeSideBySide) {
+  ProgramGenerator gen(GetParam() ^ 0x57A7E61Eull);
+  const std::string src = gen.generate();
+  auto prog = driver::compile(src, "rand");
+  expect_strategies_agree<fault::LlfiEngine>(prog.module(), GetParam(), src);
+  expect_strategies_agree<fault::PinfiEngine>(prog.program(), GetParam(), src);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomContexts,

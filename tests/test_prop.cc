@@ -31,12 +31,12 @@
 namespace faultlab::fault {
 namespace {
 
-/// Restores the FAULTLAB_PROP override on scope exit so a failing test
-/// cannot leak a tracing-enabled process state into later tests.
-struct ScopedProp {
-  explicit ScopedProp(bool on) { obs::set_prop_enabled(on); }
-  ~ScopedProp() { obs::set_prop_enabled(false); }
-};
+/// Default (threaded) execution with propagation tracing on or off.
+ExecConfig prop_exec(bool on) {
+  ExecConfig exec;
+  exec.trace_prop = on;
+  return exec;
+}
 
 // ---------------------------------------------------------------------------
 // SimPropTracer unit semantics (hand-built x86::Inst streams).
@@ -393,8 +393,8 @@ TEST(VmProp, DeterministicForSameDraw) {
       return 0;
     }
   )", "prop_det", unopt);
-  ScopedProp on(true);
-  LlfiEngine engine(prog.module(), {}, CheckpointPolicy{}, Model{});
+  LlfiEngine engine(prog.module(), {}, CheckpointPolicy{}, Model{},
+                    prop_exec(true));
   const std::uint64_t n = engine.profile_all()[ir::Category::All];
   ASSERT_GT(n, 0u);
   bool spread = false;
@@ -436,8 +436,8 @@ void expect_tracing_invariant(Source& source) {
   constexpr int kTrials = 30;
   std::vector<TrialRecord> plain, traced;
   {
-    ScopedProp off(false);
-    Engine engine(source);
+    Engine engine(source, {}, CheckpointPolicy::from_env(), Model::from_env(),
+                  prop_exec(false));
     const std::uint64_t n = engine.profile(ir::Category::All);
     ASSERT_GT(n, 0u);
     Rng rng(42);
@@ -447,8 +447,8 @@ void expect_tracing_invariant(Source& source) {
     }
   }
   {
-    ScopedProp on(true);
-    Engine engine(source);
+    Engine engine(source, {}, CheckpointPolicy::from_env(), Model::from_env(),
+                  prop_exec(true));
     const std::uint64_t n = engine.profile(ir::Category::All);
     Rng rng(42);
     for (int t = 0; t < kTrials; ++t) {
@@ -530,8 +530,7 @@ struct TracedCell {
 template <typename Engine, typename Source>
 TracedCell traced_cell(const Source& source, CheckpointPolicy checkpoints,
                        const Model& model) {
-  ScopedProp on(true);
-  Engine engine(source, {}, checkpoints, model);
+  Engine engine(source, {}, checkpoints, model, prop_exec(true));
   CampaignConfig cfg;
   cfg.app = "quiet";
   cfg.category = ir::Category::All;

@@ -244,72 +244,9 @@ TEST(Scheduler, PersistentFaultsNeverConverge) {
   EXPECT_EQ(on.manifest.converged_trials, 0u);
 }
 
-TEST(Scheduler, SnapshotBudgetEvictsWithoutChangingOutcomes) {
-  // A page budget far below the unbudgeted live set forces evictions at
-  // capture time; trials whose window was evicted fall back to an earlier
-  // live snapshot (or a from-scratch run), so every record must still match
-  // the unbudgeted grid.
-  auto prog = driver::compile(kGridProgram, "grid");
-  LlfiEngine llfi_ref(prog.module(), {}, {/*stride=*/500, true});
-  PinfiEngine pinfi_ref(prog.program(), {}, {/*stride=*/500, true});
-  const std::vector<CampaignResult> reference =
-      run_grid(llfi_ref, pinfi_ref, 2);
-
-  CheckpointPolicy capped_policy;
-  capped_policy.stride = 500;
-  capped_policy.budget_pages = 48;
-  LlfiEngine llfi(prog.module(), {}, capped_policy);
-  PinfiEngine pinfi(prog.program(), {}, capped_policy);
-  const std::vector<CampaignResult> capped = run_grid(llfi, pinfi, 2);
-
-  ASSERT_EQ(capped.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    expect_same_records(capped[i].trials, reference[i].trials);
-  // The budget actually bit (the dense stride over-captures way past 48
-  // pages), and it bit on both engines' stores.
-  EXPECT_GT(llfi.checkpoint_stats().evictions, 0u);
-  EXPECT_GT(pinfi.checkpoint_stats().evictions, 0u);
-  EXPECT_EQ(llfi_ref.checkpoint_stats().evictions, 0u);
-  EXPECT_EQ(pinfi_ref.checkpoint_stats().evictions, 0u);
-}
-
-TEST(Engines, EvictedSnapshotsFallBackWithoutChangingRecords) {
-  // LRU eviction after trials have run: squeezing the budget to below a
-  // single snapshot evicts every resume point, and the same draw must
-  // produce the same record from scratch.
-  auto prog = driver::compile(kGridProgram, "grid");
-  LlfiEngine reference(prog.module(), {}, {/*stride=*/500, true});
-  LlfiEngine squeezed(prog.module(), {}, {/*stride=*/500, true});
-  reference.profile_all();
-  squeezed.profile_all();
-  const std::uint64_t n = reference.profile(ir::Category::All);
-  ASSERT_GT(n, 0u);
-
-  const std::uint64_t k = n;  // late instance: resumes from a late window
-  Rng r1(7);
-  Rng r2(7);
-  const TrialRecord warm = reference.inject(ir::Category::All, k, r1);
-  EXPECT_TRUE(warm.restored);
-
-  squeezed.set_snapshot_budget(1);  // below any snapshot: evicts everything
-  EXPECT_GT(squeezed.checkpoint_stats().evictions, 0u);
-  const TrialRecord cold = squeezed.inject(ir::Category::All, k, r2);
-  EXPECT_FALSE(cold.restored);
-  EXPECT_EQ(cold.outcome, warm.outcome);
-  EXPECT_EQ(cold.bit, warm.bit);
-  EXPECT_EQ(cold.static_site, warm.static_site);
-  EXPECT_EQ(cold.injected, warm.injected);
-}
-
-/// Minimal snapshot shape the store needs: a golden position plus a paged
-/// memory image.
-struct FakeMemory {
-  std::size_t pages = 0;
-  std::size_t mapped_pages() const noexcept { return pages; }
-};
+/// Minimal snapshot shape the store needs: a golden position.
 struct FakeSnapshot {
   std::uint64_t executed = 0;
-  FakeMemory memory;
 };
 
 CategoryCounts seen_all(std::uint64_t n) {
@@ -318,48 +255,61 @@ CategoryCounts seen_all(std::uint64_t n) {
   return c;
 }
 
-TEST(CheckpointStore, BeforeAndWindowAgreeAndSkipDeadEntries) {
+/// Captures at executed = 100, 200, ... with seen = 10, 20, ...
+CheckpointStore<FakeSnapshot> store_of(std::uint64_t captures) {
   CheckpointStore<FakeSnapshot> store;
-  for (std::uint64_t i = 0; i < 4; ++i)
-    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
+  for (std::uint64_t i = 1; i <= captures; ++i)
+    store.add({i * 100}, seen_all(i * 10));
+  return store;
+}
 
+TEST(CheckpointStore, BeforeAndWindowAgreeAndSkipDeadEntries) {
+  CheckpointStore<FakeSnapshot> store = store_of(4);
   // k=25: entries with seen {10,20,30,40} -> latest with seen < 25 is #1.
   EXPECT_EQ(store.window_of(ir::Category::All, 25), 1u);
   const auto* entry = store.before(ir::Category::All, 25);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->executed, 200u);
-  // k=5: every prefix already contains >= 5? No — all seen >= 10, so no
-  // resumable point exists and the trial runs from scratch.
+  EXPECT_EQ(entry->snapshot.executed, 200u);
+  // A prefix holding exactly k-1 instances still resumes: k=21 -> #1.
+  EXPECT_EQ(store.window_of(ir::Category::All, 21), 1u);
+  EXPECT_EQ(store.window_of(ir::Category::All, 20), 0u);
+  // k=5: every prefix already holds >= 10 instances, so no resumable point
+  // exists and the trial runs from scratch.
   EXPECT_EQ(store.window_of(ir::Category::All, 5), store.kNoWindow);
   EXPECT_EQ(store.before(ir::Category::All, 5), nullptr);
+  // The time-triggered queries agree the same way.
+  EXPECT_EQ(store.window_of_time(250), 1u);
+  EXPECT_EQ(store.before_time(250)->snapshot.executed, 200u);
+  EXPECT_EQ(store.window_of_time(100), store.kNoWindow);
+  EXPECT_EQ(store.before_time(100), nullptr);
 
-  // Evict down to 20 pages (two entries). Untouched entries tie on LRU, so
-  // interval thinning picks victims; before() then walks left to the
-  // nearest live entry instead of resuming from a dead one.
-  store.set_budget(20);
-  EXPECT_EQ(store.live_count(), 2u);
-  EXPECT_EQ(store.evictions(), 2u);
-  EXPECT_LE(store.live_pages(), 20u);
-  const auto* fallback = store.before(ir::Category::All, 35);
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_TRUE(fallback->alive);
-  EXPECT_LT(fallback->seen[ir::Category::All], 35u);
+  // The captures halve() dropped (#0 and #2) are gone: before() resumes
+  // from the nearest kept entry and window_of() names its new index.
+  store.halve();
+  for (std::uint64_t k = 1; k <= 50; ++k) {
+    const auto* e = store.before(ir::Category::All, k);
+    const std::uint64_t w = store.window_of(ir::Category::All, k);
+    if (e == nullptr) {
+      EXPECT_EQ(w, store.kNoWindow) << "k=" << k;
+      EXPECT_LE(k, 20u) << "k=" << k;
+      continue;
+    }
+    EXPECT_LT(e->seen[ir::Category::All], k);
+    EXPECT_EQ(e->snapshot.executed % 200, 0u) << "k=" << k;  // a kept one
+    EXPECT_EQ(w, e->snapshot.executed / 200 - 1) << "k=" << k;
+  }
 }
 
 TEST(CheckpointStore, AfterFindsTheNextLiveGoldenState) {
-  CheckpointStore<FakeSnapshot> store;
-  for (std::uint64_t i = 0; i < 4; ++i)
-    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
+  CheckpointStore<FakeSnapshot> store = store_of(4);
   ASSERT_NE(store.after(0), nullptr);
   EXPECT_EQ(store.after(0)->executed, 100u);
   EXPECT_EQ(store.after(100)->executed, 200u);
   EXPECT_EQ(store.after(250)->executed, 300u);
   EXPECT_EQ(store.after(400), nullptr);
 
-  // Evicted entries release their snapshot (executed resets to 0), so a
-  // dead entry handed out would fail the position check below.
-  store.set_budget(20);
-  ASSERT_EQ(store.live_count(), 2u);
+  // After halve() only the kept captures are golden states to converge on.
+  store.halve();
   std::set<std::uint64_t> seen;
   for (std::uint64_t x = 0; x < 400; x += 50) {
     const FakeSnapshot* next = store.after(x);
@@ -367,53 +317,14 @@ TEST(CheckpointStore, AfterFindsTheNextLiveGoldenState) {
     EXPECT_GT(next->executed, x);
     seen.insert(next->executed);
   }
-  EXPECT_EQ(seen.size(), 2u);
-}
-
-TEST(CheckpointStore, LruKeepsTouchedEntriesAndThinsUntouchedOnes) {
-  CheckpointStore<FakeSnapshot> store;
-  for (std::uint64_t i = 0; i < 4; ++i)
-    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
-
-  // Touch entry #1 (k=25 resumes from it); it must outlive untouched peers.
-  ASSERT_NE(store.before(ir::Category::All, 25), nullptr);
-  store.set_budget(20);
-  EXPECT_EQ(store.live_count(), 2u);
-  const auto* kept = store.before(ir::Category::All, 25);
-  ASSERT_NE(kept, nullptr);
-  EXPECT_EQ(kept->executed, 200u);  // the touched entry survived
-
-  // The newest entry has an unbounded trailing gap, so among untouched
-  // entries it is thinned last: it is the other survivor.
-  EXPECT_EQ(store.before(ir::Category::All, 45)->executed, 400u);
-}
-
-TEST(CheckpointStore, BudgetEnforcedDuringCapture) {
-  CheckpointStore<FakeSnapshot> store;
-  store.set_budget(25);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
-    EXPECT_LE(store.live_pages(), 25u) << "after add " << i;
-  }
-  EXPECT_EQ(store.size(), 8u);  // dead entries keep their counters
-  EXPECT_EQ(store.live_count(), 2u);
-  EXPECT_EQ(store.evictions(), 6u);
+  EXPECT_EQ(seen, (std::set<std::uint64_t>{200, 400}));
 }
 
 TEST(CheckpointStore, HalveKeepsEverySecondEntry) {
-  CheckpointStore<FakeSnapshot> store;
-  for (std::uint64_t i = 0; i < 8; ++i)
-    store.add({(i + 1) * 100, {10}}, seen_all((i + 1) * 10));
-  store.set_budget(70);  // untouched and evenly spaced: evicts the first
-  ASSERT_EQ(store.evictions(), 1u);
-  ASSERT_EQ(store.live_count(), 7u);
+  CheckpointStore<FakeSnapshot> store = store_of(8);
   store.halve();
-  // The second, fourth, ... captures survive; the dead first entry goes
-  // without counting as a second eviction.
+  // The second, fourth, ... captures survive.
   ASSERT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.live_count(), 4u);
-  EXPECT_EQ(store.live_pages(), 40u);
-  EXPECT_EQ(store.evictions(), 1u);
   std::uint64_t at = 0;
   for (std::uint64_t w = 0; w < 4; ++w) {
     const FakeSnapshot* next = store.after(at);
@@ -424,6 +335,12 @@ TEST(CheckpointStore, HalveKeepsEverySecondEntry) {
   }
   EXPECT_EQ(store.after(at), nullptr);
   EXPECT_EQ(store.window_of(ir::Category::All, 20), store.kNoWindow);
+  // An odd count drops the last capture too.
+  CheckpointStore<FakeSnapshot> odd = store_of(5);
+  odd.halve();
+  ASSERT_EQ(odd.size(), 2u);
+  EXPECT_EQ(odd.after(200)->executed, 400u);
+  EXPECT_EQ(odd.after(400), nullptr);
 }
 
 class CheckpointEnv : public ::testing::Test {
@@ -431,7 +348,8 @@ class CheckpointEnv : public ::testing::Test {
   void TearDown() override {
     unsetenv("FAULTLAB_CHECKPOINTS");
     unsetenv("FAULTLAB_SNAPSHOT_STRIDE");
-    unsetenv("FAULTLAB_SNAPSHOT_BUDGET");
+    unsetenv("FAULTLAB_DISPATCH");
+    unsetenv("FAULTLAB_PROP");
   }
 };
 
@@ -452,11 +370,62 @@ TEST_F(CheckpointEnv, PolicyParsesEnvironment) {
   setenv("FAULTLAB_SNAPSHOT_STRIDE", "-3", 1);  // warns, falls back to auto
   EXPECT_EQ(CheckpointPolicy::from_env().stride, 0u);
 
-  EXPECT_EQ(CheckpointPolicy::from_env().budget_pages, 0u);  // unlimited
-  setenv("FAULTLAB_SNAPSHOT_BUDGET", "4096", 1);
-  EXPECT_EQ(CheckpointPolicy::from_env().budget_pages, 4096u);
-  setenv("FAULTLAB_SNAPSHOT_BUDGET", "junk", 1);  // warns, falls back
-  EXPECT_EQ(CheckpointPolicy::from_env().budget_pages, 0u);
+  unsetenv("FAULTLAB_DISPATCH");
+  unsetenv("FAULTLAB_PROP");
+  const ExecConfig defaults = ExecConfig::from_env();
+  EXPECT_EQ(defaults.dispatch, machine::DispatchMode::Threaded);
+  EXPECT_FALSE(defaults.trace_prop);
+  setenv("FAULTLAB_DISPATCH", "switch", 1);
+  EXPECT_EQ(ExecConfig::from_env().dispatch, machine::DispatchMode::Switch);
+  setenv("FAULTLAB_DISPATCH", "threaded", 1);
+  EXPECT_EQ(ExecConfig::from_env().dispatch, machine::DispatchMode::Threaded);
+  setenv("FAULTLAB_DISPATCH", "junk", 1);  // warns, falls back to threaded
+  EXPECT_EQ(ExecConfig::from_env().dispatch, machine::DispatchMode::Threaded);
+  setenv("FAULTLAB_PROP", "1", 1);
+  EXPECT_TRUE(ExecConfig::from_env().trace_prop);
+  setenv("FAULTLAB_PROP", "0", 1);
+  EXPECT_FALSE(ExecConfig::from_env().trace_prop);
+  // Each engine reads the environment when it is constructed.
+  auto prog = driver::compile(kGridProgram, "grid");
+  setenv("FAULTLAB_DISPATCH", "switch", 1);
+  setenv("FAULTLAB_PROP", "1", 1);
+  const LlfiEngine traced_switch(prog.module());
+  unsetenv("FAULTLAB_DISPATCH");
+  unsetenv("FAULTLAB_PROP");
+  const PinfiEngine plain(prog.program());
+  EXPECT_EQ(traced_switch.exec_config().dispatch,
+            machine::DispatchMode::Switch);
+  EXPECT_TRUE(traced_switch.exec_config().trace_prop);
+  EXPECT_EQ(plain.exec_config().dispatch, machine::DispatchMode::Threaded);
+  EXPECT_FALSE(plain.exec_config().trace_prop);
+}
+
+TEST(Scheduler, ManifestReportsTheEnginesDispatchMode) {
+  auto prog = driver::compile(kGridProgram, "grid");
+  const auto manifest_mode = [&](machine::DispatchMode llfi_mode,
+                                 machine::DispatchMode pinfi_mode) {
+    LlfiEngine llfi(prog.module(), {}, CheckpointPolicy{}, Model{},
+                    ExecConfig{llfi_mode, false});
+    PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy{}, Model{},
+                      ExecConfig{pinfi_mode, false});
+    SchedulerOptions options;
+    options.threads = 1;
+    CampaignScheduler scheduler(options);
+    CampaignConfig cfg;
+    cfg.app = "grid";
+    cfg.trials = 2;
+    scheduler.add(llfi, cfg);
+    scheduler.add(pinfi, cfg);
+    scheduler.run();
+    return scheduler.manifest().dispatch_mode;
+  };
+  using machine::DispatchMode;
+  EXPECT_EQ(manifest_mode(DispatchMode::Threaded, DispatchMode::Threaded),
+            "threaded");
+  EXPECT_EQ(manifest_mode(DispatchMode::Switch, DispatchMode::Switch),
+            "switch");
+  EXPECT_EQ(manifest_mode(DispatchMode::Switch, DispatchMode::Threaded),
+            "mixed");
 }
 
 /// The automatic stride starts at kMinStride and doubles each time the
@@ -529,14 +498,15 @@ TEST(Scheduler, ProfileAllMatchesPerCategoryProfile) {
   // profile_all() counts category instances on the threaded fast path (in
   // switch mode, on the slow loop); the hooked per-category profile() is
   // the oracle in both modes.
-  const machine::DispatchMode saved = machine::dispatch_mode();
   for (machine::DispatchMode mode :
        {machine::DispatchMode::Threaded, machine::DispatchMode::Switch}) {
-    machine::set_dispatch_mode(mode);
+    const ExecConfig exec{mode, /*trace_prop=*/false};
     for (const apps::Benchmark& app : apps::all_benchmarks()) {
       auto prog = driver::compile(app.source, app.name);
-      LlfiEngine llfi(prog.module());
-      PinfiEngine pinfi(prog.program());
+      LlfiEngine llfi(prog.module(), {}, CheckpointPolicy::from_env(),
+                      Model::from_env(), exec);
+      PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy::from_env(),
+                        Model::from_env(), exec);
       const CategoryCounts lcounts = llfi.profile_all();
       const CategoryCounts pcounts = pinfi.profile_all();
       for (ir::Category c : ir::kAllCategories) {
@@ -549,7 +519,6 @@ TEST(Scheduler, ProfileAllMatchesPerCategoryProfile) {
       }
     }
   }
-  machine::set_dispatch_mode(saved);
 }
 
 /// Trials k-1, k and k+1 at a sample of the instance indices k where
@@ -890,7 +859,6 @@ void expect_one_fault_free_run(const Code& code, const std::string& label) {
   const CheckpointStats after = by_profile->checkpoint_stats();
   EXPECT_EQ(after.snapshots, before.snapshots) << label;
   EXPECT_EQ(after.stride, before.stride) << label;
-  EXPECT_EQ(after.evictions, before.evictions) << label;
 }
 
 TEST(Engines, OneFaultFreeRunServesGoldenProfileAndSnapshots) {
@@ -908,12 +876,13 @@ TEST(Engines, ConcurrentFirstCallsMakeOneRun) {
   CheckpointPolicy off;
   off.enabled = false;
   for (bool traced : {false, true}) {
-    obs::set_prop_enabled(traced);
-    LlfiEngine llfi(prog.module());
-    PinfiEngine pinfi(prog.program());
-    LlfiEngine llfi_direct(prog.module(), {}, off);
-    PinfiEngine pinfi_direct(prog.program(), {}, off);
-    obs::set_prop_enabled(false);
+    const ExecConfig exec{machine::DispatchMode::Threaded, traced};
+    LlfiEngine llfi(prog.module(), {}, CheckpointPolicy::from_env(),
+                    Model::from_env(), exec);
+    PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy::from_env(),
+                      Model::from_env(), exec);
+    LlfiEngine llfi_direct(prog.module(), {}, off, Model::from_env(), exec);
+    PinfiEngine pinfi_direct(prog.program(), {}, off, Model::from_env(), exec);
     for (auto [engine, direct] :
          std::vector<std::pair<InjectorEngine*, InjectorEngine*>>{
              {&llfi, &llfi_direct}, {&pinfi, &pinfi_direct}}) {

@@ -13,6 +13,7 @@
 #include "fault/pinfi.h"
 #include "machine/dispatch.h"
 #include "machine/runtime.h"
+#include "support/rng.h"
 #include "vm/interpreter.h"
 #include "vm/trace.h"
 #include "x86/simulator.h"
@@ -23,11 +24,17 @@ namespace {
 
 using machine::DispatchMode;
 
-/// Restores the process dispatch mode on scope exit.
-struct DispatchModeGuard {
-  DispatchMode saved = machine::dispatch_mode();
-  ~DispatchModeGuard() { machine::set_dispatch_mode(saved); }
-};
+vm::RunLimits vm_limits(DispatchMode mode) {
+  vm::RunLimits limits;
+  limits.dispatch = mode;
+  return limits;
+}
+
+x86::SimLimits sim_limits(DispatchMode mode) {
+  x86::SimLimits limits;
+  limits.dispatch = mode;
+  return limits;
+}
 
 // Long enough (~100k dynamic instructions) that checkpoints, re-arm
 // windows, and fast-path stretches all occur; calls + arrays + nested
@@ -144,8 +151,6 @@ TEST(DispatchCounters, X86TraceLifecycleFeedsGauge) {
 }
 
 TEST(DispatchCounters, ThreadedVmRunDecodesHitsAndFoldsGauge) {
-  DispatchModeGuard guard;
-  machine::set_dispatch_mode(DispatchMode::Threaded);
   auto prog = driver::compile(kKernel, "t");
   const auto before = machine::dispatch_counters_snapshot();
   {
@@ -167,12 +172,26 @@ TEST(DispatchCounters, ThreadedVmRunDecodesHitsAndFoldsGauge) {
 }
 
 TEST(DispatchCounters, SwitchModeNeverTouchesTraces) {
-  DispatchModeGuard guard;
-  machine::set_dispatch_mode(DispatchMode::Switch);
   auto prog = driver::compile(kKernel, "t");
   const auto before = machine::dispatch_counters_snapshot();
-  ASSERT_TRUE(prog.run_ir().completed());
-  ASSERT_FALSE(prog.run_asm().trapped);
+  ASSERT_TRUE(prog.run_ir(nullptr, vm_limits(DispatchMode::Switch)).completed());
+  ASSERT_FALSE(prog.run_asm(nullptr, sim_limits(DispatchMode::Switch)).trapped);
+  // Engines built for switch dispatch make their profiling run and every
+  // trial on the slow loop too.
+  const fault::CheckpointPolicy checkpoints{2000, true};
+  const fault::ExecConfig exec{DispatchMode::Switch, /*trace_prop=*/false};
+  fault::LlfiEngine llfi(prog.module(), {}, checkpoints, fault::Model{}, exec);
+  fault::PinfiEngine pinfi(prog.program(), {}, checkpoints, fault::Model{},
+                           exec);
+  for (fault::InjectorEngine* engine :
+       std::vector<fault::InjectorEngine*>{&llfi, &pinfi}) {
+    const std::uint64_t n = engine->profile_all()[ir::Category::All];
+    ASSERT_GT(n, 8u);
+    for (std::uint64_t k = 1; k <= n; k += n / 8) {
+      Rng rng(k);
+      engine->inject(ir::Category::All, k, rng);
+    }
+  }
   const auto after = machine::dispatch_counters_snapshot();
   EXPECT_EQ(after.trace_decodes, before.trace_decodes);
   EXPECT_EQ(after.trace_hits, before.trace_hits);
@@ -182,7 +201,6 @@ TEST(DispatchCounters, SwitchModeNeverTouchesTraces) {
 // 4 bytes) wraps like the machine's address arithmetic and traps on the
 // unmapped result, on the slow path and on the decoded Gep micro-op alike.
 TEST(DispatchEquiv, HugeGepIndexWrapsAndTrapsInBothModes) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(R"(
     int data[8];
     int main() {
@@ -195,8 +213,7 @@ TEST(DispatchEquiv, HugeGepIndexWrapsAndTrapsInBothModes) {
     }
   )", "gep");
   for (const DispatchMode mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    machine::set_dispatch_mode(mode);
-    const vm::RunResult r = prog.run_ir();
+    const vm::RunResult r = prog.run_ir(nullptr, vm_limits(mode));
     EXPECT_TRUE(r.trapped) << machine::dispatch_mode_name(mode);
     EXPECT_EQ(r.trap, machine::TrapKind::UnmappedAccess);
     EXPECT_EQ(r.output, "7\n");
@@ -204,14 +221,12 @@ TEST(DispatchEquiv, HugeGepIndexWrapsAndTrapsInBothModes) {
 }
 
 TEST(DispatchEquiv, GoldenRunsMatchSwitchOnAllApps) {
-  DispatchModeGuard guard;
   for (const auto& b : apps::all_benchmarks()) {
     auto prog = driver::compile(b.source, b.name);
-    machine::set_dispatch_mode(DispatchMode::Switch);
-    const vm::RunResult vs = prog.run_ir();
-    const x86::SimResult xs = prog.run_asm();
-    machine::set_dispatch_mode(DispatchMode::Threaded);
-    const vm::RunResult vt = prog.run_ir();
+    const vm::RunResult vs = prog.run_ir(nullptr, vm_limits(DispatchMode::Switch));
+    const x86::SimResult xs =
+        prog.run_asm(nullptr, sim_limits(DispatchMode::Switch));
+    const vm::RunResult vt = prog.run_ir();  // threaded by default
     const x86::SimResult xt = prog.run_asm();
     EXPECT_EQ(vt.exit_value, vs.exit_value) << b.name;
     EXPECT_EQ(vt.dynamic_instructions, vs.dynamic_instructions) << b.name;
@@ -225,13 +240,11 @@ TEST(DispatchEquiv, GoldenRunsMatchSwitchOnAllApps) {
 }
 
 TEST(DispatchEquiv, TrapPcExactOnBothEngines) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(kTrapKernel, "trap");
-  machine::set_dispatch_mode(DispatchMode::Switch);
-  const vm::RunResult vs = prog.run_ir();
-  const x86::SimResult xs = prog.run_asm();
-  machine::set_dispatch_mode(DispatchMode::Threaded);
-  const vm::RunResult vt = prog.run_ir();
+  const vm::RunResult vs = prog.run_ir(nullptr, vm_limits(DispatchMode::Switch));
+  const x86::SimResult xs =
+      prog.run_asm(nullptr, sim_limits(DispatchMode::Switch));
+  const vm::RunResult vt = prog.run_ir();  // threaded by default
   const x86::SimResult xt = prog.run_asm();
 
   ASSERT_TRUE(vs.trapped);
@@ -270,16 +283,14 @@ class WindowHook final : public vm::ExecHook {
 };
 
 TEST(DispatchEquiv, DormantHookRearmsAtExactInstruction) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(kKernel, "t");
 
-  machine::set_dispatch_mode(DispatchMode::Switch);
   WindowHook slow_hook(1000, 500);
-  const vm::RunResult vs = prog.run_ir(&slow_hook);
+  const vm::RunResult vs =
+      prog.run_ir(&slow_hook, vm_limits(DispatchMode::Switch));
   ASSERT_TRUE(vs.completed());
   ASSERT_EQ(slow_hook.seen(), 500u);  // window fully observed
 
-  machine::set_dispatch_mode(DispatchMode::Threaded);
   const auto before = machine::dispatch_counters_snapshot();
   WindowHook fast_hook(1000, 500);
   const vm::RunResult vt = prog.run_ir(&fast_hook);
@@ -296,18 +307,16 @@ TEST(DispatchEquiv, DormantHookRearmsAtExactInstruction) {
 }
 
 TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(kKernel, "t");
   // An odd stride lands resume points mid-block; the switch capture run is
   // the reference schedule.
   std::vector<vm::Snapshot> snaps;
-  vm::RunLimits capture;
+  vm::RunLimits capture = vm_limits(DispatchMode::Switch);
   capture.snapshot_stride = 997;
   capture.snapshot_sink = [&](vm::Snapshot&& s) {
     snaps.push_back(std::move(s));
     return capture.snapshot_stride;
   };
-  machine::set_dispatch_mode(DispatchMode::Switch);
   const vm::RunResult full = prog.run_ir(nullptr, capture);
   ASSERT_TRUE(full.completed());
   ASSERT_GT(snaps.size(), 2u);
@@ -321,7 +330,6 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
     threaded_at.push_back(s.executed);
     return recapture.snapshot_stride;
   };
-  machine::set_dispatch_mode(DispatchMode::Threaded);
   ASSERT_TRUE(prog.run_ir(nullptr, recapture).completed());
   ASSERT_EQ(threaded_at.size(), snaps.size());
   for (std::size_t i = 0; i < snaps.size(); ++i)
@@ -331,9 +339,9 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
   // either mode (side entry into the middle of a decoded block).
   const vm::Snapshot& mid = snaps[snaps.size() / 2];
   for (DispatchMode mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    machine::set_dispatch_mode(mode);
     vm::Interpreter resumed(prog.module());
-    const vm::RunResult r = resumed.run_from(mid);
+    resumed.restore(mid);
+    const vm::RunResult r = resumed.resume(vm_limits(mode));
     EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.exit_value, full.exit_value);
     EXPECT_EQ(r.dynamic_instructions, full.dynamic_instructions);
@@ -342,16 +350,14 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
 }
 
 TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(kKernel, "t");
   std::vector<x86::SimSnapshot> snaps;
-  x86::SimLimits capture;
+  x86::SimLimits capture = sim_limits(DispatchMode::Switch);
   capture.snapshot_stride = 997;
   capture.snapshot_sink = [&](x86::SimSnapshot&& s) {
     snaps.push_back(std::move(s));
     return capture.snapshot_stride;
   };
-  machine::set_dispatch_mode(DispatchMode::Switch);
   const x86::SimResult full = prog.run_asm(nullptr, capture);
   ASSERT_FALSE(full.trapped);
   ASSERT_GT(snaps.size(), 2u);
@@ -363,7 +369,6 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
     threaded_at.push_back(s.executed);
     return recapture.snapshot_stride;
   };
-  machine::set_dispatch_mode(DispatchMode::Threaded);
   ASSERT_FALSE(prog.run_asm(nullptr, recapture).trapped);
   ASSERT_EQ(threaded_at.size(), snaps.size());
   for (std::size_t i = 0; i < snaps.size(); ++i)
@@ -371,9 +376,9 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
 
   const x86::SimSnapshot& mid = snaps[snaps.size() / 2];
   for (DispatchMode mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    machine::set_dispatch_mode(mode);
     x86::Simulator resumed(prog.program());
-    const x86::SimResult r = resumed.run_from(mid);
+    resumed.restore(mid);
+    const x86::SimResult r = resumed.resume(sim_limits(mode));
     EXPECT_FALSE(r.trapped);
     EXPECT_EQ(r.exit_value, full.exit_value);
     EXPECT_EQ(r.dynamic_instructions, full.dynamic_instructions);
@@ -408,31 +413,31 @@ void expect_same_campaign(const fault::CampaignResult& a,
 }
 
 fault::CampaignResult run_cell(driver::CompiledProgram& prog, bool pinfi,
-                               const fault::Model& model) {
-  // Small stride so many trials resume from snapshots (run_from entering
+                               const fault::Model& model, DispatchMode mode) {
+  // Small stride so many trials resume from snapshots (resume() entering
   // mid-trace) while others run from scratch.
   const fault::CheckpointPolicy checkpoints{2000, true};
+  const fault::ExecConfig exec{mode, /*trace_prop=*/false};
   fault::CampaignConfig cfg;
   cfg.app = "kernel";
   cfg.trials = 40;
   cfg.seed = 0x7e57;
   cfg.threads = 2;
   if (pinfi) {
-    fault::PinfiEngine engine(prog.program(), {}, checkpoints, model);
+    fault::PinfiEngine engine(prog.program(), {}, checkpoints, model, exec);
     return fault::run_campaign(engine, cfg);
   }
-  fault::LlfiEngine engine(prog.module(), {}, checkpoints, model);
+  fault::LlfiEngine engine(prog.module(), {}, checkpoints, model, exec);
   return fault::run_campaign(engine, cfg);
 }
 
 TEST(DispatchEquiv, CampaignRecordsMatchSwitchBothTools) {
-  DispatchModeGuard guard;
   auto prog = driver::compile(kKernel, "t");
   for (bool pinfi : {false, true}) {
-    machine::set_dispatch_mode(DispatchMode::Switch);
-    const fault::CampaignResult sw = run_cell(prog, pinfi, {});
-    machine::set_dispatch_mode(DispatchMode::Threaded);
-    const fault::CampaignResult th = run_cell(prog, pinfi, {});
+    const fault::CampaignResult sw =
+        run_cell(prog, pinfi, {}, DispatchMode::Switch);
+    const fault::CampaignResult th =
+        run_cell(prog, pinfi, {}, DispatchMode::Threaded);
     expect_same_campaign(sw, th);
   }
 }
@@ -440,15 +445,14 @@ TEST(DispatchEquiv, CampaignRecordsMatchSwitchBothTools) {
 TEST(DispatchEquiv, PersistentModelRearmsIdentically) {
   // Stuck-at faults keep the hook re-arming at every re-execution of the
   // armed site: the fast path must side-exit at every rearm_at boundary.
-  DispatchModeGuard guard;
   auto prog = driver::compile(kKernel, "t");
   fault::Model model;
   model.kind = fault::FaultKind::Permanent;
   for (bool pinfi : {false, true}) {
-    machine::set_dispatch_mode(DispatchMode::Switch);
-    const fault::CampaignResult sw = run_cell(prog, pinfi, model);
-    machine::set_dispatch_mode(DispatchMode::Threaded);
-    const fault::CampaignResult th = run_cell(prog, pinfi, model);
+    const fault::CampaignResult sw =
+        run_cell(prog, pinfi, model, DispatchMode::Switch);
+    const fault::CampaignResult th =
+        run_cell(prog, pinfi, model, DispatchMode::Threaded);
     expect_same_campaign(sw, th);
   }
 }

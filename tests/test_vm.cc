@@ -2,6 +2,8 @@
 // activation-relevant bookkeeping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "frontend/codegen.h"
 #include "ir/irbuilder.h"
 #include "support/bitutil.h"
@@ -270,7 +272,8 @@ TEST(VmSnapshot, ResumeReproducesDirectRunFromEverySnapshot) {
     // A fresh interpreter resumes any snapshot of the same module; the
     // result must report whole-logical-run totals including the prefix.
     Interpreter resumer(*m);
-    const auto r = resumer.run_from(snap);
+    resumer.restore(snap);
+    const auto r = resumer.resume();
     EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.exit_value, golden.exit_value);
     EXPECT_EQ(r.output, golden.output);
@@ -308,7 +311,8 @@ TEST(VmSnapshot, ResumePreservesCallFramesAndHeap) {
   for (const Snapshot& snap : snaps) {
     saw_deep_stack = saw_deep_stack || snap.frames.size() > 2;
     Interpreter resumer(*m);
-    const auto r = resumer.run_from(snap);
+    resumer.restore(snap);
+    const auto r = resumer.resume();
     EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.output, golden.output);
     EXPECT_EQ(r.dynamic_instructions, golden.dynamic_instructions);
@@ -341,11 +345,18 @@ TEST(VmSnapshot, SnapshotReusableAndIsolatedAcrossResumes) {
   // first resume's writes must not leak into the shared CoW pages.
   Interpreter a(*m);
   Interpreter b(*m);
-  const auto ra = a.run_from(snaps.front());
-  const auto rb = b.run_from(snaps.front());
+  EXPECT_THROW(a.resume(), std::logic_error);     // nothing restored yet
+  EXPECT_FALSE(a.restore(snaps.front()).delta);  // first restore is full
+  const auto ra = a.resume();
+  EXPECT_THROW(a.resume(), std::logic_error);  // one resume per restore
+  b.restore(snaps.front());
+  const auto rb = b.resume();
   EXPECT_EQ(ra.output, golden.output);
   EXPECT_EQ(rb.output, golden.output);
   EXPECT_EQ(ra.dynamic_instructions, rb.dynamic_instructions);
+  // Restoring the same snapshot again rewrites only the dirtied pages.
+  EXPECT_TRUE(a.restore(snaps.front()).delta);
+  EXPECT_EQ(a.resume().output, golden.output);
 }
 
 TEST(VmSnapshot, ResumedRunHonoursTotalInstructionBudget) {
@@ -369,7 +380,8 @@ TEST(VmSnapshot, ResumedRunHonoursTotalInstructionBudget) {
   Interpreter resumer(*m);
   RunLimits limits;
   limits.max_instructions = 8'000;
-  const auto r = resumer.run_from(snaps.front(), limits);
+  resumer.restore(snaps.front());
+  const auto r = resumer.resume(limits);
   EXPECT_TRUE(r.timed_out);
   EXPECT_LE(r.dynamic_instructions, 8'000u + 1);
   EXPECT_GT(r.dynamic_instructions, snaps.front().executed);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "machine/memory.h"
 #include "support/bitutil.h"
@@ -323,7 +324,8 @@ TEST(SimSnapshotTest, ResumeReproducesDirectRunFromEverySnapshot) {
 
   for (const SimSnapshot& snap : snaps) {
     Simulator resumer(p);
-    const SimResult r = resumer.run_from(snap);
+    resumer.restore(snap);
+    const SimResult r = resumer.resume();
     EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.exit_value, golden.exit_value);
     EXPECT_EQ(r.dynamic_instructions, golden.dynamic_instructions);
@@ -346,11 +348,18 @@ TEST(SimSnapshotTest, SnapshotReusableAcrossResumes) {
 
   Simulator a(p);
   Simulator b(p);
-  const SimResult ra = a.run_from(snaps.front());
-  const SimResult rb = b.run_from(snaps.front());
+  EXPECT_THROW(a.resume(), std::logic_error);     // nothing restored yet
+  EXPECT_FALSE(a.restore(snaps.front()).delta);  // first restore is full
+  const SimResult ra = a.resume();
+  EXPECT_THROW(a.resume(), std::logic_error);  // one resume per restore
+  b.restore(snaps.front());
+  const SimResult rb = b.resume();
   EXPECT_EQ(ra.exit_value, golden.exit_value);
   EXPECT_EQ(rb.exit_value, golden.exit_value);
   EXPECT_EQ(ra.dynamic_instructions, rb.dynamic_instructions);
+  // Restoring the same snapshot again rewrites only the dirtied pages.
+  EXPECT_TRUE(a.restore(snaps.front()).delta);
+  EXPECT_EQ(a.resume().exit_value, golden.exit_value);
 }
 
 TEST(SimSnapshotTest, ResumedRunHonoursTotalInstructionBudget) {
@@ -380,7 +389,8 @@ TEST(SimSnapshotTest, ResumedRunHonoursTotalInstructionBudget) {
   Simulator resumer(p);
   SimLimits limits;
   limits.max_instructions = 800;
-  const SimResult r = resumer.run_from(snaps.front(), limits);
+  resumer.restore(snaps.front());
+  const SimResult r = resumer.resume(limits);
   EXPECT_TRUE(r.timed_out);
   EXPECT_LE(r.dynamic_instructions, 801u);
   EXPECT_GT(r.dynamic_instructions, snaps.front().executed);

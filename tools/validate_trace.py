@@ -360,7 +360,7 @@ STATUS_WORKER_KEYS = {
 STATUS_PHASE_KEYS = ("restore_seconds", "execute_seconds", "classify_seconds")
 STATUS_COUNTER_KEYS = (
     "checkpoint_snapshots", "checkpoint_restores", "delta_restores",
-    "snapshot_evictions", "converged_trials", "converged_instructions",
+    "converged_trials", "converged_instructions",
     "trace_decodes", "trace_hits", "trace_invalidations",
 )
 
