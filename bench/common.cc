@@ -74,7 +74,7 @@ fault::SchedulerOptions default_scheduler_options(
   // way; this exists so perf runs and CSV-diff checks are reproducible).
   options.threads = static_cast<std::size_t>(
       support::parse_env_u64("FAULTLAB_THREADS", 0));
-  // With FAULTLAB_PROGRESS=1 the scheduler redraws its own \r status line;
+  // With FAULTLAB_PROGRESS=1 the campaign monitor redraws its \r heartbeat;
   // these per-campaign lines would tear it, so they yield.
   if (!obs::progress_enabled()) {
     options.progress = [](const fault::SchedulerProgress& p) {

@@ -44,7 +44,7 @@ inline constexpr std::uint64_t kDefaultSeed = 0xDA7A5EED;
 
 /// Scheduler options shared by every bench binary: FAULTLAB_THREADS pins
 /// the worker count, and a per-campaign completion line goes to stderr
-/// unless FAULTLAB_PROGRESS=1 (the scheduler's own single-line reporter)
+/// unless FAULTLAB_PROGRESS=1 (the campaign monitor's heartbeat line)
 /// is on, which would be clobbered by interleaved output.
 fault::SchedulerOptions default_scheduler_options(
     const fault::FaultModel& model = {});

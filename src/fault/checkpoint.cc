@@ -1,28 +1,9 @@
 // Environment overrides of the engine configuration values
-// (CheckpointPolicy, ExecConfig) and the checkpoint metrics handles of the
-// checkpoint/restore trial layer (see engine.h).
+// (CheckpointPolicy, ExecConfig; see engine.h).
 #include "fault/engine.h"
 #include "support/env.h"
 
 namespace faultlab::fault {
-
-CheckpointMetrics& checkpoint_metrics() {
-  static CheckpointMetrics metrics = [] {
-    obs::Registry& registry = obs::Registry::global();
-    return CheckpointMetrics{
-        registry.counter("checkpoint.snapshots"),
-        registry.counter("checkpoint.restores"),
-        registry.counter("checkpoint.restored_pages"),
-        registry.counter("checkpoint.skipped_instructions"),
-        registry.counter("checkpoint.delta_restores"),
-        registry.counter("checkpoint.delta_pages"),
-        registry.counter("checkpoint.converged_trials"),
-        registry.counter("checkpoint.converged_instructions"),
-        registry.histogram("checkpoint.dirty_pages"),
-    };
-  }();
-  return metrics;
-}
 
 CheckpointPolicy CheckpointPolicy::from_env() {
   CheckpointPolicy policy;

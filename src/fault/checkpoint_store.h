@@ -128,8 +128,7 @@ class CheckpointStore {
 /// Completes a run that stopped on golden snapshot `r.converged` (DESIGN
 /// §4): the rest would have replayed the golden suffix, so the total is the
 /// golden total and the output continues with the golden output past the
-/// snapshot's. Mirrors the trial into the checkpoint metrics and returns
-/// the golden-suffix instructions that were skipped.
+/// snapshot's. Returns the golden-suffix instructions that were skipped.
 template <typename RunResultT>
 std::uint64_t complete_converged(RunResultT& r,
                                  const std::string& golden_output,
@@ -137,10 +136,6 @@ std::uint64_t complete_converged(RunResultT& r,
   r.output.append(golden_output, r.converged->runtime.output.size());
   const std::uint64_t suffix = golden_instructions - r.dynamic_instructions;
   r.dynamic_instructions = golden_instructions;
-  if (obs::metrics_enabled()) {
-    checkpoint_metrics().converged_trials.add();
-    checkpoint_metrics().converged_instructions.add(suffix);
-  }
   return suffix;
 }
 

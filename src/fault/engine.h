@@ -14,7 +14,6 @@
 #include "fault/outcome.h"
 #include "ir/category.h"
 #include "machine/dispatch.h"
-#include "obs/metrics.h"
 #include "support/rng.h"
 
 namespace faultlab::fault {
@@ -78,29 +77,12 @@ struct ExecConfig {
   static ExecConfig from_env();
 };
 
-/// Handles to the checkpoint layer's counters in the process-wide metrics
-/// registry (shared by LlfiEngine and PinfiEngine; the per-engine split
-/// lives in CheckpointStats below). Call sites gate every use on
-/// obs::metrics_enabled(), so the disabled path costs one cached-bool
-/// branch.
-struct CheckpointMetrics {
-  obs::Counter snapshots;             ///< snapshots captured by profile_all
-  obs::Counter restores;              ///< trials resumed from a snapshot
-  obs::Counter restored_pages;        ///< page-table entries rewritten
-  obs::Counter skipped_instructions;  ///< golden prefix not re-executed
-  obs::Counter delta_restores;        ///< restores that walked only dirty pages
-  obs::Counter delta_pages;           ///< pages rewritten by delta restores
-  obs::Counter converged_trials;      ///< trials stopped on the golden state
-  obs::Counter converged_instructions;  ///< golden suffix not simulated
-  obs::Histogram dirty_pages;         ///< dirty-set size per delta restore
-};
-
-/// Lazily-registered singleton over Registry::global().
-CheckpointMetrics& checkpoint_metrics();
-
 /// Observability counters for the checkpoint layer (per engine). Atomic
 /// accumulation happens inside the engines; this is the plain value handed
-/// to benches and the perf manifest.
+/// to benches and the perf manifest. The engines' atomics are the only
+/// count: the campaign scheduler reads them for the run manifest and the
+/// status snapshot, and publishes each run's share as the metrics
+/// registry's `checkpoint.*` counters when the run ends.
 struct CheckpointStats {
   std::uint64_t snapshots = 0;        ///< snapshots captured by profile_all
   std::uint64_t stride = 0;           ///< final capture stride

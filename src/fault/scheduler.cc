@@ -11,16 +11,6 @@
 #include <thread>
 #include <utility>
 
-#if defined(_WIN32)
-#include <io.h>
-#define FAULTLAB_ISATTY _isatty
-#define FAULTLAB_FILENO _fileno
-#else
-#include <unistd.h>
-#define FAULTLAB_ISATTY isatty
-#define FAULTLAB_FILENO fileno
-#endif
-
 #include "machine/dispatch.h"
 #include "machine/trap.h"
 #include "obs/events.h"
@@ -78,29 +68,44 @@ std::size_t env_threads() {
       support::parse_env_u64("FAULTLAB_THREADS", 0));
 }
 
-/// Whether stderr is an interactive terminal. When it is not (CI logs,
-/// redirection to a file), the progress reporter falls back to plain
-/// newline-terminated lines instead of in-place \r redraws, so captured
-/// logs carry no ANSI control sequences.
-bool stderr_is_tty() {
-  static const bool tty = FAULTLAB_ISATTY(FAULTLAB_FILENO(stderr)) != 0;
-  return tty;
-}
+/// What the engines and the dispatch layer count, read in one place for
+/// the monitor's status snapshots, the run manifest and the metrics
+/// registry. Engine counters are cumulative across runs and the dispatch
+/// counters process-wide, so a run's share is the difference of a read
+/// and the one taken before profiling.
+struct RunCounters {
+  PhaseStats phases;
+  CheckpointStats checkpoints;
+  machine::DispatchCountersSnapshot dispatch;
 
-/// Live counters shared by the workers and the progress reporter. All
-/// relaxed: the heartbeat tolerates slightly stale reads.
-struct ProgressCounters {
-  std::atomic<std::size_t> outcomes[5] = {};  // indexed by fault::Outcome
-  /// Per-worker busy time (microseconds actually spent inside trials),
-  /// for the utilization gauges.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> busy_us;
-  std::size_t workers = 0;
+  static RunCounters read(const std::vector<InjectorEngine*>& engines) {
+    RunCounters c;
+    for (const InjectorEngine* engine : engines) {
+      c.phases += engine->phase_stats();
+      c.checkpoints += engine->checkpoint_stats();
+    }
+    c.dispatch = machine::dispatch_counters_snapshot();
+    return c;
+  }
 
-  void size_workers(std::size_t n) {
-    workers = n;
-    busy_us = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < n; ++i)
-      busy_us[i].store(0, std::memory_order_relaxed);
+  /// The counts since `before` (the phase times and the stride stay
+  /// totals).
+  RunCounters since(const RunCounters& before) const {
+    RunCounters d = *this;
+    CheckpointStats& ck = d.checkpoints;
+    const CheckpointStats& b = before.checkpoints;
+    ck.snapshots -= b.snapshots;
+    ck.trials -= b.trials;
+    ck.restored_trials -= b.restored_trials;
+    ck.skipped_instructions -= b.skipped_instructions;
+    ck.delta_restores -= b.delta_restores;
+    ck.restored_pages -= b.restored_pages;
+    ck.converged_trials -= b.converged_trials;
+    ck.converged_instructions -= b.converged_instructions;
+    d.dispatch.trace_decodes -= before.dispatch.trace_decodes;
+    d.dispatch.trace_hits -= before.dispatch.trace_hits;
+    d.dispatch.trace_invalidations -= before.dispatch.trace_invalidations;
+    return d;
   }
 };
 
@@ -115,72 +120,6 @@ obs::MonitorOutcome to_monitor_outcome(Outcome o) noexcept {
     case Outcome::NotActivated: break;
   }
   return obs::MonitorOutcome::NotActivated;
-}
-
-/// FAULTLAB_PROGRESS=1 stderr heartbeat: overall completion + ETA, running
-/// outcome tallies, and per-worker utilization gauges. Always called under
-/// the scheduler mutex (from finalize() and the workers' periodic ticks),
-/// so the counters are read without tearing the line. On a TTY the line is
-/// redrawn in place (\r...\033[K); otherwise each report is a plain
-/// newline-terminated line. `rate` comes from the caller's sliding recent
-/// window (the since-start average overestimates remaining time while the
-/// checkpoint caches warm up); when the monitor is active its ETA model
-/// and converged/watchdog tallies ride along.
-void print_progress(std::size_t trials_done, std::size_t trials_total,
-                    std::size_t campaigns_done, std::size_t campaigns_total,
-                    double elapsed_seconds, const ProgressCounters& counters,
-                    double rate, double eta,
-                    const obs::MonitorSummary* msum) {
-  const double pct =
-      trials_total != 0
-          ? 100.0 * static_cast<double>(trials_done) /
-                static_cast<double>(trials_total)
-          : 100.0;
-  const auto tally = [&](Outcome o) {
-    return counters.outcomes[static_cast<std::size_t>(o)].load(
-        std::memory_order_relaxed);
-  };
-  // Utilization gauges: busy-time share of wall time, per worker (capped at
-  // 8 gauges so the line stays readable on wide pools).
-  std::string util;
-  const std::size_t shown = std::min<std::size_t>(counters.workers, 8);
-  for (std::size_t w = 0; w < shown; ++w) {
-    const double busy =
-        static_cast<double>(
-            counters.busy_us[w].load(std::memory_order_relaxed)) /
-        1e6;
-    const double u =
-        elapsed_seconds > 0.0
-            ? std::min(100.0, 100.0 * busy / elapsed_seconds)
-            : 0.0;
-    if (!util.empty()) util += '|';
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%.0f", u);
-    util += buf;
-  }
-  if (shown < counters.workers) util += "|..";
-  std::string conv;
-  if (msum != nullptr) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "  conv %zu/%zu  wd %llu",
-                  msum->converged_cells, msum->cells,
-                  static_cast<unsigned long long>(msum->watchdog_flags));
-    conv = buf;
-  }
-  const bool tty = stderr_is_tty();
-  std::fprintf(stderr,
-               "%s[faultlab] %zu/%zu trials (%.1f%%)  %.1f trials/s  "
-               "ETA %.1fs  [%zu/%zu campaigns]%s  "
-               "crash %zu  sdc %zu  benign %zu  hang %zu  n/a %zu  "
-               "util %s%%%s",
-               tty ? "\r" : "", trials_done, trials_total, pct, rate, eta,
-               campaigns_done, campaigns_total, conv.c_str(),
-               tally(Outcome::Crash), tally(Outcome::SDC),
-               tally(Outcome::Benign), tally(Outcome::Hang),
-               tally(Outcome::NotActivated), util.c_str(),
-               tty ? "\033[K" : "\n");
-  if (tty && campaigns_done == campaigns_total) std::fputc('\n', stderr);
-  std::fflush(stderr);
 }
 
 }  // namespace
@@ -241,8 +180,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   } event_flush_guard;
   manifest_ = RunManifest{};
   manifest_.model = options_.model;
-  const machine::DispatchCountersSnapshot dispatch_before =
-      machine::dispatch_counters_snapshot();
 
   std::size_t workers = options_.threads != 0 ? options_.threads
                                               : env_threads();
@@ -268,6 +205,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     else if (manifest_.dispatch_mode != mode)
       manifest_.dispatch_mode = "mixed";
   }
+  const RunCounters before = RunCounters::read(engines);
   std::vector<CategoryCounts> profiles(engines.size());
   {
     std::vector<std::exception_ptr> errors(engines.size());
@@ -295,15 +233,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       if (error != nullptr) std::rethrow_exception(error);
   }
   manifest_.profile_seconds = profile_timer.seconds();
-  // Engine checkpoint counters are cumulative across runs; the manifest
-  // keeps this run's share.
-  const auto checkpoint_totals = [&engines] {
-    CheckpointStats sum;
-    for (const InjectorEngine* engine : engines)
-      sum += engine->checkpoint_stats();
-    return sum;
-  };
-  const CheckpointStats checkpoints_before = checkpoint_totals();
 
   // Phase 2 — draws: generated sequentially per campaign from its seed, so
   // the trial stream is independent of worker count and scheduling order.
@@ -377,7 +306,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   // Phase 3 — trials: one shared queue of window chunks over all
   // campaigns; idle workers steal the next undone chunk regardless of
   // which campaign it belongs to.
-  std::mutex mutex;  // guards finalization, progress, and error capture
+  std::mutex mutex;  // guards finalization and error capture
   std::exception_ptr first_error;
   std::size_t error_campaign = 0;
   std::atomic<bool> failed{false};
@@ -385,27 +314,33 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   std::atomic<std::size_t> trials_done{0};
   std::size_t campaigns_done = 0;
 
-  const bool progress_line = obs::progress_enabled();
   // Gate on the global log's open state rather than the cached env bool:
   // identical for FAULTLAB_EVENTS users (global() opens from the env on
   // first use), but lets bench_perf toggle the recorder programmatically
   // to measure its overhead in one process.
   const bool events_on = obs::EventLog::global().enabled();
-  ProgressCounters progress_counters;
   workers = std::min(workers, std::max<std::size_t>(chunks.size(), 1));
-  progress_counters.size_workers(workers);
+
+  // FAULTLAB_METRICS: the registry gets this run's share of the engines'
+  // counters when the run ends. Pages rewritten by delta restores are not
+  // among them, so finalize() folds them from the records.
+  const bool metrics_on = obs::metrics_enabled();
+  std::uint64_t delta_pages = 0;
+  obs::Histogram dirty_pages;
+  if (metrics_on)
+    dirty_pages = obs::Registry::global().histogram("checkpoint.dirty_pages");
 
   // Campaign monitor: forced on by SchedulerOptions::monitor, otherwise
   // spun up when the environment configures a status path or the progress
-  // heartbeat wants convergence data. Purely observational — it never
-  // influences scheduling, so results stay byte-identical with it on or
-  // off (the StatusEquiv fixtures enforce this).
+  // heartbeat (which the monitor renders) is on. Purely observational — it
+  // never influences scheduling, so results stay byte-identical with it on
+  // or off (the StatusEquiv fixtures enforce this).
   const obs::MonitorOptions monitor_options =
       options_.monitor ? *options_.monitor : obs::MonitorOptions::from_env();
   manifest_.ci_target = monitor_options.ci_target;
   std::unique_ptr<obs::CampaignMonitor> monitor;
   if (options_.monitor.has_value() || !monitor_options.status_path.empty() ||
-      progress_line) {
+      obs::progress_enabled()) {
     monitor =
         std::make_unique<obs::CampaignMonitor>(monitor_options, workers);
     for (const Campaign& c : campaigns)
@@ -413,54 +348,27 @@ std::vector<CampaignResult> CampaignScheduler::run() {
                         ir::category_name(c.result.category),
                         c.result.fault_model, c.draws.size());
     const std::string dispatch_mode = manifest_.dispatch_mode;
-    monitor->set_aux_source([engines, dispatch_before, dispatch_mode] {
+    monitor->set_aux_source([engines, before, dispatch_mode] {
+      // The snapshot shows the engines' totals and this run's dispatch.
+      const RunCounters now = RunCounters::read(engines);
+      const RunCounters run = now.since(before);
       obs::MonitorAux aux;
-      for (InjectorEngine* engine : engines) {
-        const PhaseStats phases = engine->phase_stats();
-        aux.restore_seconds += phases.restore_seconds;
-        aux.execute_seconds += phases.execute_seconds;
-        aux.classify_seconds += phases.classify_seconds;
-        const CheckpointStats ck = engine->checkpoint_stats();
-        aux.checkpoint_snapshots += ck.snapshots;
-        aux.checkpoint_restores += ck.restored_trials;
-        aux.delta_restores += ck.delta_restores;
-        aux.converged_trials += ck.converged_trials;
-        aux.converged_instructions += ck.converged_instructions;
-      }
-      const machine::DispatchCountersSnapshot now =
-          machine::dispatch_counters_snapshot();
-      aux.trace_decodes = now.trace_decodes - dispatch_before.trace_decodes;
-      aux.trace_hits = now.trace_hits - dispatch_before.trace_hits;
-      aux.trace_invalidations =
-          now.trace_invalidations - dispatch_before.trace_invalidations;
+      aux.restore_seconds = now.phases.restore_seconds;
+      aux.execute_seconds = now.phases.execute_seconds;
+      aux.classify_seconds = now.phases.classify_seconds;
+      aux.checkpoint_snapshots = now.checkpoints.snapshots;
+      aux.checkpoint_restores = now.checkpoints.restored_trials;
+      aux.delta_restores = now.checkpoints.delta_restores;
+      aux.converged_trials = now.checkpoints.converged_trials;
+      aux.converged_instructions = now.checkpoints.converged_instructions;
+      aux.trace_decodes = run.dispatch.trace_decodes;
+      aux.trace_hits = run.dispatch.trace_hits;
+      aux.trace_invalidations = run.dispatch.trace_invalidations;
       aux.dispatch_mode = dispatch_mode;
       return aux;
     });
     monitor->start();
   }
-
-  // Heartbeat rate/ETA over a sliding recent window: with checkpoint
-  // warm-up the since-start average undercounts the steady-state rate and
-  // overestimates remaining time early in a run. Called under the
-  // scheduler mutex.
-  obs::RateWindow heartbeat_rate;
-  auto emit_progress = [&](std::size_t done, std::size_t campaigns_done_now) {
-    const double elapsed = run_timer.seconds();
-    heartbeat_rate.sample(elapsed, done);
-    const double rate = heartbeat_rate.rate();
-    double eta =
-        rate > 0.0 ? static_cast<double>(total - done) / rate : 0.0;
-    obs::MonitorSummary msum;
-    if (monitor) {
-      msum = monitor->summary();
-      // The monitor's model folds in the engines' phase split early on;
-      // prefer it while it has a signal.
-      if (msum.eta_seconds > 0.0) eta = msum.eta_seconds;
-    }
-    print_progress(done, total, campaigns_done_now, campaigns.size(),
-                   elapsed, progress_counters, rate, eta,
-                   monitor ? &msum : nullptr);
-  };
 
   auto finalize = [&](std::size_t index) {
     // Called with all of the campaign's records written; aggregation walks
@@ -475,7 +383,11 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         ++restored;
         restored_pages += record.restored_pages;
       }
-      if (record.delta_restored) ++delta_restores;
+      if (record.delta_restored) {
+        ++delta_restores;
+        delta_pages += record.restored_pages;
+        dirty_pages.record(record.restored_pages);
+      }
       switch (record.outcome) {
         case Outcome::Crash: ++c.result.crash; break;
         case Outcome::SDC: ++c.result.sdc; break;
@@ -530,9 +442,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
       timing.watchdog_flags = monitor->cell_status(index).watchdog_flags;
 
     ++campaigns_done;
-    if (progress_line)
-      emit_progress(trials_done.load(std::memory_order_relaxed),
-                    campaigns_done);
     if (options_.progress) {
       SchedulerProgress p;
       p.campaigns_total = campaigns.size();
@@ -633,24 +542,10 @@ std::vector<CampaignResult> CampaignScheduler::run() {
             if (record.prop.traced) ev.prop = &record.prop;
             obs::EventLog::global().append(ev);
           }
-          const std::size_t done =
-              trials_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (progress_line) {
-            progress_counters
-                .outcomes[static_cast<std::size_t>(record.outcome)]
-                .fetch_add(1, std::memory_order_relaxed);
-            progress_counters.busy_us[worker].fetch_add(
-                static_cast<std::uint64_t>(c.latency_ms[trial] * 1000.0),
-                std::memory_order_relaxed);
-          }
+          trials_done.fetch_add(1, std::memory_order_relaxed);
           if (c.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             std::lock_guard<std::mutex> lock(mutex);
             finalize(index);
-          } else if (progress_line && done % 64 == 0) {
-            // Heartbeat between campaign completions, so long campaigns
-            // still tick.
-            std::lock_guard<std::mutex> lock(mutex);
-            emit_progress(done, campaigns_done);
           }
         } catch (...) {
           std::lock_guard<std::mutex> lock(mutex);
@@ -680,26 +575,39 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   if (monitor) monitor->finish();
   manifest_.threads = workers;
   manifest_.wall_seconds = run_timer.seconds();
-  const machine::DispatchCountersSnapshot dispatch_after =
-      machine::dispatch_counters_snapshot();
-  manifest_.trace_decodes =
-      dispatch_after.trace_decodes - dispatch_before.trace_decodes;
-  manifest_.trace_hits =
-      dispatch_after.trace_hits - dispatch_before.trace_hits;
-  manifest_.trace_invalidations = dispatch_after.trace_invalidations -
-                                  dispatch_before.trace_invalidations;
-  const CheckpointStats checkpoints_after = checkpoint_totals();
-  manifest_.converged_trials =
-      checkpoints_after.converged_trials - checkpoints_before.converged_trials;
-  manifest_.converged_instructions =
-      checkpoints_after.converged_instructions -
-      checkpoints_before.converged_instructions;
+  const RunCounters run = RunCounters::read(engines).since(before);
+  manifest_.trace_decodes = run.dispatch.trace_decodes;
+  manifest_.trace_hits = run.dispatch.trace_hits;
+  manifest_.trace_invalidations = run.dispatch.trace_invalidations;
+  manifest_.converged_trials = run.checkpoints.converged_trials;
+  manifest_.converged_instructions = run.checkpoints.converged_instructions;
 
   // Persist spans/metrics/events now rather than only at exit, so
   // long-lived processes (benches running several grids) leave a trace per
   // grid and a failed run still ships what it captured.
   machine::publish_dispatch_metrics();
-  if (obs::Tracer::global().enabled() || obs::metrics_enabled())
+  if (metrics_on) {
+    obs::Registry& registry = obs::Registry::global();
+    const CheckpointStats& ck = run.checkpoints;
+    registry.counter("checkpoint.snapshots").add(ck.snapshots);
+    registry.counter("checkpoint.restores").add(ck.restored_trials);
+    registry.counter("checkpoint.restored_pages").add(ck.restored_pages);
+    registry.counter("checkpoint.skipped_instructions")
+        .add(ck.skipped_instructions);
+    registry.counter("checkpoint.delta_restores").add(ck.delta_restores);
+    registry.counter("checkpoint.delta_pages").add(delta_pages);
+    registry.counter("checkpoint.converged_trials").add(ck.converged_trials);
+    registry.counter("checkpoint.converged_instructions")
+        .add(ck.converged_instructions);
+    // The monitor's counters appear once they count something.
+    const obs::MonitorSummary m = monitor ? monitor->summary()
+                                          : obs::MonitorSummary{};
+    if (m.watchdog_flags != 0)
+      registry.counter("monitor.watchdog_flags").add(m.watchdog_flags);
+    if (m.status_writes != 0)
+      registry.counter("monitor.status_writes").add(m.status_writes);
+  }
+  if (obs::Tracer::global().enabled() || metrics_on)
     obs::flush_observability();
   if (events_on) obs::EventLog::global().flush();
 

@@ -34,7 +34,6 @@
 #include "fault/checkpoint_store.h"
 #include "fault/engine.h"
 #include "fault/site_profile.h"
-#include "obs/metrics.h"
 #include "obs/propagation.h"
 #include "obs/trace.h"
 
@@ -180,8 +179,8 @@ class TrialCore : public InjectorEngine {
     return (k - 1) * golden_instructions_ / count + 1;
   }
 
-  /// Restore-side accounting: engine atomics plus the checkpoint-metrics
-  /// mirror. Call only for trials that actually resumed from a snapshot.
+  /// Restore-side accounting into the engine atomics. Call only for trials
+  /// that actually resumed from a snapshot.
   void account_restore(const machine::Memory::RestoreStats& restore,
                        std::uint64_t snapshot_executed) const;
 
@@ -260,8 +259,6 @@ void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
   golden_output_ = std::move(r.output);
   golden_instructions_ = r.dynamic_instructions;
   profile_counts_ = sites.counts();
-  if (obs::metrics_enabled())
-    checkpoint_metrics().snapshots.add(checkpoints_.size());
   if (span.active()) {
     span.tag("tool", Tool::kName);
     span.tag("instructions", golden_instructions_);
@@ -374,17 +371,6 @@ void TrialCore<Tool>::account_restore(
   skipped_instructions_.fetch_add(snapshot_executed, std::memory_order_relaxed);
   restored_pages_.fetch_add(restore.pages, std::memory_order_relaxed);
   if (restore.delta) delta_restores_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_enabled()) {
-    CheckpointMetrics& metrics = checkpoint_metrics();
-    metrics.restores.add();
-    metrics.restored_pages.add(restore.pages);
-    metrics.skipped_instructions.add(snapshot_executed);
-    if (restore.delta) {
-      metrics.delta_restores.add();
-      metrics.delta_pages.add(restore.pages);
-      metrics.dirty_pages.record(restore.pages);
-    }
-  }
 }
 
 template <typename Tool>

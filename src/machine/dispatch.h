@@ -20,9 +20,10 @@
 //
 // The counters here are always-on relaxed atomics (they are touched once
 // per trace entry / decode, not per instruction, so gating them behind
-// FAULTLAB_METRICS buys nothing); `publish_dispatch_metrics()` mirrors
-// them into the obs registry for exporters, and the scheduler diffs
-// `dispatch_counters_snapshot()` around a run for the manifest CSV.
+// FAULTLAB_METRICS buys nothing). The scheduler calls
+// `publish_dispatch_metrics()` at the end of each run to copy them into the
+// obs registry for exporters, and diffs `dispatch_counters_snapshot()`
+// around a run for the manifest CSV and the status snapshot.
 #pragma once
 
 #include <atomic>

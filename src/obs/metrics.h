@@ -11,7 +11,11 @@
 // The process-wide registry is gated by the FAULTLAB_METRICS environment
 // variable: hot paths check `metrics_enabled()` — one cached-bool branch —
 // before touching any handle, so the disabled path costs nothing and
-// allocates nothing. Tests construct their own Registry instances and
+// allocates nothing. Counts another layer already keeps in its own atomics
+// are not mirrored here per event: the campaign scheduler publishes each
+// run's share of the engines' checkpoint counters and the monitor's
+// counters when the run ends, as publish_dispatch_metrics() does for the
+// dispatch counters. Tests construct their own Registry instances and
 // bypass the gate entirely.
 #pragma once
 
@@ -32,7 +36,7 @@ namespace faultlab::obs {
 bool metrics_enabled() noexcept;
 
 /// True when FAULTLAB_PROGRESS is set to anything but "" or "0" (the
-/// scheduler's opt-in live stderr progress line). Cached on first call.
+/// campaign monitor's opt-in stderr heartbeat). Cached on first call.
 bool progress_enabled() noexcept;
 
 /// Merged view of one histogram: log2 buckets (bucket b holds values whose

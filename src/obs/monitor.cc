@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <ctime>
 
+#include <unistd.h>
+
 #include "obs/export.h"
 #include "support/env.h"
 #include "support/stats.h"
@@ -33,6 +35,15 @@ void append_string(std::string& out, std::string_view s) {
   out += '"';
   out += json_escape(s);
   out += '"';
+}
+
+/// Whether stderr is an interactive terminal. When it is not (CI logs,
+/// redirection to a file), the heartbeat prints plain newline-terminated
+/// lines instead of in-place \r redraws, so captured logs carry no ANSI
+/// control sequences.
+bool stderr_is_tty() {
+  static const bool tty = isatty(fileno(stderr)) != 0;
+  return tty;
 }
 
 }  // namespace
@@ -149,13 +160,14 @@ void CampaignMonitor::finish() {
     ticker_.join();
   }
   if (!started_) return;
-  // Final quiescent snapshot: workers have drained, so the document's
-  // cross-field invariants hold exactly (validate_trace.py --status checks
-  // them strictly when "final" is true).
+  // Final quiescent snapshot and heartbeat: workers have drained, so the
+  // document's cross-field invariants hold exactly (validate_trace.py
+  // --status checks them strictly when "final" is true).
   std::lock_guard<std::mutex> lock(control_mutex_);
   const double elapsed = static_cast<double>(now_us()) * 1e-6;
   rate_.sample(elapsed, trials_done_.load(std::memory_order_relaxed));
   if (!options_.status_path.empty()) write_snapshot(true);
+  if (progress_enabled()) print_heartbeat(true);
 }
 
 void CampaignMonitor::begin_trial(std::size_t worker,
@@ -188,6 +200,7 @@ void CampaignMonitor::record(std::size_t worker, std::size_t cell,
   if (worker < workers_.size()) {
     WorkerSlot& slot = workers_[worker];
     slot.trials_done.fetch_add(1, std::memory_order_relaxed);
+    slot.busy_us.fetch_add(us, std::memory_order_relaxed);
     slot.busy_cell.store(0, std::memory_order_release);
   }
 }
@@ -276,7 +289,7 @@ std::vector<MonitorWorkerStatus> CampaignMonitor::worker_status() const {
   return out;
 }
 
-double CampaignMonitor::eta_locked(double elapsed, std::uint64_t done_now,
+double CampaignMonitor::eta_locked(std::uint64_t done_now,
                                    double* rate_out) const {
   std::uint64_t total = 0;
   for (const auto& c : cells_) total += c->planned;
@@ -300,25 +313,88 @@ double CampaignMonitor::eta_locked(double elapsed, std::uint64_t done_now,
              static_cast<double>(workers_.size());
   }
   if (rate > 0.0) return static_cast<double>(remaining) / rate;
-  (void)elapsed;
   return 0.0;
 }
 
 MonitorSummary CampaignMonitor::summary() const {
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return summary_locked();
+}
+
+MonitorSummary CampaignMonitor::summary_locked() const {
   MonitorSummary s;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const MonitorCellStatus cs = cell_status_locked(i);
     s.trials_total += cs.planned;
     s.trials_done += cs.done;
     if (cs.converged) ++s.converged_cells;
+    if (cs.done == cs.planned) ++s.complete_cells;
+    for (std::size_t o = 0; o < kMonitorOutcomes; ++o)
+      s.outcomes[o] += cs.outcomes[o];
   }
   s.cells = cells_.size();
   s.watchdog_flags = watchdog_flags_.load(std::memory_order_relaxed);
   s.status_writes = status_writes_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(control_mutex_);
-  s.eta_seconds = eta_locked(static_cast<double>(now_us()) * 1e-6,
-                             s.trials_done, &s.rate_trials_per_second);
+  s.eta_seconds = eta_locked(s.trials_done, &s.rate_trials_per_second);
   return s;
+}
+
+std::string CampaignMonitor::heartbeat() const {
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return heartbeat_locked();
+}
+
+std::string CampaignMonitor::heartbeat_locked() const {
+  const MonitorSummary s = summary_locked();
+  const double pct = s.trials_total != 0
+                         ? 100.0 * static_cast<double>(s.trials_done) /
+                               static_cast<double>(s.trials_total)
+                         : 100.0;
+  // Utilization gauges: busy-time share of wall time since start(), per
+  // worker (capped at 8 gauges so the line stays readable on wide pools).
+  const double elapsed = static_cast<double>(now_us()) * 1e-6;
+  std::string util;
+  const std::size_t shown = std::min<std::size_t>(workers_.size(), 8);
+  for (std::size_t w = 0; w < shown; ++w) {
+    const double busy =
+        static_cast<double>(
+            workers_[w].busy_us.load(std::memory_order_relaxed)) *
+        1e-6;
+    const double u =
+        elapsed > 0.0 ? std::min(100.0, 100.0 * busy / elapsed) : 0.0;
+    if (!util.empty()) util += '|';
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%.0f", u);
+    util += buf;
+  }
+  if (shown < workers_.size()) util += "|..";
+  const auto tally = [&s](MonitorOutcome o) {
+    return static_cast<unsigned long long>(
+        s.outcomes[static_cast<std::size_t>(o)]);
+  };
+  char line[512];
+  std::snprintf(line, sizeof line,
+                "[faultlab] %llu/%llu trials (%.1f%%)  %.1f trials/s  "
+                "ETA %.1fs  [%zu/%zu campaigns]  conv %zu/%zu  wd %llu  "
+                "crash %llu  sdc %llu  benign %llu  hang %llu  n/a %llu  "
+                "util %s%%",
+                static_cast<unsigned long long>(s.trials_done),
+                static_cast<unsigned long long>(s.trials_total), pct,
+                s.rate_trials_per_second, s.eta_seconds, s.complete_cells,
+                s.cells, s.converged_cells, s.cells,
+                static_cast<unsigned long long>(s.watchdog_flags),
+                tally(MonitorOutcome::Crash), tally(MonitorOutcome::SDC),
+                tally(MonitorOutcome::Benign), tally(MonitorOutcome::Hang),
+                tally(MonitorOutcome::NotActivated), util.c_str());
+  return line;
+}
+
+void CampaignMonitor::print_heartbeat(bool final_line) const {
+  // On a TTY the line redraws in place, and the final one keeps its row.
+  const bool tty = stderr_is_tty();
+  std::fprintf(stderr, "%s%s%s", tty ? "\r" : "", heartbeat_locked().c_str(),
+               !tty ? "\n" : final_line ? "\033[K\n" : "\033[K");
+  std::fflush(stderr);
 }
 
 void CampaignMonitor::scan_watchdog() {
@@ -346,8 +422,6 @@ void CampaignMonitor::scan_watchdog() {
     slot.flagged.store(true, std::memory_order_relaxed);
     c.watchdog_flags.fetch_add(1, std::memory_order_relaxed);
     watchdog_flags_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_enabled())
-      Registry::global().counter("monitor.watchdog_flags").add(1);
     if (watchdog_events_.size() < kMaxWatchdogEvents) {
       WatchdogEvent ev;
       ev.worker = w;
@@ -369,10 +443,13 @@ void CampaignMonitor::poll(bool force_snapshot) {
   rate_.sample(static_cast<double>(now) * 1e-6,
                trials_done_.load(std::memory_order_relaxed));
   scan_watchdog();
-  if (options_.status_path.empty()) return;
+  const bool snapshot = !options_.status_path.empty();
+  const bool progress = progress_enabled();
+  if (!snapshot && !progress) return;
   if (!force_snapshot && now < next_snapshot_us_) return;
   next_snapshot_us_ = now + options_.status_interval_ms * 1000;
-  write_snapshot(false);
+  if (snapshot) write_snapshot(false);
+  if (progress) print_heartbeat(false);
 }
 
 std::string CampaignMonitor::status_json(bool final_snapshot) const {
@@ -385,7 +462,7 @@ std::string CampaignMonitor::status_json_locked(bool final_snapshot) const {
   const double elapsed = static_cast<double>(now) * 1e-6;
   const std::uint64_t done = trials_done_.load(std::memory_order_relaxed);
   double rate = 0.0;
-  const double eta = eta_locked(elapsed, done, &rate);
+  const double eta = eta_locked(done, &rate);
 
   std::uint64_t total = 0;
   std::size_t converged = 0;
@@ -588,8 +665,6 @@ void CampaignMonitor::write_snapshot(bool final_snapshot) {
     return;
   }
   status_writes_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled())
-    Registry::global().counter("monitor.status_writes").add(1);
 }
 
 }  // namespace faultlab::obs

@@ -20,9 +20,10 @@
 //  * **Stall watchdog.** Each worker registers its in-flight trial
 //    (cell + start time); a periodic scan flags any trial whose age
 //    exceeds `FAULTLAB_WATCHDOG` × the cell's running p99 latency.
-//    Flagging is observational only — an event is recorded and counters
-//    bump (cell, global, and a `monitor.watchdog_flags` metrics counter
-//    when FAULTLAB_METRICS is on); the trial is never killed.
+//    Flagging is observational only — an event is recorded and the cell
+//    and global counters bump; the trial is never killed. The scheduler
+//    publishes the global count (and the snapshot-write count) to the
+//    metrics registry when its run ends.
 //  * **Status snapshots.** With `FAULTLAB_STATUS=<path>.json` set, the
 //    monitor rewrites a machine-readable snapshot (schema v1, validated
 //    by tools/validate_trace.py --status) every
@@ -30,13 +31,19 @@
 //    widths / convergence, per-worker in-flight state, checkpoint and
 //    dispatch counters, and the ETA. Writes are atomic
 //    (write-temp-then-rename), so a reader never sees a torn file.
+//  * **Heartbeat.** With `FAULTLAB_PROGRESS=1` the ticker prints
+//    heartbeat() to stderr on the same `FAULTLAB_STATUS_INTERVAL` cadence
+//    (trials done, rate, ETA, campaigns complete, convergence, watchdog
+//    flags, outcome tallies, per-worker utilization), and finish() prints
+//    one final line. On a TTY the line is redrawn in place (\r...\033[K);
+//    otherwise each line ends in a newline, so logs carry no escapes.
 //
 // Cost contract (same discipline as the rest of src/obs): when the
 // monitor is off the scheduler pays one null-pointer branch per trial
 // (BM_MonitorRecordDisabled tracks it); when on, begin_trial/record are a
-// clock read plus a handful of relaxed atomics — snapshot writing and
-// watchdog scanning run on the monitor's own ticker thread, never on
-// trial workers. The monitor is read-only groundwork: the scheduler must
+// clock read plus a handful of relaxed atomics — snapshot writing,
+// heartbeat printing and watchdog scanning run on the monitor's own
+// ticker thread, never on trial workers. The monitor is read-only groundwork: the scheduler must
 // not act on convergence (results stay byte-identical with the monitor on
 // or off — the StatusEquiv fixtures enforce it).
 #pragma once
@@ -72,8 +79,8 @@ inline constexpr std::size_t kMonitorOutcomes = 5;
 /// overestimates remaining time early in a run (checkpoint warm-up makes
 /// the first trials the slowest), so ETA consumers sample (elapsed, done)
 /// points and read the rate over the most recent kWindow samples. Not
-/// thread-safe; callers serialize (the scheduler samples under its mutex,
-/// the monitor under its own).
+/// thread-safe; callers serialize (the monitor samples under its control
+/// mutex).
 class RateWindow {
  public:
   static constexpr std::size_t kWindow = 32;
@@ -102,7 +109,7 @@ class RateWindow {
 /// Monitor configuration. from_env() reads the FAULTLAB_STATUS,
 /// FAULTLAB_STATUS_INTERVAL, FAULTLAB_CI_TARGET, and FAULTLAB_WATCHDOG
 /// variables; the scheduler spins a monitor up whenever a status path is
-/// configured or the progress heartbeat wants convergence data.
+/// configured or the progress heartbeat (FAULTLAB_PROGRESS) is on.
 struct MonitorOptions {
   /// Crash-share Wilson 95% CI half-width below which a cell counts as
   /// converged (FAULTLAB_CI_TARGET, a fraction in (0, 1]).
@@ -110,11 +117,11 @@ struct MonitorOptions {
   /// Stall threshold: an in-flight trial older than this multiple of its
   /// cell's running p99 latency gets flagged (FAULTLAB_WATCHDOG).
   double watchdog_factor = 8.0;
-  /// Milliseconds between status-snapshot rewrites
+  /// Milliseconds between status-snapshot rewrites and heartbeat lines
   /// (FAULTLAB_STATUS_INTERVAL).
   std::uint64_t status_interval_ms = 1000;
   /// Snapshot destination (FAULTLAB_STATUS); empty disables snapshots but
-  /// not the tallies/watchdog (the heartbeat still consumes them).
+  /// not the tallies/watchdog (the heartbeat still renders them).
   std::string status_path;
 
   static MonitorOptions from_env();
@@ -168,6 +175,8 @@ struct MonitorSummary {
   std::uint64_t trials_done = 0;
   std::size_t cells = 0;
   std::size_t converged_cells = 0;
+  std::size_t complete_cells = 0;  ///< cells with done == planned
+  std::uint64_t outcomes[kMonitorOutcomes] = {};  ///< summed over cells
   std::uint64_t watchdog_flags = 0;
   double rate_trials_per_second = 0.0;  ///< recent-window rate
   double eta_seconds = 0.0;
@@ -217,13 +226,12 @@ class CampaignMonitor {
   /// Optional run-level context merged into every snapshot.
   void set_aux_source(std::function<MonitorAux()> source);
 
-  /// Starts the clock and, when a status path or watchdog work exists,
-  /// the ticker thread (snapshot cadence + watchdog scans). Cells must
-  /// all be registered.
+  /// Starts the clock and the ticker thread (snapshot and heartbeat
+  /// cadence + watchdog scans). Cells must all be registered.
   void start();
 
-  /// Final snapshot + ticker shutdown. Safe to call once after the last
-  /// record(); the destructor calls it too.
+  /// Ticker shutdown + final snapshot and heartbeat line. Safe to call
+  /// once after the last record(); the destructor calls it too.
   void finish();
 
   // -- trial hot path (scheduler workers) ------------------------------
@@ -242,11 +250,16 @@ class CampaignMonitor {
   std::size_t cells() const noexcept { return cells_.size(); }
 
   /// Runs one watchdog scan and, when due (or `force`), one snapshot
-  /// write. The ticker calls this periodically; tests call it directly.
+  /// write and heartbeat line. The ticker calls this periodically; tests
+  /// call it directly.
   void poll(bool force_snapshot = false);
 
   /// The full status document (schema v1) as a JSON string.
   std::string status_json(bool final_snapshot) const;
+
+  /// The FAULTLAB_PROGRESS heartbeat line, without the TTY redraw codes
+  /// or the trailing newline.
+  std::string heartbeat() const;
 
   /// Shifts the monitor's internal clock forward — the watchdog-test seam
   /// (an in-flight trial instantly looks `us` microseconds older).
@@ -276,6 +289,8 @@ class CampaignMonitor {
     std::atomic<std::uint64_t> busy_cell{0};
     std::atomic<std::uint64_t> started_us{0};
     std::atomic<std::uint64_t> trials_done{0};
+    /// Microseconds spent inside finished trials (the utilization gauge).
+    std::atomic<std::uint64_t> busy_us{0};
     std::atomic<bool> flagged{false};
   };
 
@@ -284,8 +299,10 @@ class CampaignMonitor {
   void write_snapshot(bool final_snapshot);
   MonitorCellStatus cell_status_locked(std::size_t cell) const;
   std::string status_json_locked(bool final_snapshot) const;
-  double eta_locked(double elapsed, std::uint64_t done_now,
-                    double* rate_out) const;
+  MonitorSummary summary_locked() const;
+  std::string heartbeat_locked() const;
+  void print_heartbeat(bool final_line) const;
+  double eta_locked(std::uint64_t done_now, double* rate_out) const;
 
   MonitorOptions options_;
   std::vector<std::unique_ptr<Cell>> cells_;  // stable addresses
@@ -299,8 +316,8 @@ class CampaignMonitor {
   bool started_ = false;
   bool finished_ = false;
 
-  /// Guards the rate window, watchdog event list, and snapshot writes
-  /// (ticker + poll() callers; never trial workers).
+  /// Guards the rate window, watchdog event list, snapshot writes and
+  /// heartbeat prints (ticker + poll() callers; never trial workers).
   mutable std::mutex control_mutex_;
   RateWindow rate_;
   std::vector<WatchdogEvent> watchdog_events_;

@@ -1,8 +1,8 @@
 // Campaign monitor tests: rate window behaviour, per-cell tallies and
 // Wilson-CI convergence, the stall watchdog (via the test clock seam),
-// atomic status snapshots, scheduler integration (monitor on/off result
-// equivalence, manifest convergence columns), and the always-on
-// fault::PhaseStats accounting the ETA model leans on.
+// atomic status snapshots, the heartbeat line, scheduler integration
+// (monitor on/off result equivalence, manifest convergence columns), and
+// the always-on fault::PhaseStats accounting the ETA model leans on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -177,6 +177,38 @@ TEST(CampaignMonitorTest, StatusJsonCarriesSchemaAndCells) {
   EXPECT_NE(doc.find("\"category\": \"arithmetic\""), std::string::npos);
   EXPECT_NE(doc.find("\"crash\": 5"), std::string::npos);
   EXPECT_NE(doc.find("\"trials_done\": 5"), std::string::npos);
+}
+
+TEST(CampaignMonitorTest, HeartbeatRendersTheCellTallies) {
+  CampaignMonitor monitor(MonitorOptions{}, /*workers=*/2);
+  // Worker 0 completes a converging cell; worker 1 leaves the other one
+  // open with its last trial stalled long enough to trip the watchdog.
+  const std::size_t full =
+      monitor.add_cell("mcf", "llfi", "all", "transient", 100);
+  const std::size_t open =
+      monitor.add_cell("mcf", "pinfi", "all", "transient", 25);
+  for (int i = 0; i < 100; ++i) {
+    monitor.begin_trial(0, full);
+    monitor.record(0, full, MonitorOutcome::Crash, 1.0);
+  }
+  const MonitorOutcome mixed[] = {MonitorOutcome::SDC, MonitorOutcome::Hang,
+                                  MonitorOutcome::NotActivated};
+  for (int i = 0; i < 21; ++i) {
+    monitor.begin_trial(1, open);
+    monitor.record(1, open, i < 3 ? mixed[i] : MonitorOutcome::Benign, 1.0);
+  }
+  monitor.begin_trial(1, open);
+  monitor.advance_clock_for_test(10u * 1000 * 1000);
+  monitor.poll();
+
+  const std::string line = monitor.heartbeat();
+  EXPECT_EQ(line.rfind("[faultlab] 121/125 trials (96.8%)", 0), 0u) << line;
+  EXPECT_NE(line.find("[1/2 campaigns]  conv 1/2  wd 1"), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("crash 100  sdc 1  benign 18  hang 1  n/a 1  util "),
+            std::string::npos)
+      << line;
+  EXPECT_EQ(line.find_first_of("\r\n"), std::string::npos);
 }
 
 TEST(CampaignMonitorTest, SnapshotFilePublishedAtomically) {

@@ -36,17 +36,26 @@ snapshot (schema v1 from src/obs/monitor.h):
   * when `final` is true the quiescent cross-checks apply too: every cell
     complete, no in-flight trials, worker tallies sum to `trials_done`.
 
+With --metrics M.json --manifest R.manifest.csv, a FAULTLAB_METRICS
+snapshot is checked against the run manifest of the same single-run
+process: the registry's `checkpoint.restores` and
+`checkpoint.delta_restores` must equal the manifest's per-campaign
+`restored` and `delta_restores` summed, and `checkpoint.converged_trials`
+and `checkpoint.converged_instructions` its run-level columns.
+
 Usage:
   tools/validate_trace.py TRACE [--expect-trials N]
   tools/validate_trace.py --events EVENTS.jsonl [--expect-trials N]
   tools/validate_trace.py --status STATUS.json [--expect-trials N]
                           [--expect-converged N]
+  tools/validate_trace.py --metrics M.json --manifest R.manifest.csv
 
 Exit status 0 when the file is valid, 1 otherwise (with a message per
 violation on stderr). Stdlib only — no third-party dependencies.
 """
 
 import argparse
+import csv
 import json
 import sys
 
@@ -572,9 +581,37 @@ def validate_status(doc):
                 yield f"{where}: missing key '{key}'"
 
 
+def validate_metrics(metrics, rows):
+    """Yields one message per checkpoint counter in a metrics snapshot that
+    disagrees with the run manifest's campaign rows."""
+    counters = metrics.get("counters") if isinstance(metrics, dict) else None
+    if not isinstance(counters, dict):
+        yield "metrics: no 'counters' object"
+        return
+    if not rows:
+        yield "manifest: no campaign rows"
+        return
+    expected = {
+        "checkpoint.restores": sum(int(r["restored"]) for r in rows),
+        "checkpoint.delta_restores":
+            sum(int(r["delta_restores"]) for r in rows),
+    }
+    for column in ("converged_trials", "converged_instructions"):
+        values = {r[column] for r in rows}
+        if len(values) != 1:
+            yield f"manifest: run-level column '{column}' varies by row"
+            continue
+        expected["checkpoint." + column] = int(values.pop())
+    for name, want in expected.items():
+        got = counters.get(name)
+        if got != want:
+            yield f"{name} is {got}, the manifest gives {want}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trace", help="path to the exported trace")
+    parser.add_argument("trace", nargs="?",
+                        help="path to the exported trace")
     parser.add_argument(
         "--expect-trials",
         type=int,
@@ -604,8 +641,39 @@ def main(argv=None):
         default=None,
         help="with --status: fail unless at least N cells are converged",
     )
+    parser.add_argument(
+        "--metrics",
+        help="FAULTLAB_METRICS snapshot to check against --manifest",
+    )
+    parser.add_argument(
+        "--manifest",
+        help="run manifest CSV (<results>.manifest.csv) for --metrics",
+    )
     args = parser.parse_args(argv)
 
+    if (args.metrics is None) != (args.manifest is None):
+        parser.error("--metrics and --manifest go together")
+    if args.metrics is not None:
+        if args.trace is not None or args.status or args.events:
+            parser.error("--metrics/--manifest take no trace argument")
+        try:
+            with open(args.metrics, "r", encoding="utf-8") as fh:
+                metrics = json.load(fh)
+            with open(args.manifest, "r", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            errors = list(validate_metrics(metrics, rows))
+        except (OSError, ValueError, KeyError) as e:
+            errors = [f"cannot read input: {e!r}"]
+        for message in errors:
+            print(f"{args.metrics}: {message}", file=sys.stderr)
+        if not errors:
+            print(
+                f"{args.metrics}: OK — checkpoint counters match "
+                f"{len(rows)} manifest row(s)"
+            )
+        return 1 if errors else 0
+    if args.trace is None:
+        parser.error("a trace argument is required")
     if args.status and args.events:
         parser.error("--status and --events are mutually exclusive")
 
