@@ -53,6 +53,11 @@ struct TrialRecord {
   bool restored = false;             // trial resumed from a snapshot
   bool delta_restored = false;       // reset walked only the dirty set
   std::uint32_t restored_pages = 0;  // page-table entries rewritten
+  // Phase split of the trial's wall time, as TrialCore::run_trial measures
+  // it: snapshot lookup + restore, the run, outcome classification.
+  std::uint64_t restore_ns = 0;
+  std::uint64_t execute_ns = 0;
+  std::uint64_t classify_ns = 0;
   /// Taint/divergence observability (obs/propagation.h): filled only when
   /// FAULTLAB_PROP armed a tracer for this trial. Like the checkpoint
   /// fields above, excluded from campaign CSVs and record-equality checks;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -17,7 +18,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
-#include "obs/trace.h"
 #include "support/env.h"
 #include "support/stats.h"
 #include "support/timer.h"
@@ -462,7 +462,6 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   }
 
   auto work = [&](std::size_t worker) {
-    obs::Tracer& tracer = obs::Tracer::global();
     std::uint64_t seq = 0;  // per-worker monotonic event number
     // This worker's resident execution contexts, one per engine it has run
     // trials for. A context's address space survives across trials, which
@@ -490,23 +489,13 @@ std::vector<CampaignResult> CampaignScheduler::run() {
         const std::size_t trial = c.order[p];
         try {
           if (monitor) monitor->begin_trial(worker, index);
-          {
-            WallTimer trial_timer;
-            obs::ScopedSpan span(tracer, "trial", "scheduler");
-            c.records[trial] = c.entry->engine->inject_in(
-                context, c.entry->config.category, c.draws[trial].k,
-                c.draws[trial].trial_rng);
-            c.latency_ms[trial] = trial_timer.seconds() * 1000.0;
-            if (span.active()) {
-              const TrialRecord& record = c.records[trial];
-              span.tag("app", c.result.app);
-              span.tag("tool", c.result.tool);
-              span.tag("category", ir::category_name(c.result.category));
-              span.tag("k", c.draws[trial].k);
-              span.tag("checkpoint", record.restored ? "hit" : "miss");
-              span.tag("outcome", outcome_name(record.outcome));
-            }
-          }
+          const auto trial_start = std::chrono::steady_clock::now();
+          c.records[trial] = c.entry->engine->inject_in(
+              context, c.entry->config.category, c.draws[trial].k,
+              c.draws[trial].trial_rng);
+          const std::chrono::duration<double, std::milli> latency =
+              std::chrono::steady_clock::now() - trial_start;
+          c.latency_ms[trial] = latency.count();
           const TrialRecord& record = c.records[trial];
           if (monitor)
             monitor->record(worker, index, to_monitor_outcome(record.outcome),
@@ -539,8 +528,13 @@ std::vector<CampaignResult> CampaignScheduler::run() {
                 record.instructions_after_injection();
             ev.checkpoint_hit = record.restored;
             ev.latency_ms = c.latency_ms[trial];
+            obs::EventLog& log = obs::EventLog::global();
+            ev.start_us = log.micros_since_open(trial_start);
+            ev.restore_us = record.restore_ns / 1000;
+            ev.execute_us = record.execute_ns / 1000;
+            ev.classify_us = record.classify_ns / 1000;
             if (record.prop.traced) ev.prop = &record.prop;
-            obs::EventLog::global().append(ev);
+            log.append(ev);
           }
           trials_done.fetch_add(1, std::memory_order_relaxed);
           if (c.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -582,9 +576,9 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   manifest_.converged_trials = run.checkpoints.converged_trials;
   manifest_.converged_instructions = run.checkpoints.converged_instructions;
 
-  // Persist spans/metrics/events now rather than only at exit, so
-  // long-lived processes (benches running several grids) leave a trace per
-  // grid and a failed run still ships what it captured.
+  // Persist metrics/events now rather than only at exit, so long-lived
+  // processes (benches running several grids) leave them per grid and a
+  // failed run still ships what it captured.
   machine::publish_dispatch_metrics();
   if (metrics_on) {
     obs::Registry& registry = obs::Registry::global();
@@ -607,8 +601,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     if (m.status_writes != 0)
       registry.counter("monitor.status_writes").add(m.status_writes);
   }
-  if (obs::Tracer::global().enabled() || metrics_on)
-    obs::flush_observability();
+  if (metrics_on) obs::flush_metrics();
   if (events_on) obs::EventLog::global().flush();
 
   if (first_error != nullptr) {

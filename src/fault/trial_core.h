@@ -14,7 +14,8 @@
 //  * the engine's ExecConfig, applied to the profiling run and to every
 //    trial, and
 //  * the checkpoint and phase accounting behind checkpoint_stats() and
-//    phase_stats().
+//    phase_stats(), and each record's restore/execute/classify split,
+//    which the event log carries per trial.
 // An engine derives from TrialCore<Tool>, enumerates its sites for
 // profile_once(), supplies its injection hook to run_trial(), and keeps its
 // hooked profile(c).
@@ -35,7 +36,6 @@
 #include "fault/engine.h"
 #include "fault/site_profile.h"
 #include "obs/propagation.h"
-#include "obs/trace.h"
 
 namespace faultlab::fault {
 
@@ -223,7 +223,6 @@ class TrialCore : public InjectorEngine {
 template <typename Tool>
 template <typename JournalHook>
 void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
-  obs::ScopedSpan span(obs::Tracer::global(), "profile", "engine");
   JournalHook journal_hook(&journal_);
   Executor exec(code_, exec_.trace_prop ? &journal_hook : nullptr);
   Limits limits = exec_limits();
@@ -259,12 +258,6 @@ void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
   golden_output_ = std::move(r.output);
   golden_instructions_ = r.dynamic_instructions;
   profile_counts_ = sites.counts();
-  if (span.active()) {
-    span.tag("tool", Tool::kName);
-    span.tag("instructions", golden_instructions_);
-    span.tag("snapshots", static_cast<std::uint64_t>(checkpoints_.size()));
-    span.tag("stride", checkpoint_stride_);
-  }
 }
 
 template <typename Tool>
@@ -273,26 +266,19 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
                                        ir::Category category, std::uint64_t k,
                                        Rng& rng, MakeHook make_hook) {
   Executor& exec = static_cast<Context&>(*context).exec;
-  obs::Tracer& tracer = obs::Tracer::global();
   const FaultPlan plan(fault_model_, rng, Tool::kDrawBits);
   const std::uint64_t arm_time = fault_model_.trigger == FaultTrigger::Time
                                      ? time_trigger_point(category, k)
                                      : 0;
   // Restore phase: the snapshot lookup plus, on a hit, the executor's
   // restore of memory, runtime and registers.
-  const typename CheckpointStore<Snapshot>::Entry* cp;
+  auto phase_t0 = std::chrono::steady_clock::now();
+  const typename CheckpointStore<Snapshot>::Entry* cp =
+      arm_time != 0 ? checkpoints_.before_time(arm_time)
+                    : checkpoints_.before(category, k);
   machine::Memory::RestoreStats restore;
-  {
-    obs::ScopedSpan restore_span(tracer, "restore", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    cp = arm_time != 0 ? checkpoints_.before_time(arm_time)
-                       : checkpoints_.before(category, k);
-    if (cp != nullptr) restore = exec.restore(cp->snapshot);
-    if (restore_span.active())
-      restore_span.tag("checkpoint", cp != nullptr ? "hit" : "miss");
-    restore_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-  }
+  if (cp != nullptr) restore = exec.restore(cp->snapshot);
+  const std::uint64_t restore_ns = nanos_since(phase_t0);
   const std::uint64_t base = cp != nullptr ? cp->snapshot.executed : 0;
   auto hook = make_hook(
       plan, TrialStart{cp != nullptr ? cp->seen[category] : 0, base, arm_time,
@@ -305,16 +291,9 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   limits.golden_after = [this](std::uint64_t executed) {
     return checkpoints_.after(executed);
   };
-  Result r;
-  {
-    obs::ScopedSpan exec_span(tracer, "execute", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    r = cp != nullptr ? exec.resume(limits) : Tool::run(exec, limits);
-    execute_nanos_.fetch_add(nanos_since(phase_t0),
-                             std::memory_order_relaxed);
-    if (exec_span.active())
-      exec_span.tag("instructions", r.dynamic_instructions - base);
-  }
+  phase_t0 = std::chrono::steady_clock::now();
+  Result r = cp != nullptr ? exec.resume(limits) : Tool::run(exec, limits);
+  const std::uint64_t execute_ns = nanos_since(phase_t0);
   exec.set_hook(nullptr);  // the hook dies with this call
   if (cp != nullptr) account_restore(restore, base);
   if (r.converged != nullptr) {
@@ -326,14 +305,15 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
 
   TrialRecord record;
   fill_record(record, hook, r, k, cp != nullptr ? &restore : nullptr);
-  {
-    obs::ScopedSpan classify_span(tracer, "classify", "phase");
-    const auto phase_t0 = std::chrono::steady_clock::now();
-    record.outcome = classify(hook.injected(), hook.activated(), r.trapped,
-                              r.timed_out, r.output, golden_output_);
-    classify_nanos_.fetch_add(nanos_since(phase_t0),
-                              std::memory_order_relaxed);
-  }
+  phase_t0 = std::chrono::steady_clock::now();
+  record.outcome = classify(hook.injected(), hook.activated(), r.trapped,
+                            r.timed_out, r.output, golden_output_);
+  record.restore_ns = restore_ns;
+  record.execute_ns = execute_ns;
+  record.classify_ns = nanos_since(phase_t0);
+  restore_nanos_.fetch_add(restore_ns, std::memory_order_relaxed);
+  execute_nanos_.fetch_add(execute_ns, std::memory_order_relaxed);
+  classify_nanos_.fetch_add(record.classify_ns, std::memory_order_relaxed);
   return record;
 }
 

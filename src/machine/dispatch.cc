@@ -22,7 +22,6 @@ DispatchCountersSnapshot dispatch_counters_snapshot() noexcept {
   out.trace_hits = c.trace_hits.load(std::memory_order_relaxed);
   out.trace_invalidations =
       c.trace_invalidations.load(std::memory_order_relaxed);
-  out.decoded_blocks = c.decoded_blocks.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -41,8 +40,6 @@ void publish_dispatch_metrics() {
       .add(now.trace_hits - last.trace_hits);
   registry.counter("dispatch.trace_invalidations")
       .add(now.trace_invalidations - last.trace_invalidations);
-  registry.gauge("dispatch.decoded_blocks")
-      .set(static_cast<std::int64_t>(now.decoded_blocks));
   last = now;
 }
 

@@ -48,8 +48,6 @@ struct DispatchCounters {
   /// Fast-to-slow side exits forced by an armed/armable hook window,
   /// an imminent snapshot point, or a non-traceable program state.
   std::atomic<std::uint64_t> trace_invalidations{0};
-  /// Decoded blocks currently resident across live trace caches.
-  std::atomic<std::uint64_t> decoded_blocks{0};
 };
 
 DispatchCounters& dispatch_counters() noexcept;
@@ -59,14 +57,12 @@ struct DispatchCountersSnapshot {
   std::uint64_t trace_decodes = 0;
   std::uint64_t trace_hits = 0;
   std::uint64_t trace_invalidations = 0;
-  std::uint64_t decoded_blocks = 0;
 };
 
 DispatchCountersSnapshot dispatch_counters_snapshot() noexcept;
 
 /// Mirrors the counters into the global obs registry
-/// (dispatch.trace_hits / trace_decodes / trace_invalidations counters
-/// and the dispatch.decoded_blocks gauge).
+/// (dispatch.trace_hits / trace_decodes / trace_invalidations counters).
 /// Publishes deltas since the previous publish, so repeated calls — one
 /// per scheduler run — stay cumulative. No-op while FAULTLAB_METRICS is
 /// off.

@@ -5,12 +5,20 @@
 
 #include "obs/export.h"
 #include "obs/propagation.h"
-#include "obs/trace.h"
 #include "support/env.h"
 
 namespace faultlab::obs {
 
 namespace {
+
+/// Small sequential id for the calling thread (1, 2, 3, ... in first-use
+/// order): picks the thread's shard.
+std::uint32_t current_thread_id() noexcept {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local const std::uint32_t id =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 
 /// Appends `value` as a JSON string (quoted, escaped) or null.
 void append_string(std::string& out, const char* value) {
@@ -70,6 +78,7 @@ bool EventLog::open(const std::string& path) {
     return false;
   }
   file_ = f;
+  opened_ = std::chrono::steady_clock::now();
   appended_.store(0, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
   return true;
@@ -92,6 +101,14 @@ void EventLog::close() {
     std::fclose(static_cast<std::FILE*>(file_));
     file_ = nullptr;
   }
+}
+
+std::uint64_t EventLog::micros_since_open(
+    std::chrono::steady_clock::time_point t) const noexcept {
+  if (t <= opened_) return 0;
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t - opened_)
+          .count());
 }
 
 void EventLog::write_locked(const std::string& data) {
@@ -168,6 +185,14 @@ void EventLog::append(const TrialEvent& e) {
     char latency[32];
     std::snprintf(latency, sizeof latency, "%.6f", e.latency_ms);
     out += latency;
+    out += ",\"start_us\":";
+    append_u64(out, e.start_us);
+    out += ",\"restore_us\":";
+    append_u64(out, e.restore_us);
+    out += ",\"execute_us\":";
+    append_u64(out, e.execute_us);
+    out += ",\"classify_us\":";
+    append_u64(out, e.classify_us);
     if (e.prop != nullptr) {
       // Schema v2: the per-trial propagation summary, additive — every v1
       // field above is emitted unchanged, in the same order.

@@ -1,28 +1,32 @@
 // Fault-outcome flight recorder: a bounded, sharded per-trial event writer.
 //
-// Where obs/trace.h answers "where did the time go", the event log answers
-// "what did each trial actually do": one JSON record per finished
-// injection trial — which static site / opcode / bit was hit, whether the
-// fault activated, what outcome it produced, which trap killed a crashing
-// run and where, and how many instructions the fault travelled before the
-// run ended. The stream is the raw material for crash-divergence
-// attribution (fault/attribution.h) and the campaign dashboard
-// (tools/faultlab_report.py).
+// The event log is the one per-trial timeline. It answers "what did each
+// trial actually do": one JSON record per finished injection trial —
+// which static site / opcode / bit was hit, whether the fault activated,
+// what outcome it produced, which trap killed a crashing run and where,
+// and how many instructions the fault travelled before the run ended. It
+// also answers "where did the time go": each record carries the trial's
+// start on the log's clock and its restore/execute/classify split, and
+// tools/faultlab_report.py --chrome-trace renders the records as a Chrome
+// trace (chrome://tracing, Perfetto). The stream is the raw material for
+// crash-divergence attribution (fault/attribution.h) and the campaign
+// dashboard (tools/faultlab_report.py).
 //
 // The writer is opt-in via FAULTLAB_EVENTS=<path>.jsonl and follows the
-// same inert-when-disabled discipline as ScopedSpan / metrics_enabled():
-// the disabled path is one cached-bool branch at the call site — no clock
-// read, no formatting, no allocation. When enabled, each worker thread
-// formats records into its own shard buffer (no cross-thread contention on
-// the hot path) and shards spill to the file in whole lines once they pass
-// a flush threshold, so memory stays bounded no matter how many trials a
-// campaign runs. Lines from different workers interleave, but every line
-// is complete JSON; per-worker ordering is preserved (each record carries a
+// same inert-when-disabled discipline as metrics_enabled(): the disabled
+// path is one cached-bool branch at the call site — no clock read, no
+// formatting, no allocation. When enabled, each worker thread formats
+// records into its own shard buffer (no cross-thread contention on the hot
+// path) and shards spill to the file in whole lines once they pass a flush
+// threshold, so memory stays bounded no matter how many trials a campaign
+// runs. Lines from different workers interleave, but every line is
+// complete JSON; per-worker ordering is preserved (each record carries a
 // per-worker monotonic `seq`, which tools/validate_trace.py --events
 // checks).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -67,6 +71,12 @@ struct TrialEvent {
   std::uint64_t instructions_after_injection = 0;
   bool checkpoint_hit = false;    ///< trial resumed from a snapshot
   double latency_ms = 0.0;        ///< trial wall time
+  /// Trial start in µs since the log was opened (EventLog::micros_since_open).
+  std::uint64_t start_us = 0;
+  /// The trial's phase split (TrialRecord::restore_ns etc.) in µs.
+  std::uint64_t restore_us = 0;
+  std::uint64_t execute_us = 0;
+  std::uint64_t classify_us = 0;
   /// Non-null for propagation-traced trials (FAULTLAB_PROP=1): the record
   /// is emitted as schema v2 with an additive "prop" object. Null keeps
   /// the line byte-identical to schema v1, so existing logs and consumers
@@ -106,6 +116,12 @@ class EventLog {
   /// process still leaves the trials it finished on disk.
   void flush();
 
+  /// Microseconds from open() to `t` (0 for an earlier `t`), on the steady
+  /// clock every worker shares, so successive runs logged into one open
+  /// log share one timeline.
+  std::uint64_t micros_since_open(
+      std::chrono::steady_clock::time_point t) const noexcept;
+
   /// Records appended (accepted) since open().
   std::uint64_t appended() const noexcept {
     return appended_.load(std::memory_order_relaxed);
@@ -127,6 +143,7 @@ class EventLog {
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> appended_{0};
+  std::chrono::steady_clock::time_point opened_;  // set by open()
   Shard shards_[kNumShards];
   std::mutex file_mutex_;
   void* file_ = nullptr;  // std::FILE*, opaque to keep <cstdio> out of here

@@ -1,9 +1,7 @@
 #include "obs/export.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <ostream>
 #include <sstream>
 
 #include "support/env.h"
@@ -31,64 +29,6 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
-}
-
-namespace {
-
-void write_event(const Span& span, std::ostream& os) {
-  os << "{\"name\":\"" << json_escape(span.name) << "\",\"cat\":\""
-     << json_escape(span.cat) << "\",\"ph\":\"X\",\"ts\":" << span.start_us
-     << ",\"dur\":" << span.dur_us << ",\"pid\":1,\"tid\":" << span.tid;
-  if (!span.tags.empty()) {
-    os << ",\"args\":{";
-    for (std::size_t i = 0; i < span.tags.size(); ++i) {
-      if (i != 0) os << ",";
-      os << "\"" << json_escape(span.tags[i].first) << "\":\""
-         << json_escape(span.tags[i].second) << "\"";
-    }
-    os << "}";
-  }
-  os << "}";
-}
-
-}  // namespace
-
-void write_chrome_trace(const std::vector<Span>& spans, std::ostream& os) {
-  os << "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    write_event(spans[i], os);
-    os << (i + 1 < spans.size() ? ",\n" : "\n");
-  }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void write_spans_jsonl(const std::vector<Span>& spans, std::ostream& os) {
-  for (const Span& span : spans) {
-    os << "{\"name\":\"" << json_escape(span.name) << "\",\"cat\":\""
-       << json_escape(span.cat) << "\",\"ts_us\":" << span.start_us
-       << ",\"dur_us\":" << span.dur_us << ",\"tid\":" << span.tid;
-    for (const auto& [key, value] : span.tags)
-      os << ",\"" << json_escape(key) << "\":\"" << json_escape(value)
-         << "\"";
-    os << "}\n";
-  }
-}
-
-bool export_trace(const Tracer& tracer, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write trace to '%s'\n",
-                 path.c_str());
-    return false;
-  }
-  const std::vector<Span> spans = tracer.spans();
-  const bool jsonl =
-      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  if (jsonl)
-    write_spans_jsonl(spans, out);
-  else
-    write_chrome_trace(spans, out);
-  return static_cast<bool>(out);
 }
 
 std::string metrics_json(const MetricsSnapshot& snapshot) {
@@ -129,9 +69,7 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-void flush_observability() {
-  if (const char* path = Tracer::env_path())
-    export_trace(Tracer::global(), path);
+void flush_metrics() {
   if (!metrics_enabled()) return;
   const char* dest = support::parse_env_string("FAULTLAB_METRICS");
   if (dest == nullptr) return;

@@ -1,44 +1,28 @@
-// Export formats for the observability layer.
-//
-// Traces: Chrome trace-event JSON ("X" complete events, loadable in
-// chrome://tracing and Perfetto) or JSONL (one span object per line, for
-// jq/pandas pipelines). Metrics: one JSON object with counters, gauges,
-// and histograms (count/sum/min/max/p50/p95/p99 plus non-empty buckets).
+// Export formats for the observability layer: one JSON object with the
+// metrics registry's counters, gauges, and histograms (count/sum/min/max/
+// p50/p95/p99 plus non-empty buckets). The per-trial timeline is the event
+// log (obs/events.h); tools/faultlab_report.py --chrome-trace renders it
+// as a Chrome trace.
 #pragma once
 
-#include <iosfwd>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace faultlab::obs {
 
 /// JSON string-body escaping (quotes, backslashes, control characters).
 std::string json_escape(std::string_view s);
 
-/// Chrome trace-event format: {"traceEvents": [...]} with one "X" event
-/// per span; tags become the event's "args".
-void write_chrome_trace(const std::vector<Span>& spans, std::ostream& os);
-
-/// JSONL: one {"name", "cat", "ts_us", "dur_us", "tid", tags...} per line.
-void write_spans_jsonl(const std::vector<Span>& spans, std::ostream& os);
-
-/// Writes the tracer's spans to `path` — JSONL when the path ends in
-/// ".jsonl", Chrome trace JSON otherwise. Returns false (with a stderr
-/// warning) when the file cannot be written.
-bool export_trace(const Tracer& tracer, const std::string& path);
-
 /// Metrics snapshot as a JSON object string.
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
-/// Flushes process-wide observability state, honouring the environment:
-/// the global tracer to $FAULTLAB_TRACE (when set), and the global metrics
-/// registry to $FAULTLAB_METRICS when it names a path (a bare "1" prints a
-/// short summary to stderr instead). Safe to call repeatedly — each call
-/// rewrites the outputs with the cumulative state; a no-op when neither
-/// variable is set. The scheduler calls this after every run.
-void flush_observability();
+/// Writes the global metrics registry to $FAULTLAB_METRICS when it names a
+/// path (a bare "1" prints the JSON to stderr instead). Safe to call
+/// repeatedly — each call rewrites the output with the cumulative state; a
+/// no-op while FAULTLAB_METRICS is off. The scheduler calls this after
+/// every run, and metrics_enabled() registers it to run at exit.
+void flush_metrics();
 
 }  // namespace faultlab::obs

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
+#include "obs/export.h"
 #include "support/env.h"
 
 namespace faultlab::obs {
@@ -22,7 +24,12 @@ void atomic_max(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
 }  // namespace
 
 bool metrics_enabled() noexcept {
-  static const bool on = support::parse_env_flag("FAULTLAB_METRICS", false);
+  static const bool on = [] {
+    const bool enabled = support::parse_env_flag("FAULTLAB_METRICS", false);
+    // Programs that never reach a scheduler run still get their metrics.
+    if (enabled) std::atexit([] { flush_metrics(); });
+    return enabled;
+  }();
   return on;
 }
 

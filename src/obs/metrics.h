@@ -32,7 +32,8 @@ namespace faultlab::obs {
 
 /// True when FAULTLAB_METRICS is set to anything but "" or "0". Cached on
 /// first call; the gate hot paths check before recording into the global
-/// registry.
+/// registry. When on, the first call also registers flush_metrics()
+/// (obs/export.h) to run at exit.
 bool metrics_enabled() noexcept;
 
 /// True when FAULTLAB_PROGRESS is set to anything but "" or "0" (the

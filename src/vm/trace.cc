@@ -22,12 +22,6 @@ std::uint64_t type_mask(const ir::Type* t) {
 TraceCache::TraceCache(const machine::GlobalLayout& layout)
     : layout_(layout) {}
 
-TraceCache::~TraceCache() {
-  if (decoded_ != 0)
-    machine::dispatch_counters().decoded_blocks.fetch_sub(
-        decoded_, std::memory_order_relaxed);
-}
-
 TraceFunction& TraceCache::function(const ir::Function& fn) {
   auto it = functions_.find(&fn);
   if (it != functions_.end()) return *it->second;
@@ -415,10 +409,8 @@ void TraceCache::decode(TraceFunction& tf, TraceBlock& tb) {
     return;
   }
   tb.state = TraceBlock::State::Ready;
-  ++decoded_;
-  machine::DispatchCounters& counters = machine::dispatch_counters();
-  counters.trace_decodes.fetch_add(1, std::memory_order_relaxed);
-  counters.decoded_blocks.fetch_add(1, std::memory_order_relaxed);
+  machine::dispatch_counters().trace_decodes.fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 }  // namespace faultlab::vm

@@ -166,7 +166,6 @@ class TraceCache {
   explicit TraceCache(const machine::GlobalLayout& layout);
   TraceCache(const TraceCache&) = delete;
   TraceCache& operator=(const TraceCache&) = delete;
-  ~TraceCache();  // folds this cache's block count out of the global gauge
 
   /// Scaffolding for `fn` (alloca plan, block table), built on first use.
   TraceFunction& function(const ir::Function& fn);
@@ -181,7 +180,6 @@ class TraceCache {
   const machine::GlobalLayout& layout_;
   std::unordered_map<const ir::Function*, std::unique_ptr<TraceFunction>>
       functions_;
-  std::uint64_t decoded_ = 0;
 };
 
 }  // namespace faultlab::vm

@@ -38,13 +38,7 @@ XTrace::XTrace(const Program& program) {
         break;
     }
   }
-  machine::DispatchCounters& counters = machine::dispatch_counters();
-  counters.trace_decodes.fetch_add(1, std::memory_order_relaxed);
-  counters.decoded_blocks.fetch_add(1, std::memory_order_relaxed);
-}
-
-XTrace::~XTrace() {
-  machine::dispatch_counters().decoded_blocks.fetch_sub(
+  machine::dispatch_counters().trace_decodes.fetch_add(
       1, std::memory_order_relaxed);
 }
 

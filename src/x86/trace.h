@@ -65,7 +65,6 @@ struct XTrace {
   explicit XTrace(const Program& program);
   XTrace(const XTrace&) = delete;
   XTrace& operator=(const XTrace&) = delete;
-  ~XTrace();  // folds this trace out of the decoded-blocks gauge
 
   std::vector<XUOp> uops;
 };

@@ -1,13 +1,13 @@
 // Observability tests: metrics registry (sharded counters/histograms merge
 // exactly under concurrency, log2 bucket boundaries, percentile
-// interpolation), span tracing (bounded ring, sort order, RAII spans), and
-// the Chrome-trace/JSONL exporters — including the guarantee that the
-// disabled path records nothing and never allocates.
+// interpolation), the metrics-JSON exporter, and the per-trial event log —
+// including the guarantee that the disabled path records nothing and never
+// allocates, and that each record carries its trial's phase split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <map>
 #include <string_view>
 #include <thread>
 
@@ -18,7 +18,6 @@
 #include "obs/events.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace faultlab::obs {
 namespace {
@@ -214,167 +213,12 @@ TEST(Metrics, RegistryCellCapacityStillBounded) {
   EXPECT_TRUE(threw);
 }
 
-TEST(Trace, RingOverwritesOldestAndCountsDropped) {
-  Tracer tracer(4);
-  tracer.set_enabled(true);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    Span s;
-    s.name = "s";
-    s.start_us = i;
-    tracer.record(std::move(s));
-  }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.dropped(), 2u);
-  const std::vector<Span> spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans.front().start_us, 2u);  // oldest two were overwritten
-  EXPECT_EQ(spans.back().start_us, 5u);
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(Trace, SpansSortParentsBeforeChildrenOnTies) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  Span child;
-  child.name = "child";
-  child.start_us = 100;
-  child.dur_us = 10;
-  tracer.record(std::move(child));
-  Span parent;
-  parent.name = "parent";
-  parent.start_us = 100;
-  parent.dur_us = 50;
-  tracer.record(std::move(parent));
-  const std::vector<Span> spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_STREQ(spans[0].name, "parent");  // longer span first on ties
-  EXPECT_STREQ(spans[1].name, "child");
-}
-
-TEST(Trace, ScopedSpanRecordsNameTagsAndNesting) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    ScopedSpan outer(tracer, "trial", "scheduler");
-    ASSERT_TRUE(outer.active());
-    outer.tag("app", std::string_view("mcf"));
-    outer.tag("outcome", "SDC");
-    outer.tag("k", std::uint64_t{42});
-    ScopedSpan inner(tracer, "execute", "phase");
-    inner.finish();
-    inner.finish();  // idempotent
-  }
-  const std::vector<Span> spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  // The outer span starts no later and lives at least as long, so the sort
-  // puts it first.
-  EXPECT_STREQ(spans[0].name, "trial");
-  EXPECT_STREQ(spans[1].name, "execute");
-  EXPECT_LE(spans[0].start_us, spans[1].start_us);
-  EXPECT_GE(spans[0].start_us + spans[0].dur_us,
-            spans[1].start_us + spans[1].dur_us);
-  ASSERT_EQ(spans[0].tags.size(), 3u);
-  EXPECT_EQ(spans[0].tags[0].first, "app");
-  EXPECT_EQ(spans[0].tags[0].second, "mcf");
-  EXPECT_EQ(spans[0].tags[2].second, "42");
-}
-
-TEST(Trace, DisabledPathRecordsNothingAndNeverAllocates) {
-  Tracer tracer;  // disabled by default
-  bool any_active = false;
-  const std::size_t before = testing_support::allocation_count();
-  for (int i = 0; i < 100; ++i) {
-    ScopedSpan span(tracer, "trial", "scheduler");
-    any_active |= span.active();
-    span.tag("app", std::string_view("mcf"));
-    span.tag("outcome", "SDC");
-    span.tag("k", std::uint64_t{12345});
-    span.finish();
-  }
-  const std::size_t after = testing_support::allocation_count();
-  EXPECT_FALSE(any_active);
-  EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(tracer.size(), 0u);
-}
-
-std::vector<Span> sample_spans() {
-  std::vector<Span> spans;
-  Span a;
-  a.name = "trial";
-  a.cat = "scheduler";
-  a.start_us = 10;
-  a.dur_us = 90;
-  a.tid = 1;
-  a.tags.emplace_back("app", "mcf");
-  a.tags.emplace_back("note", "quote\" back\\slash\nline");
-  spans.push_back(std::move(a));
-  Span b;
-  b.name = "execute";
-  b.cat = "phase";
-  b.start_us = 20;
-  b.dur_us = 70;
-  b.tid = 1;
-  spans.push_back(std::move(b));
-  return spans;
-}
-
-TEST(Export, ChromeTraceShapeAndEscaping) {
-  std::ostringstream os;
-  write_chrome_trace(sample_spans(), os);
-  const std::string json = os.str();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"trial\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"scheduler\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"app\":\"mcf\""), std::string::npos);
-  // Control characters and quotes escaped, never raw (the only literal
-  // newlines are the one-event-per-line separators).
-  EXPECT_NE(json.find("quote\\\" back\\\\slash\\nline"), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-}
-
-TEST(Export, JsonlOneObjectPerLine) {
-  std::ostringstream os;
-  write_spans_jsonl(sample_spans(), os);
-  std::istringstream in(os.str());
-  std::size_t lines = 0;
-  for (std::string line; std::getline(in, line); ++lines) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(os.str().find("\"ts_us\":10"), std::string::npos);
-  EXPECT_NE(os.str().find("\"dur_us\":90"), std::string::npos);
-}
-
 TEST(Export, JsonEscape) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-}
-
-TEST(Export, ExportTraceSelectsFormatBySuffix) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  for (Span& s : sample_spans()) tracer.record(std::move(s));
-  const std::string dir = ::testing::TempDir();
-  const std::string chrome_path = dir + "/obs_test_trace.json";
-  const std::string jsonl_path = dir + "/obs_test_trace.jsonl";
-  ASSERT_TRUE(export_trace(tracer, chrome_path));
-  ASSERT_TRUE(export_trace(tracer, jsonl_path));
-  std::stringstream chrome, jsonl;
-  chrome << std::ifstream(chrome_path).rdbuf();
-  jsonl << std::ifstream(jsonl_path).rdbuf();
-  EXPECT_EQ(chrome.str().rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_EQ(jsonl.str().rfind("{\"name\":", 0), 0u);
-  EXPECT_FALSE(export_trace(tracer, dir + "/no/such/dir/trace.json"));
-  std::remove(chrome_path.c_str());
-  std::remove(jsonl_path.c_str());
 }
 
 TEST(Export, MetricsJsonIncludesStatsAndSparseBuckets) {
@@ -444,6 +288,10 @@ TEST(Events, MultiThreadedRoundTripSpillsWholeLines) {
         e.instructions_after_injection = 15;
         e.checkpoint_hit = i % 2 == 0;
         e.latency_ms = 0.5;
+        e.start_us = 1000 + i;
+        e.restore_us = 3;
+        e.execute_us = 480;
+        e.classify_us = 9;
         log.append(e);
       }
     });
@@ -464,6 +312,7 @@ TEST(Events, MultiThreadedRoundTripSpillsWholeLines) {
     ASSERT_LT(worker, kThreads);
     // Per-worker ordering survives the sharded buffering.
     EXPECT_EQ(field_u64(line, "seq"), next_seq[worker]);
+    EXPECT_EQ(field_u64(line, "start_us"), 1000 + next_seq[worker]);
     ++next_seq[worker];
     ++counts[worker];
   }
@@ -475,6 +324,12 @@ TEST(Events, MultiThreadedRoundTripSpillsWholeLines) {
   EXPECT_NE(lines[0].find("\"trap\":\"unmapped-access\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"trap_pc\":99"), std::string::npos);
   EXPECT_NE(lines[0].find("\"instructions_after_injection\":15"),
+            std::string::npos);
+  // The phase split follows the latency, before any v2 "prop" object.
+  EXPECT_NE(lines[0].find("\"latency_ms\":0.500000,\"start_us\":"),
+            std::string::npos);
+  EXPECT_NE(lines[0].find(",\"restore_us\":3,\"execute_us\":480,"
+                          "\"classify_us\":9}"),
             std::string::npos);
   std::remove(path.c_str());
 }
@@ -525,10 +380,20 @@ TEST(Events, DisabledPathRecordsNothingAndNeverAllocates) {
   EXPECT_EQ(log.appended(), 0u);
 }
 
-// End-to-end: a real campaign grid under an enabled global tracer yields
-// one "trial" span per trial, tagged for slicing, with phase spans nested
-// inside — and the manifest carries coherent latency percentiles.
-TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
+/// The string value of `"key":"..."` in a serialized event line.
+std::string field_str(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string::npos) return {};
+  const std::size_t begin = pos + needle.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+// End-to-end: a real campaign grid with the global event log open yields
+// one record per trial, tagged for slicing and carrying the trial's phase
+// split, which sums to the engine's phase totals — and the manifest
+// carries coherent latency percentiles.
+TEST(Observability, SchedulerEventsCarryThePhaseSplit) {
   const char* kProgram = R"(
     int main() {
       int i; long acc = 0;
@@ -540,9 +405,10 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   auto prog = driver::compile(kProgram, "tiny");
   fault::LlfiEngine llfi(prog.module());
 
-  Tracer& tracer = Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
+  const std::string path =
+      ::testing::TempDir() + "/obs_scheduler_events.jsonl";
+  EventLog& log = EventLog::global();
+  ASSERT_TRUE(log.open(path));
   fault::SchedulerOptions options;
   options.threads = 2;
   fault::CampaignScheduler scheduler(options);
@@ -552,32 +418,44 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   cfg.trials = 8;
   scheduler.add(llfi, cfg);
   const std::vector<fault::CampaignResult> results = scheduler.run();
-  tracer.set_enabled(false);
+  log.close();
 
-  std::size_t trial_spans = 0, execute_spans = 0;
-  bool saw_tags = false;
-  for (const Span& s : tracer.spans()) {
-    if (std::string_view(s.name) == "trial") {
-      ++trial_spans;
-      bool app = false, tool = false, category = false, k = false,
-           checkpoint = false, outcome = false;
-      for (const auto& [key, value] : s.tags) {
-        app |= key == "app" && value == "tiny";
-        tool |= key == "tool" && value == "LLFI";
-        category |= key == "category" && value == "all";
-        k |= key == "k";
-        checkpoint |= key == "checkpoint" &&
-                      (value == "hit" || value == "miss");
-        outcome |= key == "outcome";
-      }
-      saw_tags = app && tool && category && k && checkpoint && outcome;
-      EXPECT_TRUE(saw_tags) << "trial span missing a required tag";
-    } else if (std::string_view(s.name) == "execute") {
-      ++execute_spans;
-    }
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 8u);
+  std::uint64_t restore_us = 0, execute_us = 0, classify_us = 0;
+  // A worker's next trial starts after its previous trial's phases ended.
+  std::map<std::uint64_t, std::uint64_t> phases_end_us;
+  for (const std::string& line : lines) {
+    EXPECT_EQ(field_str(line, "app"), "tiny");
+    EXPECT_EQ(field_str(line, "tool"), "LLFI");
+    EXPECT_EQ(field_str(line, "category"), "all");
+    EXPECT_GE(field_u64(line, "k"), 1u);
+    const std::string checkpoint = field_str(line, "checkpoint");
+    EXPECT_TRUE(checkpoint == "hit" || checkpoint == "miss") << line;
+    EXPECT_FALSE(field_str(line, "outcome").empty()) << line;
+    const std::uint64_t start = field_u64(line, "start_us");
+    const std::uint64_t restore = field_u64(line, "restore_us");
+    const std::uint64_t execute = field_u64(line, "execute_us");
+    const std::uint64_t classify = field_u64(line, "classify_us");
+    std::uint64_t& end = phases_end_us[field_u64(line, "worker")];
+    EXPECT_GE(start, end) << line;
+    end = start + restore + execute + classify;
+    restore_us += restore;
+    execute_us += execute;
+    classify_us += classify;
   }
-  EXPECT_EQ(trial_spans, 8u);
-  EXPECT_EQ(execute_spans, 8u);  // one execute phase nested per trial
+  // Each record truncates its phases to whole microseconds: at most 1 µs
+  // per trial per phase below the engine's nanosecond totals.
+  const fault::PhaseStats phases = llfi.phase_stats();
+  const auto expect_split = [](std::uint64_t sum_us, double seconds) {
+    const double total_us = seconds * 1e6;
+    EXPECT_LE(static_cast<double>(sum_us), total_us + 1e-3);
+    EXPECT_GE(static_cast<double>(sum_us), total_us - 8.0);
+  };
+  expect_split(restore_us, phases.restore_seconds);
+  expect_split(execute_us, phases.execute_seconds);
+  expect_split(classify_us, phases.classify_seconds);
+  std::remove(path.c_str());
 
   ASSERT_EQ(scheduler.manifest().campaigns.size(), 1u);
   const fault::CampaignTiming& t = scheduler.manifest().campaigns[0];
@@ -593,7 +471,6 @@ TEST(Observability, SchedulerEmitsTrialSpansAndLatencyPercentiles) {
   EXPECT_LE(t.p95_ms, t.p99_ms);
   EXPECT_GE(t.hit_rate(), 0.0);
   EXPECT_LE(t.hit_rate(), 1.0);
-  tracer.clear();
 }
 
 }  // namespace

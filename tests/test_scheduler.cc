@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "fault/scheduler.h"
 #include "machine/dispatch.h"
 #include "obs/propagation.h"
-#include "obs/trace.h"
 
 namespace faultlab::fault {
 namespace {
@@ -807,39 +807,53 @@ TEST(Scheduler, ParallelProfilingMatchesSerialProfiling) {
   }
 }
 
-/// Fault-free runs the engines make while `body` runs, counted by their
-/// "engine" spans: the profiling run is the only one, so any other
-/// execution of the program would show up as an extra span.
+/// Trace-cache activity while `body` runs: the process-wide dispatch
+/// counters' decodes plus fast-path entries. Every threaded run that is not
+/// hooked from start to end moves them, by the same amount each time for
+/// the same program and engine configuration.
 template <typename Body>
-std::size_t fault_free_runs(Body body) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
+std::uint64_t trace_activity(Body body) {
+  const auto before = machine::dispatch_counters_snapshot();
   body();
-  tracer.set_enabled(false);
-  std::size_t runs = 0;
-  for (const obs::Span& span : tracer.spans())
-    runs += std::string_view(span.cat) == "engine";
-  tracer.clear();
-  return runs;
+  const auto after = machine::dispatch_counters_snapshot();
+  return (after.trace_decodes - before.trace_decodes) +
+         (after.trace_hits - before.trace_hits);
+}
+
+/// Fault-free runs the engines make while `body` runs, counted through the
+/// dispatch counters in units of `one_run`, the trace activity of one
+/// profiling run of an identically configured engine: the profiling run is
+/// the only run, so any other execution of the program would show up as
+/// extra activity.
+template <typename Body>
+std::size_t fault_free_runs(std::uint64_t one_run, Body body) {
+  const std::uint64_t moved = trace_activity(body);
+  EXPECT_EQ(moved % one_run, 0u) << "activity is not a whole number of runs";
+  return static_cast<std::size_t>(moved / one_run);
 }
 
 template <typename Engine, typename Code>
 void expect_one_fault_free_run(const Code& code, const std::string& label) {
+  Engine reference(code);
+  const std::uint64_t one_run =
+      trace_activity([&] { reference.profile_all(); });
+  ASSERT_GT(one_run, 0u) << label;
   std::unique_ptr<Engine> by_context;
   std::unique_ptr<Engine> by_profile;
   // Construction executes nothing; make_context() alone and profile_all()
   // each make the one run.
-  EXPECT_EQ(fault_free_runs([&] {
-              by_context = std::make_unique<Engine>(code);
-              by_profile = std::make_unique<Engine>(code);
-            }),
+  EXPECT_EQ(fault_free_runs(one_run,
+                            [&] {
+                              by_context = std::make_unique<Engine>(code);
+                              by_profile = std::make_unique<Engine>(code);
+                            }),
             0u)
       << label;
-  EXPECT_EQ(fault_free_runs([&] {
-              by_context->make_context();
-              by_profile->profile_all();
-            }),
+  EXPECT_EQ(fault_free_runs(one_run,
+                            [&] {
+                              by_context->make_context();
+                              by_profile->profile_all();
+                            }),
             2u)
       << label;
   EXPECT_EQ(by_context->golden_instructions(),
@@ -848,12 +862,13 @@ void expect_one_fault_free_run(const Code& code, const std::string& label) {
   EXPECT_EQ(by_context->golden_output(), by_profile->golden_output()) << label;
   const CheckpointStats before = by_profile->checkpoint_stats();
   EXPECT_GT(before.snapshots, 0u) << label;
-  EXPECT_EQ(fault_free_runs([&] {
-              EXPECT_EQ(by_profile->profile_all().counts,
-                        by_context->profile_all().counts)
-                  << label;
-              by_profile->make_context();
-            }),
+  EXPECT_EQ(fault_free_runs(one_run,
+                            [&] {
+                              EXPECT_EQ(by_profile->profile_all().counts,
+                                        by_context->profile_all().counts)
+                                  << label;
+                              by_profile->make_context();
+                            }),
             0u)
       << label;
   const CheckpointStats after = by_profile->checkpoint_stats();
@@ -881,16 +896,25 @@ TEST(Engines, ConcurrentFirstCallsMakeOneRun) {
                     Model::from_env(), exec);
     PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy::from_env(),
                       Model::from_env(), exec);
+    // The same configuration again, profiled alone: the run to compare.
+    LlfiEngine llfi_alone(prog.module(), {}, CheckpointPolicy::from_env(),
+                          Model::from_env(), exec);
+    PinfiEngine pinfi_alone(prog.program(), {}, CheckpointPolicy::from_env(),
+                            Model::from_env(), exec);
     LlfiEngine llfi_direct(prog.module(), {}, off, Model::from_env(), exec);
     PinfiEngine pinfi_direct(prog.program(), {}, off, Model::from_env(), exec);
-    for (auto [engine, direct] :
-         std::vector<std::pair<InjectorEngine*, InjectorEngine*>>{
-             {&llfi, &llfi_direct}, {&pinfi, &pinfi_direct}}) {
+    for (auto [engine, alone, direct] :
+         std::vector<std::tuple<InjectorEngine*, InjectorEngine*,
+                                InjectorEngine*>>{
+             {&llfi, &llfi_alone, &llfi_direct},
+             {&pinfi, &pinfi_alone, &pinfi_direct}}) {
       const std::string label =
           std::string(engine->tool_name()) + (traced ? " traced" : "");
+      const std::uint64_t one_run =
+          trace_activity([&] { alone->profile_all(); });
       std::atomic<bool> go{false};
       std::vector<CategoryCounts> counts(4);
-      const std::size_t runs = fault_free_runs([&] {
+      const std::uint64_t moved = trace_activity([&] {
         std::vector<std::thread> pool;
         for (std::size_t t = 0; t < 4; ++t) {
           pool.emplace_back([&, t] {
@@ -906,7 +930,14 @@ TEST(Engines, ConcurrentFirstCallsMakeOneRun) {
         go.store(true);
         for (std::thread& th : pool) th.join();
       });
-      EXPECT_EQ(runs, 1u) << label;
+      // One run's worth of trace activity. A traced profiling run is hooked
+      // from start to end and never enters the trace cache, so there a
+      // second run would show in the snapshot count instead.
+      EXPECT_EQ(moved, one_run) << label;
+      EXPECT_EQ(one_run == 0, traced) << label;
+      EXPECT_EQ(engine->checkpoint_stats().snapshots,
+                alone->checkpoint_stats().snapshots)
+          << label;
       for (const CategoryCounts& c : counts)
         EXPECT_EQ(c.counts, counts[0].counts) << label;
       const std::uint64_t k = counts[0][ir::Category::All] / 2;

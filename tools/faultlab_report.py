@@ -25,6 +25,13 @@ external assets, stdlib only):
     the golden-suffix instructions they did not simulate (why the execute
     phase can shrink while the records' instruction totals do not).
 
+With --chrome-trace OUT.json, also (or, without -o, only) writes the event
+log as Chrome trace-event JSON for chrome://tracing or Perfetto: one "X"
+`trial` event per record, at the record's `start_us` for its latency, on
+thread worker + 1, tagged app/tool/category/k/checkpoint/outcome, with its
+restore, execute and classify phases nested in that order from the start.
+tools/validate_trace.py checks the result.
+
 With --status, renders a FAULTLAB_STATUS campaign snapshot (schema v1)
 instead: grid progress, per-cell convergence table, per-worker state, and
 watchdog events. Mid-run snapshots get a <meta refresh> tag matched to the
@@ -34,7 +41,8 @@ campaign keeps rewriting).
 
 Usage:
   tools/faultlab_report.py --events EV.jsonl [--metrics M.json]
-                           [--manifest MANIFEST.csv] -o OUT.html
+                           [--manifest MANIFEST.csv] [-o OUT.html]
+                           [--chrome-trace OUT.json]
   tools/faultlab_report.py --status STATUS.json -o OUT.html
 """
 
@@ -305,7 +313,7 @@ DISPATCH_FIELDS = (
 def dispatch_summary(manifest, metrics):
     """Dispatch-mode provenance and trace-cache counters, preferring the
     manifest's run-level columns (repeated per row) and falling back to the
-    metrics snapshot's dispatch.* counters/gauge. Empty dict when neither
+    metrics snapshot's dispatch.* counters. Empty dict when neither
     source has dispatch data (pre-dispatch artifacts)."""
     row = {}
     if manifest and "dispatch_mode" in manifest[0]:
@@ -313,14 +321,12 @@ def dispatch_summary(manifest, metrics):
             row[field] = manifest[0].get(field, "")
     elif metrics:
         counters = metrics.get("counters", {})
-        gauges = metrics.get("gauges", {})
-        if any(k.startswith("dispatch.") for k in (*counters, *gauges)):
+        if any(k.startswith("dispatch.") for k in counters):
             row = {
                 "trace_decodes": counters.get("dispatch.trace_decodes", 0),
                 "trace_hits": counters.get("dispatch.trace_hits", 0),
                 "trace_invalidations":
                     counters.get("dispatch.trace_invalidations", 0),
-                "decoded_blocks": gauges.get("dispatch.decoded_blocks", 0),
             }
     if not row:
         return {}
@@ -869,6 +875,39 @@ def render(events, metrics, manifest):
     return "".join(out)
 
 
+CHROME_TRIAL_TAGS = ("app", "tool", "category", "k", "checkpoint", "outcome")
+PHASES = ("restore", "execute", "classify")
+
+
+def chrome_trace(events):
+    """The event log as a Chrome trace-event document: per record, one
+    `trial` event and its phases nested in order from the trial's start."""
+    trace = []
+    for ev in sorted(events, key=lambda e: (e.get("start_us", 0),
+                                            e.get("worker", 0))):
+        missing = [k for k in ("start_us", *(p + "_us" for p in PHASES))
+                   if k not in ev]
+        if missing:
+            raise ValueError(
+                f"trial {ev.get('trial')} of worker {ev.get('worker')} has "
+                f"no {', '.join(missing)}: the log predates the phase split"
+            )
+        tid = ev.get("worker", 0) + 1
+        ts = ev["start_us"]
+        trace.append({
+            "name": "trial", "cat": "scheduler", "ph": "X", "ts": ts,
+            "dur": round(ev.get("latency_ms", 0.0) * 1000.0, 3),
+            "pid": 1, "tid": tid,
+            "args": {tag: ev.get(tag) for tag in CHROME_TRIAL_TAGS},
+        })
+        for phase in PHASES:
+            dur = ev[phase + "_us"]
+            trace.append({"name": phase, "cat": "phase", "ph": "X",
+                          "ts": ts, "dur": dur, "pid": 1, "tid": tid})
+            ts += dur
+    return {"traceEvents": trace, "displayTimeUnit": "ms"}
+
+
 def fmt_duration(seconds):
     seconds = max(0.0, float(seconds))
     if seconds < 60:
@@ -1066,12 +1105,18 @@ def main(argv=None):
                              "dashboard")
     parser.add_argument("--metrics", help="FAULTLAB_METRICS JSON path")
     parser.add_argument("--manifest", help="run manifest CSV path")
-    parser.add_argument("-o", "--out", required=True,
-                        help="output HTML path")
+    parser.add_argument("-o", "--out", help="output HTML path")
+    parser.add_argument("--chrome-trace", metavar="OUT.json",
+                        help="with --events: also write the log as Chrome "
+                             "trace-event JSON")
     args = parser.parse_args(argv)
 
     if bool(args.events) == bool(args.status):
         print("error: exactly one of --events or --status is required",
+              file=sys.stderr)
+        return 2
+    if not (args.out or (args.events and args.chrome_trace)):
+        print("error: -o is required (or --chrome-trace with --events)",
               file=sys.stderr)
         return 2
 
@@ -1106,6 +1151,18 @@ def main(argv=None):
     if not events:
         print(f"error: {args.events}: no trial events", file=sys.stderr)
         return 1
+
+    if args.chrome_trace:
+        try:
+            document = chrome_trace(events)
+            with open(args.chrome_trace, "w", encoding="utf-8") as fh:
+                json.dump(document, fh)
+        except (OSError, ValueError) as e:
+            print(f"error: {args.chrome_trace}: {e}", file=sys.stderr)
+            return 1
+        print(f"{args.chrome_trace}: Chrome trace with {len(events)} trials")
+        if not args.out:
+            return 0
 
     metrics = None
     if args.metrics:

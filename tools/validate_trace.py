@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Validate a faultlab trace export (Chrome trace-event JSON or JSONL).
+"""Validate faultlab telemetry: a Chrome trace, an event log, a status
+snapshot, or a metrics snapshot against its run manifest.
 
-Checks that the file is what Perfetto / chrome://tracing will accept and
-that the span structure matches what the campaign scheduler promises:
+By default the file is a Chrome trace-event JSON, as
+tools/faultlab_report.py --chrome-trace renders it from an event log.
+The checks are that it is what Perfetto / chrome://tracing will accept
+and that its structure matches the per-trial records it came from:
 
-  * the JSON parses; Chrome exports carry a `traceEvents` list of "X"
-    (complete) events with numeric ts/dur and a pid/tid;
-  * every `trial` span is tagged with app, tool, category, k, checkpoint
+  * the JSON parses and carries a `traceEvents` list of "X" (complete)
+    events with numeric ts/dur and a pid/tid;
+  * every `trial` event is tagged with app, tool, category, k, checkpoint
     (hit|miss), and outcome;
-  * phase spans (restore/execute/classify) nest inside a trial span on
-    the same thread (engine-level profile spans are exempt — they run
-    outside any trial);
-  * optionally, the number of trial spans matches --expect-trials.
+  * phase events (restore/execute/classify) nest inside a trial event on
+    the same thread;
+  * optionally, the number of trial events matches --expect-trials.
 
 With --events, the file is instead validated as a FAULTLAB_EVENTS trial
 event log (one JSON object per line, schema v1 from src/obs/events.h):
@@ -22,7 +24,10 @@ event log (one JSON object per line, schema v1 from src/obs/events.h):
     per-worker ordering even though shards interleave in the file);
   * cross-field consistency: a crash carries a trap (and only a crash
     does), activation implies injection, and the propagation distance
-    equals instructions_total - inject_instruction for injected trials.
+    equals instructions_total - inject_instruction for injected trials;
+  * the phase split (restore_us, execute_us, classify_us) and start_us
+    are non-negative integers, and the phases fit in the trial's latency
+    (with 1 us of rounding per field).
 
 With --status, the file is instead validated as a FAULTLAB_STATUS campaign
 snapshot (schema v1 from src/obs/monitor.h):
@@ -67,7 +72,9 @@ EVENT_REQUIRED_KEYS = (
     "k", "bit", "site", "opcode", "function", "injected", "activated",
     "outcome", "trap", "inject_instruction", "instructions_total",
     "instructions_after_injection", "checkpoint", "latency_ms",
+    "start_us", "restore_us", "execute_us", "classify_us",
 )
+EVENT_PHASE_KEYS = ("restore_us", "execute_us", "classify_us")
 EVENT_OUTCOMES = ("benign", "sdc", "crash", "hang", "not-activated")
 EVENT_TRAP_KINDS = (
     "unmapped-access", "divide-by-zero", "invalid-jump", "stack-overflow",
@@ -84,41 +91,9 @@ EVENT_PROP_BOOL_KEYS = ("traced", "diverged")
 
 
 def load_events(path):
-    """Returns the list of event dicts from a Chrome JSON or JSONL export."""
+    """Returns the event list of a Chrome trace-event JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".jsonl"):
-        events = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: invalid JSON: {e}") from e
-        # Normalize the JSONL shape (ts_us/dur_us, flat tags) to the Chrome
-        # event shape so the checks below are format-agnostic.
-        normalized = []
-        for ev in events:
-            args = {
-                k: v
-                for k, v in ev.items()
-                if k not in ("name", "cat", "ts_us", "dur_us", "tid")
-            }
-            normalized.append(
-                {
-                    "name": ev.get("name"),
-                    "cat": ev.get("cat"),
-                    "ph": "X",
-                    "ts": ev.get("ts_us"),
-                    "dur": ev.get("dur_us"),
-                    "pid": 1,
-                    "tid": ev.get("tid"),
-                    "args": args,
-                }
-            )
-        return normalized
-    doc = json.loads(text)
+        doc = json.load(fh)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError("top-level object must contain 'traceEvents'")
     events = doc["traceEvents"]
@@ -157,8 +132,8 @@ def validate(events):
                 f"{args.get('checkpoint')!r}, expected 'hit' or 'miss'"
             )
 
-    # Nesting: each phase span must sit inside some trial span on its
-    # thread. Spans are integral microseconds, so containment may be exact.
+    # Nesting: each phase event must sit inside some trial event on its
+    # thread; containment may be exact.
     by_tid = {}
     for trial in trials:
         by_tid.setdefault(trial.get("tid"), []).append(
@@ -247,6 +222,21 @@ def validate_events(records):
             record["latency_ms"], (int, float)
         ):
             yield f"{where}: 'latency_ms' is not numeric"
+        for key in ("start_us", *EVENT_PHASE_KEYS):
+            value = record.get(key)
+            if key in record and (not isinstance(value, int)
+                                  or isinstance(value, bool) or value < 0):
+                yield f"{where}: '{key}' is {value!r}, expected an " \
+                    "integer >= 0"
+        phases = [record.get(key) for key in EVENT_PHASE_KEYS]
+        latency = record.get("latency_ms")
+        if all(isinstance(v, int) for v in phases) and \
+                isinstance(latency, (int, float)) and \
+                sum(phases) > latency * 1000 + 3:
+            yield (
+                f"{where}: phases sum to {sum(phases)} us, more than the "
+                f"{latency} ms latency"
+            )
         for key in ("injected", "activated"):
             if key in record and not isinstance(record[key], bool):
                 yield f"{where}: '{key}' is not a boolean"
@@ -611,12 +601,13 @@ def validate_metrics(metrics, rows):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", nargs="?",
-                        help="path to the exported trace")
+                        help="path to the Chrome trace (or, with a mode "
+                             "flag, the file that mode checks)")
     parser.add_argument(
         "--expect-trials",
         type=int,
         default=None,
-        help="fail unless exactly N 'trial' spans are present",
+        help="fail unless exactly N trials are present",
     )
     parser.add_argument(
         "--events",
