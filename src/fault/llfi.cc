@@ -34,7 +34,8 @@ class ProfileHook final : public vm::ExecHook {
 /// time, because the width is only known once the instance is reached.
 /// `start` (TrialStart) places the hook in the run: the skipped prefix's
 /// instance count and absolute position when the trial resumes from a
-/// checkpoint, the time-trigger point, and the propagation journal.
+/// checkpoint, the time-trigger point, and the propagation journal (see
+/// InjectionHookBase).
 ///
 /// Transient models keep the PR 4 fast path: one corrupted value, a
 /// single id compare per operand read, final detach() on activation.
@@ -44,38 +45,19 @@ class ProfileHook final : public vm::ExecHook {
 /// values (older unread values age out of the window — an accepted
 /// approximation that keeps per-read cost constant).
 ///
-/// A nonzero `start.arm_time` selects the time trigger: the hook starts
-/// dormant (detached with rearm_at = arm_time) and corrupts the first
-/// category instruction at or after that absolute position. If the
-/// executor's re-arm boundary lands past arm_time (it can, when arm_time
-/// falls inside a phi group), the recorded inject position stays
-/// arm_time-relative; the discrepancy is bounded by one phi group and is
-/// identical for checkpointed and from-scratch runs.
-class InjectHook final : public vm::ExecHook {
+/// If the executor's re-arm boundary lands past a time trigger's arm_time
+/// (it can, when arm_time falls inside a phi group), the recorded inject
+/// position stays arm_time-relative; the discrepancy is bounded by one phi
+/// group and is identical for checkpointed and from-scratch runs.
+class InjectHook final
+    : public InjectionHookBase<vm::ExecHook, obs::VmPropTracer> {
  public:
-  /// A non-null `start.journal` arms the propagation tracer: once the
-  /// fault's own work is done the hook stays attached only until the tracer
-  /// is quiet (see release()), so the post-fault suffix runs on the hooked
-  /// slow path for as long as some taint is live. Persistent models already
-  /// stay attached to run end, so staying attached is semantics-identical —
-  /// only slower.
   InjectHook(ir::Category category, std::uint64_t k, const FaultPlan& plan,
              const FaultModel& model, const TrialStart& start)
-      : category_(category),
-        target_k_(k),
+      : InjectionHookBase(k, start),
+        category_(category),
         plan_(plan),
-        model_(model),
-        seen_(start.seen),
-        arm_time_(start.arm_time),
-        tracing_(start.journal != nullptr),
-        tracer_(start.journal) {
-    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
-      executed_ = arm_time_ - 1;
-      detach(arm_time_);  // sleep until the trigger point
-    } else {
-      executed_ = start.base;
-    }
-  }
+        model_(model) {}
 
   void on_instruction(const ir::Instruction& instr) override {
     ++executed_;  // absolute dynamic-instruction position
@@ -84,11 +66,8 @@ class InjectHook final : public vm::ExecHook {
       release();
     }
     if (!injected_) {
-      if (LlfiEngine::is_target(instr, category_, model_)) {
-        const bool armed = arm_time_ != 0 ? executed_ >= arm_time_
-                                          : ++seen_ == target_k_;
-        if (armed) pending_ = true;
-      }
+      if (LlfiEngine::is_target(instr, category_, model_) && arms_here())
+        pending_ = true;
     } else if (plan_.model().persistent() && &instr == armed_def_) {
       const std::uint64_t o = occurrence_++;
       if (plan_.model().fires_at(o)) {
@@ -163,47 +142,8 @@ class InjectHook final : public vm::ExecHook {
     if (tracing_) tracer_.on_call(call, callee_frame);
   }
 
-  bool tracing() const noexcept { return tracing_; }
-  obs::PropSummary prop_summary() const noexcept { return tracer_.summary(); }
-  bool injected() const noexcept { return injected_; }
-  bool activated() const noexcept { return activated_; }
-  unsigned bit() const noexcept { return bit_; }
-  std::uint64_t static_site() const noexcept { return static_site_; }
-  /// Absolute position of the first injection (base included).
-  std::uint64_t inject_at() const noexcept { return inject_at_; }
-  const char* site_opcode() const noexcept { return site_opcode_; }
-  const char* site_function() const noexcept { return site_function_; }
-
  private:
   static constexpr std::size_t kRing = 64;
-
-  /// The fault's verdict is final and nothing is left to corrupt. An
-  /// untraced hook detaches on the spot; a traced one waits for a quiet
-  /// tracer (release()).
-  void finish() noexcept {
-    done_ = true;
-    release();
-  }
-
-  /// Leaves the slow path once neither the fault nor the tracer needs
-  /// callbacks (call after each tracer update). A quiet tracer stays quiet
-  /// — no root is planted after finish() — so its counters are final and
-  /// only an unrecorded divergence is left to watch for: a diverged tracer
-  /// detaches for good; otherwise the hook settles and keeps comparing pcs
-  /// with the journal, which lets the executor stop on golden convergence,
-  /// and detaches if the journal mismatches first.
-  void release() noexcept {
-    if (!done_ || detached()) return;
-    if (!tracing_) {
-      detach();
-    } else if (tracer_.quiet()) {
-      if (tracer_.diverged()) {
-        detach();
-      } else {
-        settle();
-      }
-    }
-  }
 
   void remember(const vm::DynValueId& id) {
     if (!plan_.model().persistent()) {
@@ -215,28 +155,14 @@ class InjectHook final : public vm::ExecHook {
   }
 
   ir::Category category_;
-  std::uint64_t target_k_;
   FaultPlan plan_;
   FaultModel model_;
-  std::uint64_t seen_ = 0;
-  std::uint64_t arm_time_ = 0;
   bool pending_ = false;
-  bool injected_ = false;
-  bool activated_ = false;
-  bool done_ = false;  // finish() reached: the fault needs no more callbacks
-  unsigned bit_ = 0;
   vm::DynValueId injected_id_;                 // transient activation target
   vm::DynValueId ring_[kRing];                 // persistent activation window
   std::size_t ring_next_ = 0;
   const ir::Instruction* armed_def_ = nullptr;  // static site, re-fire key
   std::uint64_t occurrence_ = 0;
-  std::uint64_t static_site_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t inject_at_ = 0;
-  const char* site_opcode_ = nullptr;    // borrows ir's static opcode table
-  const char* site_function_ = nullptr;  // borrows the module's storage
-  bool tracing_ = false;
-  obs::VmPropTracer tracer_;  // inert (empty) when tracing_ is false
 };
 
 /// Golden-run journal capture: one pc fingerprint per dynamic instruction

@@ -69,40 +69,25 @@ std::uint64_t written_gpr_mask(const Inst& inst) {
 /// Persistent models re-fire on every later execution of the armed static
 /// site per the model's burst pattern (the masks are invariant — it is
 /// the same static instruction every time) and restart tracking at each
-/// fire. A nonzero `start.arm_time` selects the time trigger: the hook starts
-/// dormant (detached with rearm_at = arm_time) and corrupts the first
-/// category instruction at or after that absolute position.
+/// fire.
 ///
 /// `start` (TrialStart) places the hook in the run: the skipped prefix's
 /// instance count and absolute position when the trial resumes from a
-/// checkpoint, the time-trigger point, and the propagation journal.
-class PinfiHook final : public x86::SimHook {
+/// checkpoint, the time-trigger point, and the propagation journal (see
+/// InjectionHookBase).
+class PinfiHook final
+    : public InjectionHookBase<x86::SimHook, obs::SimPropTracer> {
  public:
   enum class TargetKind { None, Gpr, Xmm, Flags };
 
-  /// A non-null `start.journal` arms the propagation tracer (see
-  /// InjectHook in llfi.cc for the contract): once the fault's own work is
-  /// done the hook stays attached only until the tracer is quiet
-  /// (release()); results are unchanged, only slower.
   PinfiHook(const x86::Program& program, ir::Category category,
             std::uint64_t k, const FaultPlan& plan, const FaultModel& model,
             const TrialStart& start)
-      : program_(program),
+      : InjectionHookBase(k, start),
+        program_(program),
         category_(category),
-        target_k_(k),
         plan_(plan),
-        model_(model),
-        seen_(start.seen),
-        arm_time_(start.arm_time),
-        tracing_(start.journal != nullptr),
-        tracer_(start.journal) {
-    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
-      executed_ = arm_time_ - 1;
-      detach(arm_time_);  // sleep until the trigger point
-    } else {
-      executed_ = start.base;
-    }
-  }
+        model_(model) {}
 
   void on_before(std::size_t index, const Inst& inst) override {
     ++executed_;  // absolute dynamic-instruction position
@@ -114,13 +99,9 @@ class PinfiHook final : public x86::SimHook {
       const Inst* next = index + 1 < program_.code.size()
                              ? &program_.code[index + 1]
                              : nullptr;
-      if (PinfiEngine::is_target(inst, next, category_)) {
-        const bool armed = arm_time_ != 0 ? executed_ >= arm_time_
-                                          : ++seen_ == target_k_;
-        if (armed) {
-          pending_ = true;
-          pending_next_ = next;
-        }
+      if (PinfiEngine::is_target(inst, next, category_) && arms_here()) {
+        pending_ = true;
+        pending_next_ = next;
       }
       return;
     }
@@ -191,17 +172,6 @@ class PinfiHook final : public x86::SimHook {
     }
   }
 
-  bool tracing() const noexcept { return tracing_; }
-  obs::PropSummary prop_summary() const noexcept { return tracer_.summary(); }
-  bool injected() const noexcept { return injected_; }
-  bool activated() const noexcept { return activated_; }
-  unsigned bit() const noexcept { return bit_; }
-  std::uint64_t static_site() const noexcept { return static_site_; }
-  /// Absolute position of the first injection (base included).
-  std::uint64_t inject_at() const noexcept { return inject_at_; }
-  const char* site_opcode() const noexcept { return site_opcode_; }
-  const char* site_function() const noexcept { return site_function_; }
-
  private:
   /// First-injection bookkeeping: site metadata plus the corruption masks,
   /// which are invariant across re-fires (same static instruction).
@@ -256,29 +226,6 @@ class PinfiHook final : public x86::SimHook {
     const unsigned width = dest_write_bits(inst, false);
     gpr_mask_ = plan_.mask_for(width);
     bit_ = plan_.primary_bit(width);
-  }
-
-  /// The verdict is final and nothing is left to corrupt. An untraced hook
-  /// detaches on the spot; a traced one waits for a quiet tracer.
-  void finish() noexcept {
-    done_ = true;
-    release();
-  }
-
-  /// Leaves the slow path once neither the fault nor the tracer needs
-  /// callbacks (see InjectHook::release in llfi.cc): detach for good when
-  /// untraced or quiet and diverged, settle when quiet on the golden path.
-  void release() noexcept {
-    if (!done_ || detached()) return;
-    if (!tracing_) {
-      detach();
-    } else if (tracer_.quiet()) {
-      if (tracer_.diverged()) {
-        detach();
-      } else {
-        settle();
-      }
-    }
   }
 
   void track(const Inst& inst) {
@@ -340,34 +287,20 @@ class PinfiHook final : public x86::SimHook {
 
   const x86::Program& program_;
   ir::Category category_;
-  std::uint64_t target_k_;
   FaultPlan plan_;
   FaultModel model_;
 
-  std::uint64_t seen_ = 0;
-  std::uint64_t arm_time_ = 0;
   bool pending_ = false;
   const Inst* pending_next_ = nullptr;
   const Inst* saved_next_ = nullptr;  // pending_next_ of the armed site
-  bool injected_ = false;
-  bool activated_ = false;
-  bool done_ = false;  // finish() reached: the fault needs no more callbacks
   bool tracking_ = false;
   TargetKind kind_ = TargetKind::None;
   RegId target_reg_ = kNoReg;
-  unsigned bit_ = 0;
   std::uint64_t flag_mask_ = 0;
   std::uint64_t gpr_mask_ = 0;
   std::uint64_t lane_mask_[2] = {0, 0};
   std::uint64_t occurrence_ = 0;
-  std::uint64_t static_site_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t inject_at_ = 0;
-  const char* site_opcode_ = nullptr;    // borrows the static op-name table
-  const char* site_function_ = nullptr;  // borrows the program's storage
   std::vector<RegId> reads_;
-  bool tracing_ = false;
-  obs::SimPropTracer tracer_;  // inert (empty) when tracing_ is false
 };
 
 /// Golden-run journal capture: one pc fingerprint (the code index) per

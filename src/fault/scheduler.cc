@@ -26,6 +26,10 @@ namespace faultlab::fault {
 
 namespace {
 
+/// Scheduler runs started in this process: each run's event records carry
+/// its number, because worker ids and `seq` restart with every run.
+std::atomic<std::uint64_t> scheduler_runs{0};
+
 std::string describe(const std::string& app, const std::string& tool,
                      ir::Category category, const std::exception_ptr& cause) {
   std::string what = "unknown exception";
@@ -319,6 +323,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   // first use), but lets bench_perf toggle the recorder programmatically
   // to measure its overhead in one process.
   const bool events_on = obs::EventLog::global().enabled();
+  const std::uint64_t run_number =
+      scheduler_runs.fetch_add(1, std::memory_order_relaxed);
   workers = std::min(workers, std::max<std::size_t>(chunks.size(), 1));
 
   // FAULTLAB_METRICS: the registry gets this run's share of the engines'
@@ -506,6 +512,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
             ev.tool = c.result.tool.c_str();
             ev.category = ir::category_name(c.result.category);
             ev.fault_model = c.result.fault_model.c_str();
+            ev.run = run_number;
             ev.worker = static_cast<std::uint32_t>(worker);
             ev.seq = seq++;
             ev.trial = trial;

@@ -20,7 +20,9 @@
 // profile_once(), supplies its injection hook to run_trial(), and keeps its
 // hooked profile(c).
 // The hook type is a template argument, so trials add no virtual call
-// beyond the executor's own hook dispatch.
+// beyond the executor's own hook dispatch. Both injection hooks derive from
+// InjectionHookBase, which holds their trigger, record facts and release
+// protocol.
 #pragma once
 
 #include <atomic>
@@ -53,6 +55,102 @@ struct TrialStart {
   /// Golden journal when propagation tracing is on, else null (a non-null
   /// journal arms the hook's tracer).
   const obs::GoldenJournal* journal = nullptr;
+};
+
+/// What LLFI's and PINFI's injection hooks share over their executor's hook
+/// interface `Hook` (vm::ExecHook, x86::SimHook) and propagation tracer
+/// `Tracer`: the trigger, the record facts run_trial() reads, and the
+/// release protocol that lets the hook leave the slow path.
+///
+/// A nonzero `start.arm_time` selects the time trigger: the hook starts
+/// dormant (detached with rearm_at = arm_time) and corrupts the first
+/// category instruction at or after that absolute position. A non-null
+/// `start.journal` arms the propagation tracer: once the fault's own work
+/// is done the hook stays attached only until the tracer is quiet (see
+/// release()), so the post-fault suffix runs on the hooked slow path for
+/// as long as some taint is live. Persistent models already stay attached
+/// to run end, so staying attached is semantics-identical — only slower.
+template <typename Hook, typename Tracer>
+class InjectionHookBase : public Hook {
+ public:
+  bool tracing() const noexcept { return tracing_; }
+  obs::PropSummary prop_summary() const noexcept { return tracer_.summary(); }
+  bool injected() const noexcept { return injected_; }
+  bool activated() const noexcept { return activated_; }
+  unsigned bit() const noexcept { return bit_; }
+  std::uint64_t static_site() const noexcept { return static_site_; }
+  /// Absolute position of the first injection (base included).
+  std::uint64_t inject_at() const noexcept { return inject_at_; }
+  const char* site_opcode() const noexcept { return site_opcode_; }
+  const char* site_function() const noexcept { return site_function_; }
+
+ protected:
+  /// Corrupts category instance `k`, or the first instance at or after
+  /// `start.arm_time` when that is nonzero.
+  InjectionHookBase(std::uint64_t k, const TrialStart& start)
+      : tracing_(start.journal != nullptr),
+        tracer_(start.journal),
+        target_k_(k),
+        seen_(start.seen),
+        arm_time_(start.arm_time) {
+    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
+      executed_ = arm_time_ - 1;
+      this->detach(arm_time_);  // sleep until the trigger point
+    } else {
+      executed_ = start.base;
+    }
+  }
+
+  /// Call once per category instruction before injection, with executed_
+  /// already counting it: true when this is the instance to corrupt.
+  bool arms_here() noexcept {
+    return arm_time_ != 0 ? executed_ >= arm_time_ : ++seen_ == target_k_;
+  }
+
+  /// The fault's verdict is final and nothing is left to corrupt. An
+  /// untraced hook detaches on the spot; a traced one waits for a quiet
+  /// tracer (release()).
+  void finish() noexcept {
+    done_ = true;
+    release();
+  }
+
+  /// Leaves the slow path once neither the fault nor the tracer needs
+  /// callbacks (call after each tracer update). A quiet tracer stays quiet
+  /// — no root is planted after finish() — so its counters are final and
+  /// only an unrecorded divergence is left to watch for: a diverged tracer
+  /// detaches for good; otherwise the hook settles and keeps comparing pcs
+  /// with the journal, which lets the executor stop on golden convergence,
+  /// and detaches if the journal mismatches first.
+  void release() noexcept {
+    if (!done_ || this->detached()) return;
+    if (!tracing_) {
+      this->detach();
+    } else if (tracer_.quiet()) {
+      if (tracer_.diverged()) {
+        this->detach();
+      } else {
+        this->settle();
+      }
+    }
+  }
+
+  std::uint64_t executed_ = 0;  // absolute dynamic-instruction position
+  bool injected_ = false;
+  bool activated_ = false;
+  unsigned bit_ = 0;
+  std::uint64_t static_site_ = 0;
+  std::uint64_t inject_at_ = 0;
+  const char* site_opcode_ = nullptr;    // borrows a static name table
+  const char* site_function_ = nullptr;  // borrows the code's storage
+  bool tracing_ = false;
+  Tracer tracer_;  // inert (empty) when tracing_ is false
+
+ private:
+  std::uint64_t target_k_;
+  std::uint64_t seen_;
+  std::uint64_t arm_time_;
+  bool done_ = false;  // finish() reached: the fault needs no more callbacks
 };
 
 template <typename Tool>

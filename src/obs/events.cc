@@ -145,6 +145,8 @@ void EventLog::append(const TrialEvent& e) {
     append_string(out, e.category);
     out += ",\"fault_model\":";
     append_string(out, e.fault_model);
+    out += ",\"run\":";
+    append_u64(out, e.run);
     out += ",\"worker\":";
     append_u64(out, e.worker);
     out += ",\"seq\":";

@@ -21,8 +21,8 @@
 // threshold, so memory stays bounded no matter how many trials a campaign
 // runs. Lines from different workers interleave, but every line is
 // complete JSON; per-worker ordering is preserved (each record carries a
-// per-worker monotonic `seq`, which tools/validate_trace.py --events
-// checks).
+// monotonic `seq` per scheduler run and worker, which
+// tools/validate_trace.py --events checks).
 #pragma once
 
 #include <atomic>
@@ -51,6 +51,9 @@ struct TrialEvent {
   const char* category = "";
   /// fault::Model::name() of the injecting engine ("transient" baseline).
   const char* fault_model = "transient";
+  /// Scheduler run within the process (0, 1, ...): worker ids and `seq`
+  /// restart with each run.
+  std::uint64_t run = 0;
   std::uint32_t worker = 0;       ///< small sequential worker/thread id
   std::uint64_t seq = 0;          ///< per-worker monotonic event number
   std::uint64_t trial = 0;        ///< draw index within the campaign

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "machine/dispatch.h"
-#include "obs/metrics.h"
 #include "support/bitutil.h"
 #include "vm/trace.h"
 
@@ -34,157 +33,82 @@ std::uint64_t type_mask(const ir::Type* t) {
   return faultlab::low_mask(t->register_bits());
 }
 
-/// Instructions actually executed per run()/resume() call (the delta, not
-/// the snapshot-primed absolute count), log2-bucketed in the global
-/// registry. One handle lookup per process; one branch when disabled.
-void record_run_instructions(std::uint64_t delta) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Histogram histogram =
-      obs::Registry::global().histogram("vm.run_instructions");
-  histogram.record(delta);
-}
-
 }  // namespace
 
 // Execution keeps the call-frame stack as explicit data (frames_) instead
 // of recursing on the native stack, so the complete interpreter state can
 // be captured into a Snapshot between any two dynamic instructions and
-// resumed later — the basis of checkpointed fault-injection trials.
-//
-// Two dispatch paths share that state. The *slow* path (slow_step) is the
-// original hooked switch loop: snapshot capture, timeout accounting, hook
-// re-arm checks and callbacks at every instruction. The *fast* path
-// (fast_run) executes pre-decoded micro-op traces (vm/trace.h) with no
-// per-instruction hook or snapshot machinery at all; the dispatcher
-// (exec_loop) only enters it while no hook can observe execution, and
-// pre-computes the dynamic-instruction index where the fast path must
-// side-exit so timeouts, snapshot points and hook re-arms land on exactly
-// the same instruction as a pure slow-path run. RunLimits::dispatch =
-// Switch pins the slow path for A/B equivalence checks.
-class Interpreter::Impl {
+// resumed later — the basis of checkpointed fault-injection trials. The
+// run loop (machine/run_loop.h) drives two paths over that state: the
+// hooked slow step below and fast_run, which executes pre-decoded micro-op
+// traces (vm/trace.h) between the boundaries the run loop computes.
+class Interpreter::Impl final
+    : public machine::RunLoop<Interpreter::Impl, ExecHook, RunLimits> {
  public:
   using Frame = Snapshot::Frame;
+  static constexpr const char* kName = "Interpreter";
+  static constexpr const char* kRunHistogram = "vm.run_instructions";
 
   Impl(const ir::Module& module, const machine::GlobalLayout& layout)
-      : module_(module), layout_(layout), runtime_(memory_), cache_(layout) {}
+      : module_(module), layout_(layout), cache_(layout) {}
 
-  /// Arms the per-run parameters. The impl itself is resident — memory,
-  /// frame and register storage persist between runs so consecutive
-  /// restores stay on the delta path and reuse allocations.
-  void prepare(ExecHook* hook, const RunLimits& limits) {
-    hook_ = hook;
-    live_hook_ = nullptr;
-    limits_ = limits;
-    next_snapshot_at_ = 0;
-  }
+ private:
+  friend RunLoop;
 
-  RunResult run(const std::string& entry) {
+  /// Lays out a fresh image and enters `entry` (no arguments).
+  void start(const std::string& entry) {
     const ir::Function* main_fn = module_.find_function(entry);
     if (main_fn == nullptr || main_fn->is_builtin())
       throw std::invalid_argument("no such entry function: " + entry);
-
-    // Fresh image: releasing the mappings also disarms delta tracking, so
-    // a later restore() knows to fall back to a full restore.
-    loaded_ = false;
-    memory_.reset();
-    runtime_.reset();
+    fresh_image();
     frames_.clear();
-    executed_ = 0;
     next_frame_id_ = 1;
     layout_.materialize(memory_);
     memory_.map_range(Layout::kStackLimit, Layout::kStackSize);
     sp_ = Layout::kStackTop;
     push_frame(*main_fn, {}, nullptr, 0);
-    return drive();
+    entry_fn_ = main_fn;
   }
 
-  machine::Memory::RestoreStats restore(const Snapshot& snapshot) {
+  void load(const Snapshot& snapshot) {
     assert(!snapshot.frames.empty() && "snapshot of a finished run");
-    const machine::Memory::RestoreStats stats =
-        memory_.restore_delta(snapshot.memory);
-    runtime_.restore(snapshot.runtime);
     // Copy-assign reuses the resident vectors' capacity (including each
     // frame's register file), so only the state that actually ran since
     // the last restore gets rewritten/reallocated.
     frames_ = snapshot.frames;
     sp_ = snapshot.sp;
-    executed_ = snapshot.executed;
     next_frame_id_ = snapshot.next_frame_id;
-    loaded_ = true;
-    return stats;
+    entry_fn_ = frames_.front().function;
   }
 
-  /// Runs the restored state. Snapshots already past this run's budget
-  /// time out on the next instruction, matching where the non-checkpointed
-  /// run would stop.
-  RunResult resume() {
-    loaded_ = false;
-    return drive();
+  void capture(Snapshot& snap) const {
+    snap.frames = frames_;
+    snap.sp = sp_;
+    snap.next_frame_id = next_frame_id_;
   }
 
-  bool loaded() const noexcept { return loaded_; }
-  std::uint64_t executed() const noexcept { return executed_; }
-
- private:
-  RunResult drive() {
-    if (limits_.snapshot_stride != 0)
-      next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    golden_next_ =
-        limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
-    converged_ = nullptr;
-    const ir::Function* entry_fn = frames_.front().function;
-    try {
-      const std::uint64_t ret = limits_.site_hits != nullptr
-                                    ? exec_loop<true>()
-                                    : exec_loop<false>();
-      if (converged_ != nullptr) {
-        RunResult result;
-        result.converged = converged_;
-        return finish_common(std::move(result));
-      }
-      return exit_fill(entry_fn, ret);
-    } catch (const TrapException& trap) {
-      return trap_fill(trap);
-    } catch (const machine::TimeoutException&) {
-      return timeout_fill();
-    }
+  bool same_state(const Snapshot& golden) const {
+    return sp_ == golden.sp && next_frame_id_ == golden.next_frame_id &&
+           frames_ == golden.frames;
   }
 
-  RunResult exit_fill(const ir::Function* entry_fn, std::uint64_t raw) {
-    RunResult result;
-    const ir::Type* rt = entry_fn->return_type();
-    result.exit_value = rt->is_int() ? sign_extend(raw, rt->int_bits())
-                                     : static_cast<std::int64_t>(raw);
-    return finish_common(std::move(result));
+  std::int64_t exit_value(std::uint64_t raw) const {
+    const ir::Type* rt = entry_fn_->return_type();
+    return rt->is_int() ? sign_extend(raw, rt->int_bits())
+                        : static_cast<std::int64_t>(raw);
   }
 
-  RunResult trap_fill(const TrapException& trap) {
-    RunResult result;
-    result.trapped = true;
-    result.trap = trap.kind();
-    result.trap_address = trap.address();
-    // The frame stack is intact when the exception reaches here, so the
-    // innermost frame still points at the instruction that trapped
-    // (indices advance only after an instruction completes; the fast
-    // paths re-sync frame.index before resolving the trap).
+  /// The frame stack is intact when a trap reaches the run loop, so the
+  /// innermost frame still points at the instruction that trapped (indices
+  /// advance only after an instruction completes; the fast paths re-sync
+  /// frame.index before resolving the trap).
+  std::uint64_t trap_pc() const {
     if (!frames_.empty()) {
-      const Snapshot::Frame& top = frames_.back();
+      const Frame& top = frames_.back();
       if (top.block != nullptr && top.index < top.block->size())
-        result.trap_pc = top.block->instr(top.index)->id();
+        return top.block->instr(top.index)->id();
     }
-    return finish_common(std::move(result));
-  }
-
-  RunResult timeout_fill() {
-    RunResult result;
-    result.timed_out = true;
-    return finish_common(std::move(result));
-  }
-
-  RunResult finish_common(RunResult result) {
-    result.dynamic_instructions = executed_;
-    result.output = runtime_.output();
-    return result;
+    return 0;
   }
 
   std::uint64_t read_operand(Frame& frame, const ir::Instruction& user,
@@ -217,11 +141,6 @@ class Interpreter::Impl {
   [[noreturn]] static void trap(TrapKind kind, std::uint64_t addr,
                                 const char* detail = "") {
     throw TrapException(kind, addr, detail);
-  }
-
-  void bump_instruction_count() {
-    if (++executed_ > limits_.max_instructions)
-      throw machine::TimeoutException();
   }
 
   void push_frame(const ir::Function& fn, std::vector<std::uint64_t> args,
@@ -300,113 +219,22 @@ class Interpreter::Impl {
     frames_.push_back(std::move(frame));
   }
 
-  void maybe_snapshot() {
-    if (next_snapshot_at_ == 0 || executed_ < next_snapshot_at_ ||
-        !limits_.snapshot_sink)
-      return;
-    Snapshot snap;
-    snap.frames = frames_;
-    snap.sp = sp_;
-    snap.executed = executed_;
-    snap.next_frame_id = next_frame_id_;
-    snap.memory = memory_.snapshot();
-    snap.runtime = runtime_.save();
-    const std::uint64_t stride = limits_.snapshot_sink(std::move(snap));
-    next_snapshot_at_ = stride != 0 ? executed_ + stride : 0;
-  }
+  struct Fetched {
+    Frame* frame;
+    const ir::Instruction* instr;
+  };
 
-  /// Golden-convergence check between two instructions (see
-  /// RunLimits::golden_after); call with golden_next_ set. It applies only
-  /// once the hook is gone (dropped when it detaches for good) or settled.
-  /// True when the live state equals the golden snapshot captured at
-  /// exactly this position: the rest of the run would replay the golden
-  /// suffix, so the caller stops with converged_ set.
-  bool converges() {
-    if ((hook_ != nullptr && !hook_->settled()) ||
-        executed_ < golden_next_->executed)
-      return false;
-    const Snapshot& golden = *golden_next_;
-    golden_next_ = limits_.golden_after(executed_);
-    if (golden.executed != executed_ || sp_ != golden.sp ||
-        next_frame_id_ != golden.next_frame_id || frames_ != golden.frames ||
-        !runtime_.same_heap(golden.runtime) ||
-        !memory_.same_image(golden.memory))
-      return false;
-    converged_ = &golden;
-    return true;
-  }
-
-  /// Runs the frame stack to completion (or to golden convergence);
-  /// returns the entry's return value. Switch mode is the pure historical
-  /// loop; threaded mode alternates trace execution with single hooked
-  /// slow steps at window boundaries. kCount selects the fast loop that
-  /// also fills RunLimits::site_hits.
-  template <bool kCount>
-  std::uint64_t exec_loop() {
-    std::uint64_t ret = 0;
-    if (limits_.dispatch == machine::DispatchMode::Switch) {
-      while (!slow_step(&ret)) {
-      }
-      return ret;
-    }
-    while (true) {
-      std::uint64_t stop = limits_.max_instructions;
-      if (fast_eligible(&stop) && fast_run<kCount>(stop, &ret)) return ret;
-      if (slow_step(&ret)) return ret;
-    }
-  }
-
-  /// Whether the fast path may run right now, and — via `stop` — up to
-  /// which dynamic-instruction count. The slow path's per-instruction
-  /// checks all fire at positions known in advance:
-  ///  * timeout: the bump of instruction max+1 throws, so the fast loop
-  ///    may execute while executed_ < max;
-  ///  * hook re-arm: a dormant hook re-arms on the instruction that brings
-  ///    executed_ to rearm_at, which must run hooked → stop at rearm_at-1;
-  ///  * snapshots: captured before the instruction that has
-  ///    executed_ >= next_snapshot_at_ → stop there;
-  ///  * golden convergence: checked at the next golden snapshot's position
-  ///    once the hook is gone → stop there too.
-  /// One slow step at the boundary then performs the actual throw /
-  /// re-arm / capture / compare with unchanged semantics.
-  bool fast_eligible(std::uint64_t* stop) {
-    if (hook_ != nullptr) {
-      if (!hook_->detached()) return false;
-      const std::uint64_t at = hook_->rearm_at();
-      if (at == 0) {
-        hook_ = nullptr;  // finally detached: same nulling as the slow loop
-      } else {
-        *stop = std::min(*stop, at - 1);
-      }
-    }
-    if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
-      *stop = std::min(*stop, next_snapshot_at_);
-    if (hook_ == nullptr && golden_next_ != nullptr)
-      *stop = std::min(*stop, golden_next_->executed);
-    return executed_ < *stop;
-  }
-
-  /// One iteration of the hooked slow path. Returns true when the entry
-  /// frame returned, with the raw return value in *ret, or when the run
-  /// converged on the golden state (converged_ set).
-  bool slow_step(std::uint64_t* ret) {
-    maybe_snapshot();
-    if (golden_next_ != nullptr && converges()) return true;
+  Fetched fetch() {
     Frame& frame = frames_.back();
-    const ir::Instruction& instr = *frame.block->instr(frame.index);
-    bump_instruction_count();
-    if (limits_.site_hits != nullptr) count_site(frame, instr);
-    if (hook_ != nullptr && hook_->detached()) {
-      const std::uint64_t at = hook_->rearm_at();
-      if (at == 0) {
-        hook_ = nullptr;  // rest of the run executes at unhooked speed
-      } else if (executed_ >= at) {
-        hook_->rearm();  // dormant hook reached its re-arm point
-      }
-    }
-    // Dormant hooks (detached with a future rearm_at) are suppressed for
-    // the whole instruction: live_hook_ gates every callback site below.
-    live_hook_ = hook_ != nullptr && !hook_->detached() ? hook_ : nullptr;
+    return {&frame, frame.block->instr(frame.index)};
+  }
+
+  /// The slow step after the run loop's preamble (snapshot, convergence,
+  /// count, re-arm). Returns true when the entry frame returned, with the
+  /// raw return value in *ret.
+  bool step(const Fetched& at, std::uint64_t* ret) {
+    Frame& frame = *at.frame;
+    const ir::Instruction& instr = *at.instr;
     if (live_hook_ != nullptr) live_hook_->on_instruction(instr);
 
     switch (instr.opcode()) {
@@ -426,7 +254,7 @@ class Interpreter::Impl {
           ++index;
           bump_instruction_count();
           if (limits_.site_hits != nullptr)
-            count_site(frame, *frame.block->instr(index));
+            count_site({&frame, frame.block->instr(index)});
           if (live_hook_ != nullptr)
             live_hook_->on_instruction(*frame.block->instr(index));
         }
@@ -510,12 +338,12 @@ class Interpreter::Impl {
   /// Slow-path twin of the counting fast loop's per-dispatch increment.
   /// A traced profiling run counts every instruction here, so the
   /// function's site base is looked up only when the function changes.
-  void count_site(const Frame& frame, const ir::Instruction& instr) {
-    if (frame.function != count_function_) {
-      count_function_ = frame.function;
-      count_base_ = cache_.function(*frame.function).site_base;
+  void count_site(const Fetched& at) {
+    if (at.frame->function != count_function_) {
+      count_function_ = at.frame->function;
+      count_base_ = cache_.function(*at.frame->function).site_base;
     }
-    ++limits_.site_hits[count_base_ + instr.id()];
+    ++limits_.site_hits[count_base_ + at.instr->id()];
   }
 
   /// Reads one pre-resolved operand slot (the fast path's hook-free
@@ -941,8 +769,7 @@ class Interpreter::Impl {
         const PhiEntry* entries = tb->phi_entries.data() + u->pool;
         for (std::uint16_t k = 0; k < u->n; ++k) {
           if (k != 0) {
-            if (++executed_ > limits_.max_instructions)
-              throw machine::TimeoutException();
+            bump_instruction_count();
             if constexpr (kCount) ++hits[tb->site_base + ip + k];
           }
           const PhiEntry& e = entries[k];
@@ -1299,21 +1126,10 @@ class Interpreter::Impl {
 
   const ir::Module& module_;
   const machine::GlobalLayout& layout_;
-  ExecHook* hook_ = nullptr;
-  // hook_ gated per instruction: null while the hook is dormant awaiting
-  // its re-arm point, so no callback fires mid-sleep.
-  ExecHook* live_hook_ = nullptr;
-  RunLimits limits_;
-  machine::Memory memory_;
-  machine::Runtime runtime_;
   std::vector<Frame> frames_;
+  const ir::Function* entry_fn_ = nullptr;  // frames_.front() of this run
   std::uint64_t sp_ = Layout::kStackTop;
-  std::uint64_t executed_ = 0;
   std::uint64_t next_frame_id_ = 1;
-  std::uint64_t next_snapshot_at_ = 0;
-  const Snapshot* golden_next_ = nullptr;  // next convergence candidate
-  const Snapshot* converged_ = nullptr;    // set when converges() matched
-  bool loaded_ = false;  // restore() ran and resume() has not consumed it
   TraceCache cache_;
   const ir::Function* count_function_ = nullptr;  // count_site()'s memo
   std::uint64_t count_base_ = 0;
@@ -1338,28 +1154,15 @@ Interpreter::Interpreter(const ir::Module& module, ExecHook* hook)
 Interpreter::~Interpreter() = default;
 
 RunResult Interpreter::run(const std::string& entry, const RunLimits& limits) {
-  if (impl_ == nullptr) impl_ = std::make_unique<Impl>(module_, layout_);
-  impl_->prepare(hook_, limits);
-  RunResult r = impl_->run(entry);
-  record_run_instructions(r.dynamic_instructions);
-  return r;
+  return Impl::resident(impl_, module_, layout_).run(hook_, limits, entry);
 }
 
 machine::Memory::RestoreStats Interpreter::restore(const Snapshot& snapshot) {
-  if (impl_ == nullptr) impl_ = std::make_unique<Impl>(module_, layout_);
-  return impl_->restore(snapshot);
+  return Impl::resident(impl_, module_, layout_).restore(snapshot);
 }
 
 RunResult Interpreter::resume(const RunLimits& limits) {
-  if (impl_ == nullptr || !impl_->loaded())
-    throw std::logic_error("Interpreter::resume() without a pending restore()");
-  impl_->prepare(hook_, limits);
-  const std::uint64_t base = impl_->executed();
-  RunResult r = impl_->resume();
-  // dynamic_instructions is snapshot-primed (absolute position in the
-  // golden schedule); the histogram tracks work actually done here.
-  record_run_instructions(r.dynamic_instructions - base);
-  return r;
+  return Impl::resume(impl_.get(), hook_, limits);
 }
 
 }  // namespace faultlab::vm

@@ -9,14 +9,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ir/module.h"
-#include "machine/dispatch.h"
 #include "machine/memory.h"
+#include "machine/run_loop.h"
 #include "machine/runtime.h"
 
 namespace faultlab::vm {
@@ -30,35 +29,11 @@ struct DynValueId {
 };
 
 /// Instrumentation interface. The default implementation is a no-op, so
-/// plain runs pay almost nothing.
-class ExecHook {
+/// plain runs pay almost nothing. Detach, re-arm and settle are the run
+/// loop's (machine::HookControl).
+class ExecHook : public machine::HookControl {
  public:
   virtual ~ExecHook() = default;
-  /// True once the hook has nothing left to observe right now. The
-  /// interpreter checks this at instruction boundaries; when `rearm_at()`
-  /// is zero it drops the hook for the rest of the run (the transient
-  /// fast path), so an injection hook whose fault has already activated
-  /// stops taxing every remaining instruction with virtual calls. With a
-  /// nonzero `rearm_at()` the hook merely goes dormant: callbacks are
-  /// suppressed until the executed-instruction count reaches the re-arm
-  /// point, then the interpreter calls `rearm()` and resumes delivery.
-  /// The hook object stays alive and queryable either way.
-  bool detached() const noexcept { return detached_; }
-  /// Absolute executed-instruction count at which a dormant hook wants
-  /// callbacks again; zero means detachment is final.
-  std::uint64_t rearm_at() const noexcept { return rearm_at_; }
-  /// Reactivates a dormant hook. Called by the executor when the re-arm
-  /// point is reached; not for subclass use.
-  void rearm() noexcept {
-    detached_ = false;
-    rearm_at_ = 0;
-  }
-  /// True once the hook still observes but no longer changes anything
-  /// the run's outcome or its own record depends on. The interpreter then
-  /// treats it like a detached hook for golden convergence: a state equal
-  /// to the golden snapshot would replay the golden suffix, callbacks
-  /// included.
-  bool settled() const noexcept { return settled_; }
   /// Called before executing each dynamic instruction.
   virtual void on_instruction(const ir::Instruction& instr) { (void)instr; }
   /// Called with the raw result of a value-producing instruction; the
@@ -97,27 +72,6 @@ class ExecHook {
     (void)caller_frame;
     (void)callee_frame;
   }
-
- protected:
-  /// For subclasses whose instrumentation completes mid-run. Passing a
-  /// nonzero `rearm_at` requests dormancy instead of final detachment:
-  /// the executor suppresses callbacks until that many instructions have
-  /// executed (absolute count, including any restored prefix), then
-  /// re-arms the hook. Time-triggered and persistent fault models use
-  /// this to sleep through uninteresting stretches without giving up the
-  /// hook pointer.
-  void detach(std::uint64_t rearm_at = 0) noexcept {
-    detached_ = true;
-    rearm_at_ = rearm_at;
-  }
-  /// For subclasses that stay attached only to watch for an event the
-  /// golden suffix can never produce (see settled()).
-  void settle() noexcept { settled_ = true; }
-
- private:
-  bool detached_ = false;
-  bool settled_ = false;
-  std::uint64_t rearm_at_ = 0;
 };
 
 /// Resumable interpreter state, captured between two dynamic instructions.
@@ -149,61 +103,10 @@ struct Snapshot {
   machine::Runtime::State runtime;
 };
 
-struct RunLimits {
-  /// Budget on *total* dynamic instructions, including any golden prefix a
-  /// resumed run skipped: resume() keeps counting from the snapshot's
-  /// `executed`, so a restored trial times out exactly where a full run
-  /// would.
-  std::uint64_t max_instructions = 200'000'000;
-  /// When nonzero, capture a Snapshot once `snapshot_stride` more
-  /// instructions have retired and hand it to `snapshot_sink`, which
-  /// returns the stride to the next capture (0 stops capturing).
-  std::uint64_t snapshot_stride = 0;
-  std::function<std::uint64_t(Snapshot&&)> snapshot_sink;
-  /// Golden-convergence early exit. When set, returns the golden run's
-  /// snapshot captured at the first position strictly after `executed`
-  /// (nullptr when none is left). Once the hook has detached for good or
-  /// settled (ExecHook::settled), the run compares its live state with
-  /// that snapshot on reaching its position — frames, sp, next_frame_id,
-  /// the runtime heap and the memory image; output is write-only and
-  /// excluded — and on a match stops with RunResult::converged set: the
-  /// rest would replay the golden suffix instruction for instruction.
-  std::function<const Snapshot*(std::uint64_t executed)> golden_after;
-  /// When non-null, each executed instruction increments its static
-  /// site's counter: the slot of its index in site_order(module), which
-  /// the array must cover. Counting happens before the instruction runs,
-  /// so when snapshot_sink fires the counters hold exactly the snapshot's
-  /// prefix. Profiling uses this to count category instances without a
-  /// hook; runs without it take the non-counting fast loop.
-  std::uint64_t* site_hits = nullptr;
-  /// Execution strategy (machine/dispatch.h). Threaded runs pre-decoded
-  /// traces while no hook can observe execution; Switch pins the hooked
-  /// loop. Results are identical either way.
-  machine::DispatchMode dispatch = machine::DispatchMode::Threaded;
-};
-
-struct RunResult {
-  bool trapped = false;
-  machine::TrapKind trap = machine::TrapKind::UnmappedAccess;
-  /// Static location of the trap when `trapped`: the per-function id of
-  /// the instruction that was executing (same id space as the injectors'
-  /// static_site). Zero otherwise.
-  std::uint64_t trap_pc = 0;
-  /// Faulting address carried by the trap (the TrapException's address
-  /// operand — memory address, divisor site, or jump target).
-  std::uint64_t trap_address = 0;
-  bool timed_out = false;
-  std::int64_t exit_value = 0;
-  std::uint64_t dynamic_instructions = 0;
-  std::string output;
-  /// The golden snapshot the run converged on (RunLimits::golden_after),
-  /// or nullptr when it ran to its end. A converged result stops there:
-  /// `dynamic_instructions` is the snapshot's position and `output` the
-  /// output so far; the caller completes both from the golden run.
-  const Snapshot* converged = nullptr;
-
-  bool completed() const noexcept { return !trapped && !timed_out; }
-};
+/// Run parameters and outcome (machine/run_loop.h). A run's budget
+/// defaults to 200 M dynamic IR instructions.
+using RunLimits = machine::RunLimits<Snapshot, 200'000'000>;
+using RunResult = machine::RunResult<Snapshot>;
 
 /// Static instructions of `module` in RunLimits::site_hits order:
 /// functions in module order, each one's instructions by

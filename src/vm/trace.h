@@ -17,7 +17,7 @@
 // an instruction it cannot pre-resolve poisons its block, which then runs
 // through the slow path forever. Fault hooks are never compiled into a
 // trace: the interpreter only enters the fast path while no hook can
-// observe execution (see interpreter.cc's dispatcher).
+// observe execution (see machine::RunLoop's fast_eligible).
 #pragma once
 
 #include <cstdint>

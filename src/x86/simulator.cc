@@ -5,10 +5,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 
 #include "machine/dispatch.h"
-#include "obs/metrics.h"
 #include "support/bitutil.h"
 #include "x86/trace.h"
 
@@ -26,16 +24,6 @@ namespace faultlab::x86 {
 
 namespace {
 
-/// Instructions actually executed per run()/resume() call (the delta, not
-/// the snapshot-primed absolute count), log2-bucketed in the global
-/// registry. One handle lookup per process; one branch when disabled.
-void record_run_instructions(std::uint64_t delta) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Histogram histogram =
-      obs::Registry::global().histogram("x86.run_instructions");
-  histogram.record(delta);
-}
-
 using machine::Layout;
 using machine::TrapException;
 using machine::TrapKind;
@@ -51,30 +39,25 @@ struct Flags {
 
 }  // namespace
 
-// Resident execution state behind Simulator: memory, runtime, and
-// architectural registers persist across runs so consecutive restore()
-// calls of the same snapshot stay on Memory's delta-restore path.
-class Machine {
+// Resident execution state behind Simulator: architectural registers on
+// top of the run loop's memory and runtime (machine/run_loop.h), which
+// persist across runs so consecutive restore() calls of the same snapshot
+// stay on Memory's delta-restore path. The run loop alternates the hooked
+// slow step below with fast_run over the pre-decoded trace (x86/trace.h).
+class Machine final : public machine::RunLoop<Machine, SimHook, SimLimits> {
  public:
-  explicit Machine(const Program& program)
-      : program_(program), runtime_(memory_) {}
+  static constexpr const char* kName = "Simulator";
+  static constexpr const char* kRunHistogram = "x86.run_instructions";
 
-  /// Arms the per-run parameters (the state itself is resident).
-  void prepare(SimHook* hook, const SimLimits& limits) {
-    hook_ = hook;
-    limits_ = limits;
-    next_snapshot_at_ = 0;
-  }
+  explicit Machine(const Program& program) : program_(program) {}
 
-  SimResult run() {
-    // Fresh image: releasing the mappings also disarms delta tracking, so
-    // a later restore() knows to fall back to a full restore.
-    loaded_ = false;
-    memory_.reset();
-    runtime_.reset();
+ private:
+  friend RunLoop;
+
+  /// Lays out a fresh image: data, stack and the halt return address.
+  void start() {
+    fresh_image();
     state_ = MachineState{};
-    executed_ = 0;
-    // Materialize the data image and stack.
     memory_.map_range(Layout::kGlobalBase,
                       std::max<std::uint64_t>(program_.data_size, 1));
     for (const auto& seg : program_.data)
@@ -85,119 +68,22 @@ class Machine {
     state_.gpr[RSP] = Layout::kStackTop - 64;  // small red zone below top
     push(kHaltAddress);
     state_.rip_index = program_.entry_index;
-    return drive();
   }
 
-  machine::Memory::RestoreStats restore(const SimSnapshot& snapshot) {
-    const machine::Memory::RestoreStats stats =
-        memory_.restore_delta(snapshot.memory);
-    runtime_.restore(snapshot.runtime);
-    state_ = snapshot.state;
-    executed_ = snapshot.executed;
-    loaded_ = true;
-    return stats;
+  void load(const SimSnapshot& snapshot) { state_ = snapshot.state; }
+  void capture(SimSnapshot& snap) const { snap.state = state_; }
+  bool same_state(const SimSnapshot& golden) const {
+    return std::memcmp(&state_, &golden.state, sizeof state_) == 0;
   }
 
-  /// Runs the restored state.
-  SimResult resume() {
-    loaded_ = false;
-    return drive();
+  std::int64_t exit_value(std::uint64_t) const {
+    return static_cast<std::int32_t>(state_.gpr[RAX]);
   }
 
-  bool loaded() const noexcept { return loaded_; }
-  std::uint64_t executed() const noexcept { return executed_; }
-
- private:
-  SimResult drive() {
-    if (limits_.snapshot_stride != 0)
-      next_snapshot_at_ = executed_ + limits_.snapshot_stride;
-    golden_next_ =
-        limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
-    converged_ = nullptr;
-    try {
-      if (limits_.site_hits != nullptr) {
-        loop<true>();
-      } else {
-        loop<false>();
-      }
-      if (converged_ != nullptr) {
-        SimResult result;
-        result.converged = converged_;
-        result.dynamic_instructions = executed_;
-        result.output = runtime_.output();
-        return result;
-      }
-      return halt_fill();
-    } catch (const TrapException& trap) {
-      return trap_fill(trap);
-    } catch (const machine::TimeoutException&) {
-      return timeout_fill();
-    }
-  }
-
-  SimResult halt_fill() {
-    SimResult result;
-    result.exit_value =
-        static_cast<std::int64_t>(static_cast<std::int32_t>(state_.gpr[RAX]));
-    result.dynamic_instructions = executed_;
-    result.output = runtime_.output();
-    return result;
-  }
-
-  SimResult trap_fill(const TrapException& trap) {
-    SimResult result;
-    result.trapped = true;
-    result.trap = trap.kind();
-    result.trap_address = trap.address();
-    // rip_index advances before execute(), so the faulting instruction's
-    // index is tracked separately (the fetch-bounds trap at the top of
-    // the loop also lands on the bad rip it recorded there).
-    result.trap_pc = current_index_;
-    result.dynamic_instructions = executed_;
-    result.output = runtime_.output();
-    return result;
-  }
-
-  SimResult timeout_fill() {
-    SimResult result;
-    result.timed_out = true;
-    result.dynamic_instructions = executed_;
-    result.output = runtime_.output();
-    return result;
-  }
-
-  void maybe_snapshot() {
-    if (next_snapshot_at_ == 0 || executed_ < next_snapshot_at_ ||
-        !limits_.snapshot_sink)
-      return;
-    SimSnapshot snap;
-    snap.state = state_;
-    snap.executed = executed_;
-    snap.memory = memory_.snapshot();
-    snap.runtime = runtime_.save();
-    const std::uint64_t stride = limits_.snapshot_sink(std::move(snap));
-    next_snapshot_at_ = stride != 0 ? executed_ + stride : 0;
-  }
-
-  /// Golden-convergence check between two instructions (see
-  /// SimLimits::golden_after and the interpreter's twin); call with
-  /// golden_next_ set. True when the hook is gone or settled and the live
-  /// state equals the golden snapshot captured at exactly this position;
-  /// the caller then stops with converged_ set.
-  bool converges() {
-    if ((hook_ != nullptr && !hook_->settled()) ||
-        executed_ < golden_next_->executed)
-      return false;
-    const SimSnapshot& golden = *golden_next_;
-    golden_next_ = limits_.golden_after(executed_);
-    if (golden.executed != executed_ ||
-        std::memcmp(&state_, &golden.state, sizeof state_) != 0 ||
-        !runtime_.same_heap(golden.runtime) ||
-        !memory_.same_image(golden.memory))
-      return false;
-    converged_ = &golden;
-    return true;
-  }
+  /// rip_index advances before execute(), so the faulting instruction's
+  /// index is tracked separately (the fetch-bounds trap also lands on the
+  /// bad rip fetch() recorded).
+  std::uint64_t trap_pc() const { return current_index_; }
 
   [[noreturn]] void trap(TrapKind kind, std::uint64_t addr,
                          const char* detail = "") {
@@ -332,84 +218,30 @@ class Machine {
     return 0.0;
   }
 
-  // -- main loop -------------------------------------------------------------
+  // -- slow step ------------------------------------------------------------
 
-  /// Runs to the halt sentinel (or to golden convergence). Switch mode is
-  /// the pure historical loop; threaded mode alternates trace execution
-  /// with single hooked slow steps at window boundaries. kCount selects
-  /// the fast loop that also fills SimLimits::site_hits.
-  template <bool kCount>
-  void loop() {
-    if (limits_.dispatch == machine::DispatchMode::Switch) {
-      while (!slow_step()) {
-      }
-      return;
-    }
-    while (true) {
-      std::uint64_t stop = limits_.max_instructions;
-      if (fast_eligible(&stop) && fast_run<kCount>(stop)) return;
-      if (slow_step()) return;
-    }
-  }
-
-  /// Whether the fast path may run right now, and — via `stop` — up to
-  /// which dynamic-instruction count (see vm/interpreter.cc for the full
-  /// boundary derivation; the slow loop's per-instruction checks all fire
-  /// at positions known in advance, so one slow step at each boundary
-  /// reproduces the throw / re-arm / snapshot exactly).
-  bool fast_eligible(std::uint64_t* stop) {
-    if (hook_ != nullptr) {
-      if (!hook_->detached()) return false;
-      const std::uint64_t at = hook_->rearm_at();
-      if (at == 0) {
-        hook_ = nullptr;  // finally detached: same nulling as the slow loop
-      } else {
-        *stop = std::min(*stop, at - 1);
-      }
-    }
-    if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
-      *stop = std::min(*stop, next_snapshot_at_);
-    if (hook_ == nullptr && golden_next_ != nullptr)
-      *stop = std::min(*stop, golden_next_->executed);
-    return executed_ < *stop;
-  }
-
-  /// One iteration of the hooked slow path; true when the program halted
-  /// or converged on the golden state (converged_ set).
-  bool slow_step() {
-    maybe_snapshot();
-    if (golden_next_ != nullptr && converges()) return true;
-    // trap_pc source: rip advances before execute(), so the faulting
-    // instruction's index is tracked here. For the fetch-bounds trap the
-    // recorded pc is the bad rip itself.
+  /// The next instruction's index; a rip past the code traps before the
+  /// instruction counts.
+  std::size_t fetch() {
     current_index_ = state_.rip_index;
     if (state_.rip_index >= program_.code.size())
       trap(TrapKind::InvalidJump, Program::address_of_index(state_.rip_index));
-    const std::size_t index = state_.rip_index;
-    const Inst& inst = program_.code[index];
-    if (++executed_ > limits_.max_instructions)
-      throw machine::TimeoutException();
-    if (limits_.site_hits != nullptr) ++limits_.site_hits[index];
-    if (hook_ != nullptr && hook_->detached()) {
-      const std::uint64_t at = hook_->rearm_at();
-      if (at == 0) {
-        hook_ = nullptr;  // rest of the run executes at unhooked speed
-      } else if (executed_ >= at) {
-        hook_->rearm();  // dormant hook reached its re-arm point
-      }
-    }
-    // Dormant hooks (detached with a future rearm_at) see neither
-    // callback this instruction. A hook that detaches inside on_before
-    // still gets on_after for the same instruction, as before.
-    SimHook* live = hook_ != nullptr && !hook_->detached() ? hook_ : nullptr;
-    if (live != nullptr) {
-      live->on_before(index, inst);
-      deliver_memory(live, index, inst);
-    }
+    return state_.rip_index;
+  }
 
+  void count_site(std::size_t index) { ++limits_.site_hits[index]; }
+
+  /// The slow step after the run loop's preamble (snapshot, convergence,
+  /// count, re-arm); true when the program halted.
+  bool step(std::size_t index, std::uint64_t*) {
+    const Inst& inst = program_.code[index];
+    if (live_hook_ != nullptr) {
+      live_hook_->on_before(index, inst);
+      deliver_memory(live_hook_, index, inst);
+    }
     state_.rip_index = index + 1;  // default fallthrough
     const bool halted = execute(inst);
-    if (live != nullptr) live->on_after(index, inst, state_);
+    if (live_hook_ != nullptr) live_hook_->on_after(index, inst, state_);
     return halted;
   }
 
@@ -465,7 +297,7 @@ class Machine {
   /// counts every executed instruction into SimLimits::site_hits; the
   /// other one has no counting code at all.
   template <bool kCount>
-  bool fast_run(std::uint64_t stop) {
+  bool fast_run(std::uint64_t stop, std::uint64_t*) {
     if (trace_ == nullptr) trace_ = std::make_unique<XTrace>(program_);
     machine::DispatchCounters& dc = machine::dispatch_counters();
     std::size_t ip = state_.rip_index;
@@ -1186,17 +1018,8 @@ class Machine {
   }
 
   const Program& program_;
-  SimHook* hook_ = nullptr;
-  SimLimits limits_;
-  machine::Memory memory_;
-  machine::Runtime runtime_;
   MachineState state_;
-  std::uint64_t executed_ = 0;
-  std::uint64_t next_snapshot_at_ = 0;
-  const SimSnapshot* golden_next_ = nullptr;  // next convergence candidate
-  const SimSnapshot* converged_ = nullptr;    // set when converges() matched
   std::uint64_t current_index_ = 0;  // instruction being executed (trap_pc)
-  bool loaded_ = false;  // restore() ran and resume() has not consumed it
   std::unique_ptr<XTrace> trace_;  // decoded on first fast-path entry
 };
 
@@ -1206,29 +1029,16 @@ Simulator::Simulator(const Program& program, SimHook* hook)
 Simulator::~Simulator() = default;
 
 SimResult Simulator::run(const SimLimits& limits) {
-  if (machine_ == nullptr) machine_ = std::make_unique<Machine>(program_);
-  machine_->prepare(hook_, limits);
-  SimResult r = machine_->run();
-  record_run_instructions(r.dynamic_instructions);
-  return r;
+  return Machine::resident(machine_, program_).run(hook_, limits);
 }
 
 machine::Memory::RestoreStats Simulator::restore(
     const SimSnapshot& snapshot) {
-  if (machine_ == nullptr) machine_ = std::make_unique<Machine>(program_);
-  return machine_->restore(snapshot);
+  return Machine::resident(machine_, program_).restore(snapshot);
 }
 
 SimResult Simulator::resume(const SimLimits& limits) {
-  if (machine_ == nullptr || !machine_->loaded())
-    throw std::logic_error("Simulator::resume() without a pending restore()");
-  machine_->prepare(hook_, limits);
-  const std::uint64_t base = machine_->executed();
-  SimResult r = machine_->resume();
-  // dynamic_instructions is snapshot-primed (absolute position in the
-  // golden schedule); the histogram tracks work actually done here.
-  record_run_instructions(r.dynamic_instructions - base);
-  return r;
+  return Machine::resume(machine_.get(), hook_, limits);
 }
 
 }  // namespace faultlab::x86

@@ -6,12 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
-#include "machine/dispatch.h"
 #include "machine/memory.h"
+#include "machine/run_loop.h"
 #include "machine/runtime.h"
 #include "x86/program.h"
 
@@ -26,34 +25,11 @@ struct MachineState {
   std::uint64_t rip_index = 0;  // instruction index, not byte address
 };
 
-class SimHook {
+/// Instrumentation interface; detach, re-arm and settle are the run
+/// loop's (machine::HookControl).
+class SimHook : public machine::HookControl {
  public:
   virtual ~SimHook() = default;
-  /// True once the hook has nothing left to observe right now. The
-  /// simulator checks this at instruction boundaries; when `rearm_at()` is
-  /// zero it drops the hook for the rest of the run (the transient fast
-  /// path), so an injection hook done tracking activation stops taxing
-  /// every remaining instruction with virtual calls. With a nonzero
-  /// `rearm_at()` the hook merely goes dormant: callbacks are suppressed
-  /// until the executed-instruction count reaches the re-arm point, then
-  /// the simulator calls `rearm()` and resumes delivery. The hook object
-  /// stays alive and queryable either way.
-  bool detached() const noexcept { return detached_; }
-  /// Absolute executed-instruction count at which a dormant hook wants
-  /// callbacks again; zero means detachment is final.
-  std::uint64_t rearm_at() const noexcept { return rearm_at_; }
-  /// Reactivates a dormant hook. Called by the simulator when the re-arm
-  /// point is reached; not for subclass use.
-  void rearm() noexcept {
-    detached_ = false;
-    rearm_at_ = 0;
-  }
-  /// True once the hook still observes but no longer changes anything
-  /// the run's outcome or its own record depends on. The simulator then
-  /// treats it like a detached hook for golden convergence: a state equal
-  /// to the golden snapshot would replay the golden suffix, callbacks
-  /// included.
-  bool settled() const noexcept { return settled_; }
   /// Called before executing instruction `code[index]`.
   virtual void on_before(std::size_t index, const Inst& inst) {
     (void)index;
@@ -81,27 +57,6 @@ class SimHook {
     (void)inst;
     (void)state;
   }
-
- protected:
-  /// For subclasses whose instrumentation completes mid-run. Passing a
-  /// nonzero `rearm_at` requests dormancy instead of final detachment:
-  /// the simulator suppresses callbacks until that many instructions have
-  /// executed (absolute count, including any restored prefix), then
-  /// re-arms the hook. Time-triggered and persistent fault models use
-  /// this to sleep through uninteresting stretches without giving up the
-  /// hook pointer.
-  void detach(std::uint64_t rearm_at = 0) noexcept {
-    detached_ = true;
-    rearm_at_ = rearm_at;
-  }
-  /// For subclasses that stay attached only to watch for an event the
-  /// golden suffix can never produce (see settled()).
-  void settle() noexcept { settled_ = true; }
-
- private:
-  bool detached_ = false;
-  bool settled_ = false;
-  std::uint64_t rearm_at_ = 0;
 };
 
 /// Resumable machine state captured between two retired instructions:
@@ -116,57 +71,10 @@ struct SimSnapshot {
   machine::Runtime::State runtime;
 };
 
-struct SimLimits {
-  /// Budget on *total* dynamic instructions, including any golden prefix a
-  /// resumed run skipped: resume() keeps counting from the snapshot's
-  /// `executed`, so a restored trial times out exactly where a full run
-  /// would.
-  std::uint64_t max_instructions = 400'000'000;
-  /// When nonzero, capture a SimSnapshot once `snapshot_stride` more
-  /// instructions have retired and hand it to `snapshot_sink`, which
-  /// returns the stride to the next capture (0 stops capturing).
-  std::uint64_t snapshot_stride = 0;
-  std::function<std::uint64_t(SimSnapshot&&)> snapshot_sink;
-  /// Golden-convergence early exit (see vm::RunLimits::golden_after): the
-  /// golden snapshot captured at the first position strictly after
-  /// `executed`, or nullptr. Once the hook has detached for good or
-  /// settled (SimHook::settled), the run compares the MachineState bytes, the runtime heap and the memory
-  /// image with it on reaching its position, and stops on a match with
-  /// SimResult::converged set.
-  std::function<const SimSnapshot*(std::uint64_t executed)> golden_after;
-  /// When non-null, each executed instruction increments the counter at
-  /// its code index; the array needs code.size() + 1 slots (the last is
-  /// the fetch-past-the-end sentinel, which traps and ends up at zero).
-  /// Counting happens before the instruction runs, so when snapshot_sink
-  /// fires the counters hold exactly the snapshot's prefix. Profiling uses
-  /// this to count category instances without a hook; runs without it
-  /// take the non-counting fast loop.
-  std::uint64_t* site_hits = nullptr;
-  /// Execution strategy (see vm::RunLimits::dispatch).
-  machine::DispatchMode dispatch = machine::DispatchMode::Threaded;
-};
-
-struct SimResult {
-  bool trapped = false;
-  machine::TrapKind trap = machine::TrapKind::UnmappedAccess;
-  /// Static location of the trap when `trapped`: the instruction index
-  /// (rip) that was executing — the same id space as PINFI's static_site.
-  /// Zero otherwise.
-  std::uint64_t trap_pc = 0;
-  /// Faulting address carried by the trap (memory address, divisor site,
-  /// or jump target).
-  std::uint64_t trap_address = 0;
-  bool timed_out = false;
-  std::int64_t exit_value = 0;
-  std::uint64_t dynamic_instructions = 0;
-  std::string output;
-  /// The golden snapshot the run converged on, or nullptr when it ran to
-  /// its end. A converged result stops there: `dynamic_instructions` is
-  /// the snapshot's position and `output` the output so far.
-  const SimSnapshot* converged = nullptr;
-
-  bool completed() const noexcept { return !trapped && !timed_out; }
-};
+/// Run parameters and outcome (machine/run_loop.h). A run's budget
+/// defaults to 400 M dynamic instructions.
+using SimLimits = machine::RunLimits<SimSnapshot, 400'000'000>;
+using SimResult = machine::RunResult<SimSnapshot>;
 
 class Machine;
 

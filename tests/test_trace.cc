@@ -1,9 +1,11 @@
 // Trace-layer tests: micro-op decode round-trips for both engines,
-// armed-window side exits and hook re-arming, dispatch-mode equivalence
+// armed-window side exits, hook re-arming and settled-hook convergence
+// (one test body per case over both executors), dispatch-mode equivalence
 // (trap PCs, observation schedules, checkpoint resume mid-trace), and the
 // trace-cache counters behind the manifest's dispatch columns.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "apps/apps.h"
@@ -256,44 +258,222 @@ TEST(DispatchEquiv, TrapPcExactOnBothEngines) {
 
 /// Hook that starts dormant (fast path until `wake`), observes `window`
 /// instructions, then detaches for good — the shape of an injection hook's
-/// armed window, without any injection.
-class WindowHook final : public vm::ExecHook {
+/// armed window, without any injection. With `settle` it settles instead
+/// and keeps observing, the way a traced hook waits for golden
+/// convergence. It records the pc of every instruction it observes.
+template <typename Base>
+class WindowHookT : public Base {
  public:
-  WindowHook(std::uint64_t wake, std::uint64_t window) : window_(window) {
-    detach(wake);
+  WindowHookT(std::uint64_t wake, std::uint64_t window, bool settle = false)
+      : window_(window), settle_(settle) {
+    this->detach(wake);
   }
-  void on_instruction(const ir::Instruction&) override {
-    if (++seen_ == window_) detach();
+  const std::vector<std::uint64_t>& observed() const noexcept {
+    return observed_;
   }
-  std::uint64_t seen() const noexcept { return seen_; }
+
+ protected:
+  void observe(std::uint64_t pc) {
+    observed_.push_back(pc);
+    if (observed_.size() != window_) return;
+    if (settle_) {
+      this->settle();
+    } else {
+      this->detach();
+    }
+  }
 
  private:
   std::uint64_t window_;
-  std::uint64_t seen_ = 0;
+  bool settle_;
+  std::vector<std::uint64_t> observed_;
 };
 
-TEST(DispatchEquiv, DormantHookRearmsAtExactInstruction) {
-  auto prog = driver::compile(kKernel, "t");
+struct VmWindowHook final : WindowHookT<vm::ExecHook> {
+  using WindowHookT::WindowHookT;
+  void on_instruction(const ir::Instruction& instr) override {
+    observe(instr.id());
+  }
+};
 
-  WindowHook slow_hook(1000, 500);
-  const vm::RunResult vs =
-      prog.run_ir(&slow_hook, vm_limits(DispatchMode::Switch));
-  ASSERT_TRUE(vs.completed());
-  ASSERT_EQ(slow_hook.seen(), 500u);  // window fully observed
+struct SimWindowHook final : WindowHookT<x86::SimHook> {
+  using WindowHookT::WindowHookT;
+  void on_before(std::size_t index, const x86::Inst&) override {
+    observe(index);
+  }
+};
+
+/// The interpreter and the simulator behind one interface, so a run-loop
+/// test body covers both executors.
+struct VmExecutor {
+  using Hook = VmWindowHook;
+  using Limits = vm::RunLimits;
+  using Result = vm::RunResult;
+  using Snapshot = vm::Snapshot;
+  static Result run(driver::CompiledProgram& prog, Hook* hook,
+                    const Limits& limits) {
+    return prog.run_ir(hook, limits);
+  }
+};
+
+struct SimExecutor {
+  using Hook = SimWindowHook;
+  using Limits = x86::SimLimits;
+  using Result = x86::SimResult;
+  using Snapshot = x86::SimSnapshot;
+  static Result run(driver::CompiledProgram& prog, Hook* hook,
+                    const Limits& limits) {
+    return prog.run_asm(hook, limits);
+  }
+};
+
+/// What one hooked run did: its result, the pcs its hook observed, and the
+/// positions of the snapshots it captured.
+template <typename Exec>
+struct HookedRun {
+  typename Exec::Result result;
+  std::vector<std::uint64_t> observed;
+  std::vector<std::uint64_t> snapshots;
+};
+
+/// Runs `prog` with a fresh WindowHook(wake, window, settle) in `mode`,
+/// capturing snapshots every `stride` instructions when nonzero, and
+/// converging on `golden` snapshots when non-null.
+template <typename Exec>
+HookedRun<Exec> hooked_run(
+    driver::CompiledProgram& prog, DispatchMode mode, std::uint64_t wake,
+    std::uint64_t window, bool settle = false, std::uint64_t stride = 0,
+    const std::vector<typename Exec::Snapshot>* golden = nullptr) {
+  HookedRun<Exec> out;
+  typename Exec::Hook hook(wake, window, settle);
+  typename Exec::Limits limits;
+  limits.dispatch = mode;
+  limits.snapshot_stride = stride;
+  if (stride != 0) {
+    limits.snapshot_sink = [&](typename Exec::Snapshot&& snap) {
+      out.snapshots.push_back(snap.executed);
+      return stride;
+    };
+  }
+  if (golden != nullptr) {
+    limits.golden_after = [golden](std::uint64_t executed) {
+      for (const auto& snap : *golden)
+        if (snap.executed > executed) return &snap;
+      return static_cast<const typename Exec::Snapshot*>(nullptr);
+    };
+  }
+  out.result = Exec::run(prog, &hook, limits);
+  out.observed = hook.observed();
+  return out;
+}
+
+/// Threaded dispatch must reproduce the switch loop exactly: the same
+/// outcome, the same observed pcs and the same capture and convergence
+/// positions.
+template <typename Exec>
+void expect_same_run(const HookedRun<Exec>& slow, const HookedRun<Exec>& fast) {
+  EXPECT_EQ(fast.observed, slow.observed);
+  EXPECT_EQ(fast.snapshots, slow.snapshots);
+  EXPECT_EQ(fast.result.trapped, slow.result.trapped);
+  EXPECT_EQ(fast.result.exit_value, slow.result.exit_value);
+  EXPECT_EQ(fast.result.dynamic_instructions,
+            slow.result.dynamic_instructions);
+  EXPECT_EQ(fast.result.output, slow.result.output);
+  EXPECT_EQ(fast.result.converged != nullptr,
+            slow.result.converged != nullptr);
+}
+
+template <typename Exec>
+void expect_dormant_hook_rearms_exactly(driver::CompiledProgram& prog) {
+  const auto slow = hooked_run<Exec>(prog, DispatchMode::Switch, 1000, 500);
+  ASSERT_TRUE(slow.result.completed());
+  ASSERT_EQ(slow.observed.size(), 500u);  // window fully observed
 
   const auto before = machine::dispatch_counters_snapshot();
-  WindowHook fast_hook(1000, 500);
-  const vm::RunResult vt = prog.run_ir(&fast_hook);
+  const auto fast = hooked_run<Exec>(prog, DispatchMode::Threaded, 1000, 500);
   const auto after = machine::dispatch_counters_snapshot();
 
   // Identical observation schedule: the fast path must side-exit at the
   // re-arm boundary so the hook sees exactly the same 500 instructions...
-  EXPECT_EQ(fast_hook.seen(), slow_hook.seen());
-  EXPECT_EQ(vt.exit_value, vs.exit_value);
-  EXPECT_EQ(vt.dynamic_instructions, vs.dynamic_instructions);
-  EXPECT_EQ(vt.output, vs.output);
+  expect_same_run(slow, fast);
   // ...and the boundary crossings show up as trace invalidations.
   EXPECT_GT(after.trace_invalidations, before.trace_invalidations);
+}
+
+TEST(DispatchEquiv, DormantHookRearmsAtExactInstruction) {
+  auto prog = driver::compile(kKernel, "t");
+  expect_dormant_hook_rearms_exactly<VmExecutor>(prog);
+  expect_dormant_hook_rearms_exactly<SimExecutor>(prog);
+}
+
+template <typename Exec>
+void expect_rearm_on_snapshot_boundary(driver::CompiledProgram& prog) {
+  // The hook re-arms on the instruction that brings the count to
+  // rearm_at, and a capture fires before the first instruction after
+  // reaching a stride boundary (later than the boundary only when a VM
+  // phi group straddles it). rearm_at == capture position puts the two
+  // one instruction apart; rearm_at == capture position + 1 puts them in
+  // the same slow step.
+  constexpr std::uint64_t kStride = 2000;
+  const auto plain = hooked_run<Exec>(
+      prog, DispatchMode::Switch, std::numeric_limits<std::uint64_t>::max(),
+      0, false, kStride);
+  ASSERT_GT(plain.snapshots.size(), 3u);
+  const std::uint64_t boundary = plain.snapshots[2];
+  for (std::uint64_t wake : {boundary, boundary + 1}) {
+    const auto slow = hooked_run<Exec>(prog, DispatchMode::Switch, wake, 300,
+                                       false, kStride);
+    const auto fast = hooked_run<Exec>(prog, DispatchMode::Threaded, wake,
+                                       300, false, kStride);
+    ASSERT_TRUE(slow.result.completed());
+    ASSERT_EQ(slow.observed.size(), 300u);
+    EXPECT_EQ(slow.snapshots, plain.snapshots);
+    expect_same_run(slow, fast);
+  }
+}
+
+TEST(DispatchEquiv, RearmOnSnapshotBoundaryBothEngines) {
+  auto prog = driver::compile(kKernel, "t");
+  expect_rearm_on_snapshot_boundary<VmExecutor>(prog);
+  expect_rearm_on_snapshot_boundary<SimExecutor>(prog);
+}
+
+template <typename Exec>
+void expect_settled_hook_converges(driver::CompiledProgram& prog) {
+  // Golden snapshots from an unhooked capture run.
+  std::vector<typename Exec::Snapshot> golden;
+  typename Exec::Limits capture;
+  capture.snapshot_stride = 3000;
+  capture.snapshot_sink = [&](typename Exec::Snapshot&& snap) {
+    golden.push_back(std::move(snap));
+    return capture.snapshot_stride;
+  };
+  const typename Exec::Result full = Exec::run(prog, nullptr, capture);
+  ASSERT_TRUE(full.completed());
+  ASSERT_GT(golden.size(), 4u);
+
+  // The hook wakes mid-window, observes 100 instructions and settles. It
+  // stays attached (slow path), but a settled hook no longer blocks the
+  // convergence check, so the run stops on the first golden snapshot
+  // after it settles.
+  const std::uint64_t wake = golden[1].executed + 700;
+  const auto slow = hooked_run<Exec>(prog, DispatchMode::Switch, wake, 100,
+                                     true, 0, &golden);
+  const auto fast = hooked_run<Exec>(prog, DispatchMode::Threaded, wake, 100,
+                                     true, 0, &golden);
+  ASSERT_NE(slow.result.converged, nullptr);
+  EXPECT_EQ(slow.result.converged, &golden[2]);
+  EXPECT_EQ(slow.result.dynamic_instructions, golden[2].executed);
+  // Observed from the wake instruction through the convergence point.
+  EXPECT_EQ(slow.observed.size(), golden[2].executed - wake + 1);
+  expect_same_run(slow, fast);
+  EXPECT_EQ(fast.result.converged, slow.result.converged);
+}
+
+TEST(DispatchEquiv, SettledHookConvergesOnGoldenSnapshotBothEngines) {
+  auto prog = driver::compile(kKernel, "t");
+  expect_settled_hook_converges<VmExecutor>(prog);
+  expect_settled_hook_converges<SimExecutor>(prog);
 }
 
 TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {

@@ -20,8 +20,10 @@ event log (one JSON object per line, schema v1 from src/obs/events.h):
 
   * every record carries the full required key set with sane types;
   * enum fields hold known values (outcome, trap kind, checkpoint);
-  * `seq` is monotonic per worker (0, 1, 2, ... — the writer promises
-    per-worker ordering even though shards interleave in the file);
+  * `seq` is monotonic per scheduler run and worker (0, 1, 2, ... — the
+    writer promises per-worker ordering even though shards interleave in
+    the file; `run` numbers the scheduler runs of the logging process and
+    reads as 0 when absent);
   * cross-field consistency: a crash carries a trap (and only a crash
     does), activation implies injection, and the propagation distance
     equals instructions_total - inject_instruction for injected trials;
@@ -213,7 +215,7 @@ def validate_events(records):
                                 f"{where}: undiverged trial carries "
                                 f"prop.{key} = {prop.get(key)!r}"
                             )
-        for key in ("worker", "seq", "trial", "k", "bit", "site",
+        for key in ("run", "worker", "seq", "trial", "k", "bit", "site",
                     "inject_instruction", "instructions_total",
                     "instructions_after_injection"):
             if key in record and not isinstance(record[key], int):
@@ -285,17 +287,22 @@ def validate_events(records):
                     f"{expected}"
                 )
         # Per-worker ordering: the writer promises a contiguous 0,1,2,...
-        # seq per worker even though shard spills interleave in the file.
+        # seq per scheduler run and worker even though shard spills
+        # interleave in the file. Logs that predate the `run` key hold one
+        # run.
+        run = record.get("run", 0)
         worker = record.get("worker")
         seq = record.get("seq")
-        if isinstance(worker, int) and isinstance(seq, int):
-            expected_seq = seq_by_worker.get(worker, 0)
+        if isinstance(run, int) and isinstance(worker, int) and \
+                isinstance(seq, int):
+            expected_seq = seq_by_worker.get((run, worker), 0)
             if seq != expected_seq:
                 yield (
-                    f"{where}: worker {worker} seq {seq}, expected "
-                    f"{expected_seq} (per-worker seq must be contiguous)"
+                    f"{where}: run {run} worker {worker} seq {seq}, "
+                    f"expected {expected_seq} (per-worker seq must be "
+                    "contiguous)"
                 )
-            seq_by_worker[worker] = max(expected_seq, seq) + 1
+            seq_by_worker[(run, worker)] = max(expected_seq, seq) + 1
 
 
 STATUS_HEADER_KEYS = {
