@@ -16,7 +16,7 @@ int main() {
                        trials);
 
   // Propagation tracing on for the whole bench: results are byte-identical
-  // either way (the PropEquiv fixtures pin this), and the traced trials
+  // either way (the equivalence harness pins this), and the traced trials
   // feed table5_propagation.csv — the why behind the crash-gap table.
   fault::ExecConfig exec = fault::ExecConfig::from_env();
   exec.trace_prop = true;

@@ -8,12 +8,17 @@
 //     tool:     llfi|pinfi
 //     category: arithmetic|cast|cmp|load|all
 //     csv:      optional path; writes the campaign's results CSV there
-//               (used by the DeltaEquiv ctest pair to byte-compare runs)
+//               (the CampaignCsv ctest pairs byte-compare two runs)
+//
+// Malformed arguments, an unknown app and source that does not compile
+// print "error: ..." and exit with status 2.
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "apps/apps.h"
+#include "cli_args.h"
 #include "driver/pipeline.h"
 #include "fault/campaign.h"
 #include "fault/llfi.h"
@@ -26,20 +31,25 @@ int main(int argc, char** argv) {
 
   if (argc < 4) {
     std::cerr << "usage: " << argv[0]
-              << " <app|-> <llfi|pinfi> <category> [trials] [seed]\n";
+              << " <app|-> <llfi|pinfi> <category> [trials] [seed] [csv]\n";
     return 2;
   }
   const std::string app = argv[1];
   const std::string tool = argv[2];
-  const auto category = ir::category_from_name(argv[3]);
-  if (!category) {
-    std::cerr << "unknown category: " << argv[3] << "\n";
+  if (tool != "llfi" && tool != "pinfi") {
+    std::cerr << "error: unknown tool '" << tool << "' (llfi|pinfi)\n";
     return 2;
   }
-  const std::size_t trials =
-      argc > 4 ? static_cast<std::size_t>(std::atol(argv[4])) : 50;
-  const std::uint64_t seed =
-      argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5])) : 1;
+  const auto category = ir::category_from_name(argv[3]);
+  if (!category) {
+    std::cerr << "error: unknown category '" << argv[3] << "'\n";
+    return 2;
+  }
+  std::uint64_t trials = 50;
+  std::uint64_t seed = 1;
+  if (!examples::count_arg(argc, argv, 4, "trials", &trials) ||
+      !examples::count_arg(argc, argv, 5, "seed", &seed))
+    return 2;
 
   std::string source;
   if (app == "-") {
@@ -47,18 +57,24 @@ int main(int argc, char** argv) {
     buf << std::cin.rdbuf();
     source = buf.str();
   } else {
-    source = apps::benchmark(app).source;
+    const apps::Benchmark* benchmark = examples::find_app(app);
+    if (benchmark == nullptr) return 2;
+    source = benchmark->source;
   }
 
-  driver::CompiledProgram prog = driver::compile(source, app);
+  std::optional<driver::CompiledProgram> prog;
+  try {
+    prog.emplace(driver::compile(source, app));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << app << " does not compile: " << e.what()
+              << "\n";
+    return 2;
+  }
   std::unique_ptr<fault::InjectorEngine> engine;
   if (tool == "llfi") {
-    engine = std::make_unique<fault::LlfiEngine>(prog.module());
-  } else if (tool == "pinfi") {
-    engine = std::make_unique<fault::PinfiEngine>(prog.program());
+    engine = std::make_unique<fault::LlfiEngine>(prog->module());
   } else {
-    std::cerr << "unknown tool: " << tool << "\n";
-    return 2;
+    engine = std::make_unique<fault::PinfiEngine>(prog->program());
   }
 
   fault::CampaignConfig cfg;
@@ -72,7 +88,7 @@ int main(int argc, char** argv) {
   std::vector<fault::CampaignResult> results;
   try {
     results = scheduler.run();
-  } catch (const fault::CampaignError& e) {
+  } catch (const std::exception& e) {  // CampaignError, or a failed profile
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "apps/apps.h"
+#include "cli_args.h"
 #include "driver/pipeline.h"
 #include "fault/llfi.h"
 #include "obs/propagation.h"
@@ -26,17 +27,18 @@ int main(int argc, char** argv) {
   using namespace faultlab;
 
   const std::string app = argc > 1 ? argv[1] : "mcf";
+  const apps::Benchmark* benchmark = examples::find_app(app);
+  if (benchmark == nullptr) return 2;
   const auto category =
       ir::category_from_name(argc > 2 ? argv[2] : "all");
-  const std::size_t samples =
-      argc > 3 ? static_cast<std::size_t>(std::atol(argv[3])) : 8;
   if (!category) {
-    std::cerr << "unknown category: " << argv[2] << "\n";
+    std::cerr << "error: unknown category '" << argv[2] << "'\n";
     return 2;
   }
+  std::uint64_t samples = 8;
+  if (!examples::count_arg(argc, argv, 3, "samples", &samples)) return 2;
 
-  driver::CompiledProgram prog =
-      driver::compile(apps::benchmark(app).source, app);
+  driver::CompiledProgram prog = driver::compile(benchmark->source, app);
   // The engine traces from its golden run on, which captures the journal
   // that divergence is measured against.
   fault::ExecConfig exec = fault::ExecConfig::from_env();

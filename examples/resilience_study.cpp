@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "apps/apps.h"
+#include "cli_args.h"
 #include "driver/pipeline.h"
 #include "fault/campaign.h"
 #include "fault/llfi.h"
@@ -19,14 +20,15 @@ int main(int argc, char** argv) {
   using namespace faultlab;
 
   const std::string app = argc > 1 ? argv[1] : "libquantum";
-  const std::size_t trials =
-      argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 80;
+  const apps::Benchmark* benchmark = examples::find_app(app);
+  if (benchmark == nullptr) return 2;
+  std::uint64_t trials = 80;
+  if (!examples::count_arg(argc, argv, 2, "trials", &trials)) return 2;
 
   std::cout << "Resilience study of '" << app << "' (" << trials
             << " trials per category)\n\n";
 
-  driver::CompiledProgram prog =
-      driver::compile(apps::benchmark(app).source, app);
+  driver::CompiledProgram prog = driver::compile(benchmark->source, app);
   fault::LlfiEngine llfi(prog.module());
   fault::PinfiEngine pinfi(prog.program());
 

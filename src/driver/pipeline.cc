@@ -6,6 +6,7 @@
 #include "backend/phi_elim.h"
 #include "backend/regalloc.h"
 #include "frontend/codegen.h"
+#include "frontend/lexer.h"
 #include "ir/dominance.h"
 #include "ir/verifier.h"
 
@@ -41,6 +42,9 @@ CompiledProgram compile(const std::string& source, const std::string& name,
                         const CompileOptions& options) {
   CompiledProgram out;
   out.module_ = mc::compile_to_ir(source, name);
+  // A program runs from main; without one there is nothing to lower.
+  if (out.module_->find_function("main") == nullptr)
+    throw mc::CompileError("program has no main function", 1, 1);
   if (options.optimize) {
     out.opt_stats_ = opt::run_standard_pipeline(*out.module_);
   } else if (options.verify) {
@@ -48,6 +52,12 @@ CompiledProgram compile(const std::string& source, const std::string& name,
   }
   out.layout_ = std::make_unique<machine::GlobalLayout>(*out.module_);
   out.program_ = lower_module(*out.module_, *out.layout_);
+  // The data image (globals with their alignment padding, string literals
+  // and the x86 double pool, which covers the IR layout) must end at or
+  // below the heap, or the two would overlap.
+  if (out.program_.data_size >
+      machine::Layout::kHeapBase - machine::Layout::kGlobalBase)
+    throw mc::CompileError("globals do not fit below the heap", 1, 1);
   return out;
 }
 

@@ -340,7 +340,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   // spun up when the environment configures a status path or the progress
   // heartbeat (which the monitor renders) is on. Purely observational — it
   // never influences scheduling, so results stay byte-identical with it on
-  // or off (the StatusEquiv fixtures enforce this).
+  // or off (the equivalence harness in tests/test_differential.cc
+  // enforces this).
   const obs::MonitorOptions monitor_options =
       options_.monitor ? *options_.monitor : obs::MonitorOptions::from_env();
   manifest_.ci_target = monitor_options.ci_target;

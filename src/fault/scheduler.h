@@ -168,7 +168,8 @@ struct SchedulerOptions {
   /// options from the environment and spins the monitor up only when a
   /// status path is configured or the progress heartbeat is on. The
   /// monitor is observational only — results are byte-identical either
-  /// way (StatusEquiv enforces it).
+  /// way (the equivalence harness, Seeds/RandomContexts.
+  /// StrategiesAgreeSideBySide, enforces it).
   std::optional<obs::MonitorOptions> monitor;
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "frontend/lexer.h"
+#include "machine/memory.h"
 #include "support/bitutil.h"
 
 namespace faultlab::mc {
@@ -91,11 +92,28 @@ void SemaContext::declare_functions() {
 }
 
 void SemaContext::define_globals() {
+  // Globals are laid out one after another between the global base and
+  // the heap (machine::Layout). Their raw sizes must fit in that gap, so
+  // no initializer below is larger; driver::compile checks the exact
+  // layout, with padding, string literals and the double pool.
+  constexpr std::uint64_t kGlobalBytes =
+      machine::Layout::kHeapBase - machine::Layout::kGlobalBase;
+  std::uint64_t total = 0;
   for (const auto& g : tu_.globals) {
     const ir::Type* elem = resolve(g.type, g.line);
     if (!elem->is_scalar() && !elem->is_struct())
       throw CompileError("global '" + g.name + "' has unsupported type",
                          g.line, 1);
+    std::uint64_t size = elem->size_in_bytes();
+    for (const std::int64_t dim : g.array_dims) {
+      if (dim < 0 || (dim != 0 && size > (kGlobalBytes - total) /
+                                             static_cast<std::uint64_t>(dim)))
+        throw CompileError("global '" + g.name + "' is too large", g.line, 1);
+      size *= static_cast<std::uint64_t>(dim);
+    }
+    if (size > kGlobalBytes - total)
+      throw CompileError("global '" + g.name + "' is too large", g.line, 1);
+    total += size;
     const ir::Type* value_type = apply_dims(elem, g.array_dims);
 
     std::vector<std::uint8_t> bytes(value_type->size_in_bytes(), 0);

@@ -153,13 +153,16 @@ class ModuleParser {
     // Pass 1: struct declarations (so pointers to later structs resolve),
     // then struct bodies, globals, and function signatures.
     for (Line line : lines_) {
-      if (line.consume('%')) {
-        const std::string name = line.ident();
-        if (line.consume('=') && line.consume_word("type"))
-          module_->types().declare_struct(name);
-      }
+      diagnose(line, [&] {
+        if (line.consume('%')) {
+          const std::string name = line.ident();
+          if (line.consume('=') && line.consume_word("type"))
+            module_->types().declare_struct(name);
+        }
+      });
     }
-    for (Line line : lines_) parse_header_line(line);
+    for (Line line : lines_)
+      diagnose(line, [&] { parse_header_line(line); });
     // Pass 2: function bodies.
     parse_bodies();
     for (const auto& f : module_->functions()) f->renumber();
@@ -198,8 +201,11 @@ class ModuleParser {
       const std::string word = line.ident();
       if (word.size() < 2 || word[0] != 'i')
         line.fail("expected a type, found '" + word + "'");
-      base = types.int_type(
-          static_cast<unsigned>(std::strtoul(word.c_str() + 1, nullptr, 10)));
+      const std::string bits = word.substr(1);
+      if (bits != "1" && bits != "8" && bits != "16" && bits != "32" &&
+          bits != "64")
+        line.fail("unsupported integer type '" + word + "'");
+      base = types.int_type(static_cast<unsigned>(std::stoul(bits)));
     } else {
       line.fail("expected a type");
     }
@@ -289,37 +295,52 @@ class ModuleParser {
   void parse_bodies() {
     Function* current = nullptr;
     BasicBlock* block = nullptr;
-    for (Line line : lines_) {
-      if (line.at_end()) continue;
-      Line probe = line;
-      if (probe.consume_word("define")) {
-        parse_type(probe);
-        probe.expect('@', "function name");
-        const std::string name = probe.ident();
-        current = module_->find_function(name);
-        begin_function(*current);
-        block = nullptr;
-        continue;
+    for (Line line : lines_)
+      diagnose(line, [&] { parse_body_line(line, current, block); });
+  }
+
+  void parse_body_line(Line& line, Function*& current, BasicBlock*& block) {
+    if (line.at_end()) return;
+    Line probe = line;
+    if (probe.consume_word("define")) {
+      parse_type(probe);
+      probe.expect('@', "function name");
+      const std::string name = probe.ident();
+      current = module_->find_function(name);
+      begin_function(*current);
+      block = nullptr;
+      return;
+    }
+    if (current == nullptr) return;
+    Line closer = line;
+    if (closer.consume('}')) {
+      finish_function(*current);
+      current = nullptr;
+      return;
+    }
+    // Label?
+    Line label = line;
+    if (label.peek() != '%' && label.peek() != '@') {
+      Line l2 = label;
+      const std::string word = l2.ident();
+      if (l2.consume(':')) {
+        block = blocks_.at(word);
+        return;
       }
-      if (current == nullptr) continue;
-      Line closer = line;
-      if (closer.consume('}')) {
-        finish_function(*current);
-        current = nullptr;
-        continue;
-      }
-      // Label?
-      Line label = line;
-      if (label.peek() != '%' && label.peek() != '@') {
-        Line l2 = label;
-        const std::string word = l2.ident();
-        if (l2.consume(':')) {
-          block = blocks_.at(word);
-          continue;
-        }
-      }
-      if (block == nullptr) line.fail("instruction outside a block");
-      parse_instruction(line, *current, block);
+    }
+    if (block == nullptr) line.fail("instruction outside a block");
+    parse_instruction(line, *current, block);
+  }
+
+  /// Runs `parse` on `line` and reports the IR classes' precondition
+  /// failures (std::logic_error: an unknown label, a duplicate function,
+  /// a non-constant struct index, ...) as an IrParseError at that line.
+  template <typename Parse>
+  static void diagnose(const Line& line, Parse&& parse) {
+    try {
+      parse();
+    } catch (const std::logic_error& e) {
+      line.fail(e.what());
     }
   }
 
@@ -362,6 +383,10 @@ class ModuleParser {
       if (it == values_.end())
         throw IrParseError("undefined value %" + fix.name + " in @" + fn.name(),
                            0);
+      if (it->second->type() != fix.user->operand(fix.operand)->type())
+        throw IrParseError("%" + fix.name + " used with another type in @" +
+                               fn.name(),
+                           0);
       fix.user->set_operand(fix.operand, it->second);
     }
     placeholders_.clear();
@@ -375,7 +400,11 @@ class ModuleParser {
     if (line.consume('%')) {
       const std::string name = line.ident();
       auto it = values_.find(name);
-      if (it != values_.end()) return it->second;
+      if (it != values_.end()) {
+        if (it->second->type() != type)
+          line.fail("%" + name + " does not have the stated type");
+        return it->second;
+      }
       // Forward reference: typed placeholder, recorded when used.
       placeholders_.push_back(
           std::make_unique<Argument>(type, "fwd." + name, 0));
@@ -388,7 +417,10 @@ class ModuleParser {
       if (g == nullptr) line.fail("unknown global @" + name);
       return g;
     }
-    if (line.consume_word("null")) return module_->const_null(type);
+    if (line.consume_word("null")) {
+      if (!type->is_ptr()) line.fail("null of a non-pointer type");
+      return module_->const_null(type);
+    }
     if (line.consume_word("true")) return module_->const_i1(true);
     if (line.consume_word("false")) return module_->const_i1(false);
     const std::string token = line.number_token();
@@ -484,6 +516,7 @@ class ModuleParser {
       Value* v = operand(line, vt, fwd);
       line.expect(',', "store");
       const Type* pt = parse_type(line);
+      if (!pt->is_ptr()) line.fail("store to a non-pointer");
       Value* p = operand(line, pt, fwd);
       finish(std::make_unique<StoreInst>(types.void_type(), v, p));
       return;
@@ -492,6 +525,7 @@ class ModuleParser {
       parse_type(line);  // result type (redundant with the pointer's)
       line.expect(',', "load");
       const Type* pt = parse_type(line);
+      if (!pt->is_ptr()) line.fail("load from a non-pointer");
       Value* p = operand(line, pt, fwd);
       finish(std::make_unique<LoadInst>(p, result_name));
       return;
@@ -504,6 +538,7 @@ class ModuleParser {
     }
     if (line.consume_word("getelementptr")) {
       const Type* base_type = parse_type(line);
+      if (!base_type->is_ptr()) line.fail("getelementptr on a non-pointer");
       Value* base = operand(line, base_type, fwd);
       std::vector<Value*> indices;
       while (line.consume(',')) {

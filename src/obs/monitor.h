@@ -45,7 +45,8 @@
 // heartbeat printing and watchdog scanning run on the monitor's own
 // ticker thread, never on trial workers. The monitor is read-only groundwork: the scheduler must
 // not act on convergence (results stay byte-identical with the monitor on
-// or off — the StatusEquiv fixtures enforce it).
+// or off — the equivalence harness, Seeds/RandomContexts.
+// StrategiesAgreeSideBySide, enforces it).
 #pragma once
 
 #include <atomic>

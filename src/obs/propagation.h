@@ -21,8 +21,9 @@
 // retention. Tracing never changes results: the
 // tracer only *reads* the callbacks both injectors already receive, and
 // keeping the injection hook attached after activation is exactly the
-// (slower) path persistent fault models always take — the PropEquiv
-// fixtures pin results CSVs byte-identical with the tracer on and off.
+// (slower) path persistent fault models always take — the equivalence
+// harness (Seeds/RandomContexts.StrategiesAgreeSideBySide) pins every
+// trial record identical with the tracer on and off.
 // Once the fault's own work is done and the tracer is quiet() (no live
 // taint anywhere), no counter can move again: the hook then detaches if
 // the run has diverged, or settles (ExecHook/SimHook::settled) and keeps

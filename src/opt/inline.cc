@@ -4,6 +4,7 @@
 // their full call/prologue/epilogue overhead at the assembly level, which
 // no production compiler would exhibit.
 #include <map>
+#include <set>
 
 #include "ir/irbuilder.h"
 #include "opt/pass.h"
@@ -30,19 +31,36 @@ bool calls_self(const Function& fn) {
   return false;
 }
 
+/// Whether some reachable block of `fn` returns. A callee that never
+/// returns stays a call: inlined, it would leave the code after the call
+/// site unreachable.
+bool returns(const Function& fn) {
+  for (const BasicBlock* bb : reachable_blocks(fn)) {
+    const Instruction* term = bb->terminator();
+    if (term != nullptr && term->opcode() == Opcode::Ret) return true;
+  }
+  return false;
+}
+
 bool inlinable(const Function& callee, const Function& caller) {
   if (callee.is_builtin() || &callee == &caller) return false;
   if (callee.num_blocks() == 0 || callee.num_blocks() > kMaxCalleeBlocks)
     return false;
   if (callee.num_instructions() > kMaxCalleeInstructions) return false;
-  return !calls_self(callee);
+  return !calls_self(callee) && returns(callee);
 }
 
-/// Clones `callee`'s body into `caller` at the given call site.
+/// Clones the reachable part of `callee`'s body into `caller` at the given
+/// call site. A callee defined after its caller has not been through
+/// simplifycfg yet and may still hold dead blocks; cloned, they would be
+/// dead code in the caller whose alloca uses mem2reg never rewrites.
 class Cloner {
  public:
   Cloner(Function& caller, ir::CallInst& call)
-      : caller_(caller), call_(call), callee_(*call.callee()) {}
+      : caller_(caller),
+        call_(call),
+        callee_(*call.callee()),
+        reachable_(reachable_blocks(callee_)) {}
 
   void run() {
     map_arguments();
@@ -61,8 +79,9 @@ class Cloner {
 
   void create_blocks() {
     for (const auto& bb : callee_.blocks())
-      block_map_[bb.get()] =
-          caller_.create_block(callee_.name() + "." + bb->name());
+      if (reachable_.count(bb.get()))
+        block_map_[bb.get()] =
+            caller_.create_block(callee_.name() + "." + bb->name());
   }
 
   void split_call_block() {
@@ -92,6 +111,7 @@ class Cloner {
   void clone_instructions() {
     Module& m = *caller_.parent();
     for (const auto& bb : callee_.blocks()) {
+      if (!reachable_.count(bb.get())) continue;
       BasicBlock* target = block_map_.at(bb.get());
       for (const auto& instr : bb->instructions()) {
         Instruction* copy = clone_one(m, *instr, target);
@@ -186,8 +206,10 @@ class Cloner {
   void patch_phis() {
     for (auto& [copy, original] : pending_phis_) {
       for (unsigned i = 0; i < original->num_incoming(); ++i) {
-        copy->add_incoming(mapped(original->incoming_value(i)),
-                           block_map_.at(original->incoming_block(i)));
+        const auto from = block_map_.find(original->incoming_block(i));
+        if (from != block_map_.end())  // edges from dead blocks are dropped
+          copy->add_incoming(mapped(original->incoming_value(i)),
+                             from->second);
       }
     }
   }
@@ -219,6 +241,7 @@ class Cloner {
   Function& caller_;
   ir::CallInst& call_;
   const Function& callee_;
+  const std::set<const BasicBlock*> reachable_;
   BasicBlock* call_block_ = nullptr;
   BasicBlock* continuation_ = nullptr;
   std::map<const Value*, Value*> value_map_;

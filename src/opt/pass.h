@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ std::unique_ptr<Pass> make_const_fold();
 std::unique_ptr<Pass> make_inst_combine();
 std::unique_ptr<Pass> make_cse();
 std::unique_ptr<Pass> make_dce();
+
+/// The blocks control can reach from `fn`'s entry.
+std::set<const ir::BasicBlock*> reachable_blocks(const ir::Function& fn);
 
 struct PipelineStats {
   std::size_t instructions_before = 0;

@@ -8,6 +8,18 @@
 
 namespace faultlab::opt {
 
+std::set<const ir::BasicBlock*> reachable_blocks(const ir::Function& fn) {
+  std::set<const ir::BasicBlock*> reachable;
+  std::vector<ir::BasicBlock*> work{fn.entry()};
+  while (!work.empty()) {
+    ir::BasicBlock* bb = work.back();
+    work.pop_back();
+    if (!reachable.insert(bb).second) continue;
+    for (ir::BasicBlock* s : bb->successors()) work.push_back(s);
+  }
+  return reachable;
+}
+
 namespace {
 
 using ir::BasicBlock;
@@ -83,14 +95,7 @@ bool fold_constant_branches(Function& fn) {
 }
 
 bool remove_unreachable(Function& fn) {
-  std::set<const BasicBlock*> reachable;
-  std::vector<BasicBlock*> work{fn.entry()};
-  while (!work.empty()) {
-    BasicBlock* bb = work.back();
-    work.pop_back();
-    if (!reachable.insert(bb).second) continue;
-    for (BasicBlock* s : bb->successors()) work.push_back(s);
-  }
+  const std::set<const BasicBlock*> reachable = reachable_blocks(fn);
   if (reachable.size() == fn.num_blocks()) return false;
 
   std::vector<BasicBlock*> dead;

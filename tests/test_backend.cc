@@ -12,6 +12,7 @@
 #include "backend/regalloc.h"
 #include "driver/pipeline.h"
 #include "frontend/codegen.h"
+#include "frontend/lexer.h"
 #include "opt/pass.h"
 #include "x86/printer.h"
 
@@ -251,6 +252,26 @@ TEST(Backend, DoubleConstantsComeFromPool) {
     if (i.op == Op::MovsdRM && !i.mem.has_base()) pool_load = true;
   EXPECT_TRUE(pool_load);
   EXPECT_EQ(prog.run_asm().exit_value, 13);
+}
+
+TEST(Backend, DataImageEndsAtOrBelowTheHeap) {
+  // 16 711 680 bytes lie between the global base and the heap. The raw
+  // sizes fit in every program here; alignment padding and the double
+  // pool decide. a@0, b@8, c@16, d@24: d[2088957] ends at the heap.
+  EXPECT_NO_THROW(compile(
+      "char a; long b[1]; char c; long d[2088957]; "
+      "int main() { return 0; }"));
+  EXPECT_THROW(compile("char a; long b[1]; char c; long d[2088958]; "
+                       "int main() { return 0; }"),
+               mc::CompileError);
+  // g@24, d@32: the globals end at the heap, and a double literal's pool
+  // slot would be the heap's first word.
+  EXPECT_NO_THROW(compile(
+      "char a; long b[1]; char c; double g; long d[2088956]; "
+      "int main() { return (int)g; }"));
+  EXPECT_THROW(compile("char a; long b[1]; char c; double g; long d[2088956]; "
+                       "int main() { return (int)(g * 2.5); }"),
+               mc::CompileError);
 }
 
 TEST(Backend, EmitResolvesCallsAndLabels) {

@@ -9,6 +9,7 @@
 #include "fault/llfi.h"
 #include "fault/pinfi.h"
 #include "fault/report.h"
+#include "record_compare.h"
 
 namespace faultlab::fault {
 namespace {
@@ -92,9 +93,7 @@ TEST(Engines, InjectionIsDeterministicPerDraw) {
   Rng rng1(123), rng2(123);
   const TrialRecord a = e.llfi.inject(ir::Category::All, 50, rng1);
   const TrialRecord b = e.llfi.inject(ir::Category::All, 50, rng2);
-  EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_EQ(a.bit, b.bit);
-  EXPECT_EQ(a.static_site, b.static_site);
+  expect_same_record(a, b, "k=50");
 }
 
 TEST(Engines, InjectionReachesTarget) {
@@ -183,12 +182,7 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial.crash, parallel.crash);
   EXPECT_EQ(serial.sdc, parallel.sdc);
   EXPECT_EQ(serial.benign, parallel.benign);
-  ASSERT_EQ(serial.trials.size(), parallel.trials.size());
-  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
-    EXPECT_EQ(serial.trials[i].outcome, parallel.trials[i].outcome);
-    EXPECT_EQ(serial.trials[i].dynamic_target,
-              parallel.trials[i].dynamic_target);
-  }
+  expect_same_records(serial.trials, parallel.trials);
 }
 
 TEST(Campaign, CountsSumToTrials) {

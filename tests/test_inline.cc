@@ -3,6 +3,7 @@
 // recursion and multiple call sites.
 #include <gtest/gtest.h>
 
+#include "driver/pipeline.h"
 #include "frontend/codegen.h"
 #include "ir/verifier.h"
 #include "opt/pass.h"
@@ -212,6 +213,55 @@ TEST(Inliner, PreservesOutputAcrossWholePipeline) {
   // And the pipeline actually removed the helper calls from main.
   EXPECT_EQ(count_calls_to(*optimized->find_function("main"), "idx"), 0u);
   EXPECT_EQ(count_calls_to(*optimized->find_function("main"), "mix"), 0u);
+}
+
+TEST(Inliner, ValueCalleeThatNeverReturns) {
+  // sweep has no reachable ret, so there is no value to replace the
+  // call's result with: the call stays, the whole pipeline compiles the
+  // program, and the run spins until the instruction budget runs out.
+  const char* src = R"(
+    int sweep(int p) { while (1) { } return 1; }
+    int main() { int x = sweep(0); return 0; }
+  )";
+  const driver::CompiledProgram prog = driver::compile(src, "t");
+  EXPECT_EQ(count_calls_to(*prog.module().find_function("main"), "sweep"),
+            1u);
+  vm::RunLimits ir_limits;
+  ir_limits.max_instructions = 1000;
+  EXPECT_TRUE(prog.run_ir(nullptr, ir_limits).timed_out);
+  x86::SimLimits asm_limits;
+  asm_limits.max_instructions = 1000;
+  EXPECT_TRUE(prog.run_asm(nullptr, asm_limits).timed_out);
+}
+
+TEST(Inliner, CalleesThatNeverReturnStayCalls) {
+  // Neither a value nor a void callee without a reachable ret is inlined:
+  // the code after the call site would become unreachable while still
+  // storing to main's allocas, which mem2reg does not rewrite.
+  const char* src = R"(
+    void spin() { while (1) { } }
+    int main() { int x = 3; spin(); x = x + 1; print_int(x); return 0; }
+  )";
+  const driver::CompiledProgram prog = driver::compile(src, "t");
+  EXPECT_EQ(count_calls_to(*prog.module().find_function("main"), "spin"),
+            1u);
+  vm::RunLimits limits;
+  limits.max_instructions = 1000;
+  EXPECT_TRUE(prog.run_ir(nullptr, limits).timed_out);
+}
+
+TEST(Inliner, ClonesOnlyReachableBlocksOfALaterCallee) {
+  // g is defined after main, so main inlines it before simplifycfg has
+  // removed g's dead tail; only g's live blocks may be cloned.
+  const char* src = R"(
+    int main() { print_int(g(1) * 10 + g(0)); return 0; }
+    int g(int p) { if (p) return 1; else return 2; int z = p; return z; }
+  )";
+  const driver::CompiledProgram prog = driver::compile(src, "t");
+  EXPECT_EQ(count_calls_to(*prog.module().find_function("main"), "g"), 0u);
+  const vm::RunResult r = prog.run_ir();
+  ASSERT_TRUE(r.completed());
+  EXPECT_EQ(r.output, "12\n");
 }
 
 TEST(Inliner, MutualRecursionTerminates) {

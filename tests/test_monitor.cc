@@ -17,6 +17,7 @@
 #include "fault/pinfi.h"
 #include "fault/scheduler.h"
 #include "obs/monitor.h"
+#include "record_compare.h"
 #include "support/stats.h"
 #include "support/timer.h"
 
@@ -299,14 +300,9 @@ TEST(MonitorSchedulerTest, ResultsIdenticalWithMonitorOnAndOff) {
   const auto plain =
       run_monitored_grid(llfi, pinfi, false, &without_monitor);
   ASSERT_EQ(monitored.size(), plain.size());
-  for (std::size_t i = 0; i < monitored.size(); ++i) {
-    ASSERT_EQ(monitored[i].trials.size(), plain[i].trials.size());
-    for (std::size_t t = 0; t < monitored[i].trials.size(); ++t) {
-      EXPECT_EQ(monitored[i].trials[t].outcome, plain[i].trials[t].outcome)
-          << "campaign " << i << " trial " << t;
-      EXPECT_EQ(monitored[i].trials[t].bit, plain[i].trials[t].bit);
-    }
-  }
+  for (std::size_t i = 0; i < monitored.size(); ++i)
+    fault::expect_same_records(plain[i].trials, monitored[i].trials,
+                               "campaign " + std::to_string(i));
   // Convergence columns come from the final tallies, not the monitor, so
   // both manifests agree (watchdog flags can only exist with the monitor,
   // and no trial here runs long enough to trip one).

@@ -26,6 +26,7 @@
 #include "ir/module.h"
 #include "obs/events.h"
 #include "obs/propagation.h"
+#include "record_compare.h"
 #include "x86/isa.h"
 
 namespace faultlab::fault {
@@ -404,10 +405,7 @@ TEST(VmProp, DeterministicForSameDraw) {
     const TrialRecord a = engine.inject(ir::Category::All, k, first_rng);
     const TrialRecord b = engine.inject(ir::Category::All, k, second_rng);
     EXPECT_TRUE(a.prop.traced) << "k=" << k;
-    EXPECT_EQ(a.outcome, b.outcome) << "k=" << k;
-    EXPECT_EQ(a.bit, b.bit) << "k=" << k;
-    EXPECT_EQ(a.total_instructions, b.total_instructions) << "k=" << k;
-    EXPECT_EQ(a.prop, b.prop) << "k=" << k;
+    expect_same_record(a, b, "k=" + std::to_string(k), PropCheck::Compare);
     if (a.prop.fanout > 0) spread = true;
   }
   EXPECT_TRUE(spread);
@@ -457,18 +455,9 @@ void expect_tracing_invariant(Source& source) {
           engine.inject(ir::Category::All, rng.range(1, n), trial));
     }
   }
+  expect_same_records(plain, traced);
   int diverged = 0;
   for (int t = 0; t < kTrials; ++t) {
-    EXPECT_EQ(plain[t].outcome, traced[t].outcome) << "trial " << t;
-    EXPECT_EQ(plain[t].bit, traced[t].bit) << "trial " << t;
-    EXPECT_EQ(plain[t].static_site, traced[t].static_site) << "trial " << t;
-    EXPECT_EQ(plain[t].injected, traced[t].injected) << "trial " << t;
-    EXPECT_EQ(plain[t].total_instructions, traced[t].total_instructions)
-        << "trial " << t;
-    EXPECT_EQ(plain[t].inject_instruction, traced[t].inject_instruction)
-        << "trial " << t;
-    EXPECT_EQ(plain[t].trap, traced[t].trap) << "trial " << t;
-    EXPECT_EQ(plain[t].trap_pc, traced[t].trap_pc) << "trial " << t;
     EXPECT_FALSE(plain[t].prop.traced) << "trial " << t;
     if (traced[t].injected) {
       EXPECT_TRUE(traced[t].prop.traced) << "trial " << t;
@@ -550,23 +539,8 @@ void expect_quiet_tracer_matches_direct(const Source& source) {
   strided.stride = 500;
   const TracedCell off = traced_cell<Engine>(source, direct, Model{});
   const TracedCell on = traced_cell<Engine>(source, strided, Model{});
-  const std::vector<TrialRecord>& a = on.result.trials;
-  const std::vector<TrialRecord>& b = off.result.trials;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_EQ(a[t].outcome, b[t].outcome) << "trial " << t;
-    EXPECT_EQ(a[t].dynamic_target, b[t].dynamic_target) << "trial " << t;
-    EXPECT_EQ(a[t].bit, b[t].bit) << "trial " << t;
-    EXPECT_EQ(a[t].static_site, b[t].static_site) << "trial " << t;
-    EXPECT_EQ(a[t].injected, b[t].injected) << "trial " << t;
-    EXPECT_EQ(a[t].total_instructions, b[t].total_instructions)
-        << "trial " << t;
-    EXPECT_EQ(a[t].inject_instruction, b[t].inject_instruction)
-        << "trial " << t;
-    EXPECT_EQ(a[t].trap, b[t].trap) << "trial " << t;
-    EXPECT_EQ(a[t].trap_pc, b[t].trap_pc) << "trial " << t;
-    EXPECT_TRUE(a[t].prop == b[t].prop) << "trial " << t;
-  }
+  expect_same_records(off.result.trials, on.result.trials, "",
+                      PropCheck::Compare);
   EXPECT_EQ(off.stats.converged_trials, 0u);
   EXPECT_GT(on.stats.restored_trials, 0u);
   EXPECT_GT(on.stats.converged_trials, 0u);

@@ -28,6 +28,7 @@
 #include "fault/scheduler.h"
 #include "machine/dispatch.h"
 #include "obs/propagation.h"
+#include "record_compare.h"
 
 namespace faultlab::fault {
 namespace {
@@ -53,24 +54,6 @@ const char* kGridProgram = R"(
     return 0;
   }
 )";
-
-void expect_same_records(const std::vector<TrialRecord>& a,
-                         const std::vector<TrialRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].outcome, b[i].outcome) << "trial " << i;
-    EXPECT_EQ(a[i].dynamic_target, b[i].dynamic_target) << "trial " << i;
-    EXPECT_EQ(a[i].bit, b[i].bit) << "trial " << i;
-    EXPECT_EQ(a[i].static_site, b[i].static_site) << "trial " << i;
-    EXPECT_EQ(a[i].injected, b[i].injected) << "trial " << i;
-    EXPECT_EQ(a[i].total_instructions, b[i].total_instructions)
-        << "trial " << i;
-    EXPECT_EQ(a[i].inject_instruction, b[i].inject_instruction)
-        << "trial " << i;
-    EXPECT_EQ(a[i].trap, b[i].trap) << "trial " << i;
-    EXPECT_EQ(a[i].trap_pc, b[i].trap_pc) << "trial " << i;
-  }
-}
 
 std::vector<CampaignResult> run_grid(LlfiEngine& llfi, PinfiEngine& pinfi,
                                      std::size_t threads) {
@@ -232,8 +215,8 @@ TEST(Scheduler, ConvergedTrialsMatchCheckpointFreeRuns) {
 
 TEST(Scheduler, PersistentFaultsNeverConverge) {
   // A stuck-at fault keeps its hook attached to the end of the run, so no
-  // trial may stop early (the ConvergeEquiv stuck-at-1 fixtures compare
-  // the records with checkpoint-free runs).
+  // trial may stop early (the equivalence harness in test_differential.cc
+  // compares stuck-at-1 records with checkpoint-free runs).
   const apps::Benchmark& mcf = apps::benchmark("mcf");
   auto prog = driver::compile(mcf.source, mcf.name);
   const ConvergeRun on = run_mcf_cells(prog, CheckpointPolicy{},

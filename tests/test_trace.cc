@@ -15,6 +15,7 @@
 #include "fault/pinfi.h"
 #include "machine/dispatch.h"
 #include "machine/runtime.h"
+#include "record_compare.h"
 #include "support/rng.h"
 #include "vm/interpreter.h"
 #include "vm/trace.h"
@@ -564,22 +565,7 @@ void expect_same_campaign(const fault::CampaignResult& a,
   EXPECT_EQ(a.benign, b.benign);
   EXPECT_EQ(a.hang, b.hang);
   EXPECT_EQ(a.not_activated, b.not_activated);
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (std::size_t i = 0; i < a.trials.size(); ++i) {
-    const fault::TrialRecord& x = a.trials[i];
-    const fault::TrialRecord& y = b.trials[i];
-    EXPECT_EQ(x.outcome, y.outcome) << "trial " << i;
-    EXPECT_EQ(x.dynamic_target, y.dynamic_target) << "trial " << i;
-    EXPECT_EQ(x.bit, y.bit) << "trial " << i;
-    EXPECT_EQ(x.static_site, y.static_site) << "trial " << i;
-    EXPECT_EQ(x.injected, y.injected) << "trial " << i;
-    EXPECT_EQ(x.trap_pc, y.trap_pc) << "trial " << i;
-    EXPECT_EQ(x.inject_instruction, y.inject_instruction) << "trial " << i;
-    EXPECT_EQ(x.total_instructions, y.total_instructions) << "trial " << i;
-    EXPECT_EQ(x.instructions_after_injection(),
-              y.instructions_after_injection())
-        << "trial " << i;
-  }
+  fault::expect_same_records(a.trials, b.trials);
 }
 
 fault::CampaignResult run_cell(driver::CompiledProgram& prog, bool pinfi,
