@@ -3,16 +3,22 @@
 // Both LLFI and PINFI capture the same thing during profile_all(): an
 // execution snapshot every stride instructions plus the per-category
 // instance counters at that point (halve() thins the sequence when the
-// capture stride doubles). This template owns that sequence, the
-// "nearest resumable point before the k-th instance" query, and the "next
-// golden state after instruction n" query behind the golden-convergence
-// early exit. The automatic stride's doubling bounds the sequence to fewer
-// than 2 * CheckpointPolicy::kAutoWindows entries; an explicit stride
-// keeps every capture.
+// capture stride doubles), and kMarksPerWindow marks per stride. A mark is
+// a golden position with the per-category instance counts of its prefix
+// and no snapshot: a trial runs from its snapshot (or from main) to the
+// last mark before its target instance with its injection hook dormant, on
+// the executor's fast path, and wakes the hook there with the mark's count.
+// This template owns both sequences, the "nearest resumable point" and
+// "wake point before the k-th instance" queries, and the "next golden
+// state after instruction n" query behind the golden-convergence early
+// exit. The automatic stride's doubling bounds the snapshots to fewer than
+// 2 * CheckpointPolicy::kAutoWindows entries; an explicit stride keeps
+// every capture. Marks are never thinned: those taken before a doubling
+// keep their finer spacing.
 //
-// Thread-safety contract: add()/halve() are capture operations and must not
-// run concurrently with trials; the queries are const and safe to call from
-// many trial workers at once.
+// Thread-safety contract: add()/mark()/halve() are capture operations and
+// must not run concurrently with trials; the queries are const and safe to
+// call from many trial workers at once.
 #pragma once
 
 #include <algorithm>
@@ -31,19 +37,39 @@ class CheckpointStore {
  public:
   static constexpr std::uint64_t kNoWindow = InjectorEngine::kNoWindow;
 
+  /// Marks per snapshot window: the mark spacing is the snapshot stride
+  /// divided by this, so it scales with both explicit and doubled strides.
+  static constexpr std::uint64_t kMarksPerWindow = 8;
+
   struct Entry {
     SnapshotT snapshot;
     CategoryCounts seen;
   };
+
+  /// A golden position and the category instance counts of its prefix.
+  struct Mark {
+    std::uint64_t executed = 0;
+    CategoryCounts seen;
+  };
+
+  /// Spacing of the marks taken at snapshot stride `stride`.
+  static std::uint64_t mark_spacing(std::uint64_t stride) noexcept {
+    return std::max<std::uint64_t>(stride / kMarksPerWindow, 1);
+  }
 
   /// Appends a snapshot captured at `seen` instance counts.
   void add(SnapshotT&& snapshot, const CategoryCounts& seen) {
     entries_.push_back(Entry{std::move(snapshot), seen});
   }
 
-  /// Drops every other entry — the first, third, ... — keeping every
-  /// second capture: the grid of a stride twice as long, on which the
-  /// capture then continues.
+  /// Appends a mark at golden position `executed`, after every earlier one.
+  void mark(std::uint64_t executed, const CategoryCounts& seen) {
+    marks_.push_back(Mark{executed, seen});
+  }
+
+  /// Drops every other snapshot entry — the first, third, ... — keeping
+  /// every second capture: the grid of a stride twice as long, on which
+  /// the capture then continues. Marks stay.
   void halve() {
     std::size_t kept = 0;
     for (std::size_t i = 1; i < entries_.size(); i += 2)
@@ -55,6 +81,18 @@ class CheckpointStore {
   /// nullptr (run from scratch).
   const Entry* before(ir::Category category, std::uint64_t k) const {
     return entry_at(index_before(category, k));
+  }
+
+  /// Latest mark whose prefix holds fewer than k `category` instances, or
+  /// nullptr: where a trial for instance k can wake its hook. Every
+  /// snapshot position is also a mark, so the mark is at or after the
+  /// snapshot before() returns.
+  const Mark* mark_before(ir::Category category, std::uint64_t k) const {
+    const auto end =
+        std::partition_point(marks_.begin(), marks_.end(), [&](const Mark& m) {
+          return m.seen[category] < k;
+        });
+    return end == marks_.begin() ? nullptr : &*(end - 1);
   }
 
   /// Index of the entry before() would resume from, or kNoWindow. Used by
@@ -87,6 +125,7 @@ class CheckpointStore {
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
+  const std::vector<Mark>& marks() const noexcept { return marks_; }
 
  private:
   const Entry* entry_at(std::size_t idx) const {
@@ -123,6 +162,7 @@ class CheckpointStore {
   }
 
   std::vector<Entry> entries_;
+  std::vector<Mark> marks_;
 };
 
 /// Completes a run that stopped on golden snapshot `r.converged` (DESIGN

@@ -96,6 +96,11 @@ struct CheckpointStats {
   /// simulate. TrialRecord totals still count those instructions.
   std::uint64_t converged_trials = 0;
   std::uint64_t converged_instructions = 0;
+  /// Instructions trials ran with their injection hook live before the
+  /// fault fired, from the wake point (a mark, the resume point or the
+  /// time trigger) to the injection, or to the run's end without one: the
+  /// hooked slow path a trial cannot avoid.
+  std::uint64_t armed_instructions = 0;
 
   double hit_rate() const noexcept {
     return trials != 0
@@ -122,6 +127,7 @@ struct CheckpointStats {
     restored_pages += o.restored_pages;
     converged_trials += o.converged_trials;
     converged_instructions += o.converged_instructions;
+    armed_instructions += o.armed_instructions;
     return *this;
   }
 };

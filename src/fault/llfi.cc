@@ -32,10 +32,9 @@ class ProfileHook final : public vm::ExecHook {
 /// corrupted dynamic value (activation). The raw draws happen up front
 /// (in the plan) and are folded by the destination's width at injection
 /// time, because the width is only known once the instance is reached.
-/// `start` (TrialStart) places the hook in the run: the skipped prefix's
-/// instance count and absolute position when the trial resumes from a
-/// checkpoint, the time-trigger point, and the propagation journal (see
-/// InjectionHookBase).
+/// `start` (TrialStart) places the hook in the run: the resume point, the
+/// wake point it sleeps to and the instance count there, the time-trigger
+/// point, and the propagation journal (see InjectionHookBase).
 ///
 /// Transient models keep the PR 4 fast path: one corrupted value, a
 /// single id compare per operand read, final detach() on activation.

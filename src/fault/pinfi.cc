@@ -71,10 +71,9 @@ std::uint64_t written_gpr_mask(const Inst& inst) {
 /// the same static instruction every time) and restart tracking at each
 /// fire.
 ///
-/// `start` (TrialStart) places the hook in the run: the skipped prefix's
-/// instance count and absolute position when the trial resumes from a
-/// checkpoint, the time-trigger point, and the propagation journal (see
-/// InjectionHookBase).
+/// `start` (TrialStart) places the hook in the run: the resume point, the
+/// wake point it sleeps to and the instance count there, the time-trigger
+/// point, and the propagation journal (see InjectionHookBase).
 class PinfiHook final
     : public InjectionHookBase<x86::SimHook, obs::SimPropTracer> {
  public:

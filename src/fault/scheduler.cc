@@ -106,6 +106,7 @@ struct RunCounters {
     ck.restored_pages -= b.restored_pages;
     ck.converged_trials -= b.converged_trials;
     ck.converged_instructions -= b.converged_instructions;
+    ck.armed_instructions -= b.armed_instructions;
     d.dispatch.trace_decodes -= before.dispatch.trace_decodes;
     d.dispatch.trace_hits -= before.dispatch.trace_hits;
     d.dispatch.trace_invalidations -= before.dispatch.trace_invalidations;
@@ -583,6 +584,7 @@ std::vector<CampaignResult> CampaignScheduler::run() {
   manifest_.trace_invalidations = run.dispatch.trace_invalidations;
   manifest_.converged_trials = run.checkpoints.converged_trials;
   manifest_.converged_instructions = run.checkpoints.converged_instructions;
+  manifest_.armed_instructions = run.checkpoints.armed_instructions;
 
   // Persist metrics/events now rather than only at exit, so long-lived
   // processes (benches running several grids) leave them per grid and a
@@ -601,6 +603,8 @@ std::vector<CampaignResult> CampaignScheduler::run() {
     registry.counter("checkpoint.converged_trials").add(ck.converged_trials);
     registry.counter("checkpoint.converged_instructions")
         .add(ck.converged_instructions);
+    registry.counter("checkpoint.armed_instructions")
+        .add(ck.armed_instructions);
     // The monitor's counters appear once they count something.
     const obs::MonitorSummary m = monitor ? monitor->summary()
                                           : obs::MonitorSummary{};
@@ -637,7 +641,8 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  "llfi_gep_as_arithmetic", "dispatch_mode", "trace_decodes",
                  "trace_hits", "trace_invalidations", "converged",
                  "ci_halfwidth", "watchdog_flags", "ci_target",
-                 "converged_trials", "converged_instructions"});
+                 "converged_trials", "converged_instructions",
+                 "armed_instructions"});
   for (const CampaignTiming& t : manifest.campaigns) {
     csv.add_row({t.app, t.tool, ir::category_name(t.category), t.fault_model,
                  std::to_string(t.seed), std::to_string(t.trials),
@@ -668,7 +673,8 @@ CsvWriter manifest_csv(const RunManifest& manifest) {
                  std::to_string(t.watchdog_flags),
                  fmt_double4(manifest.ci_target),
                  std::to_string(manifest.converged_trials),
-                 std::to_string(manifest.converged_instructions)});
+                 std::to_string(manifest.converged_instructions),
+                 std::to_string(manifest.armed_instructions)});
   }
   return csv;
 }

@@ -140,6 +140,9 @@ struct RunManifest {
   /// engines' CheckpointStats across run(); DESIGN §4).
   std::uint64_t converged_trials = 0;
   std::uint64_t converged_instructions = 0;
+  /// Instructions this run's trials spent with a live injection hook
+  /// before the fault fired (CheckpointStats::armed_instructions).
+  std::uint64_t armed_instructions = 0;
   std::vector<CampaignTiming> campaigns;  ///< in add() order
 };
 

@@ -10,6 +10,7 @@
 // oracle for these counts.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -40,14 +41,18 @@ struct SiteProfile {
     masks.push_back(mask);
   }
 
-  /// Per-category dynamic instance counts of the execution so far.
+  /// Per-category dynamic instance counts of the execution so far. The
+  /// profiling run folds them at every mark, so the pass over the sites is
+  /// one branch-free add per site into a bin per mask value; the bins then
+  /// fold into the categories.
   CategoryCounts counts() const {
+    std::array<std::uint64_t, std::size_t{1} << ir::kNumCategories> by_mask{};
+    for (std::size_t i = 0; i < masks.size(); ++i) by_mask[masks[i]] += hits[i];
     CategoryCounts out;
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      if (hits[i] == 0) continue;
-      for (unsigned m = masks[i]; m != 0; m &= m - 1)
-        out.counts[static_cast<std::size_t>(std::countr_zero(m))] += hits[i];
-    }
+    for (unsigned mask = 1; mask < by_mask.size(); ++mask)
+      for (unsigned m = mask; m != 0; m &= m - 1)
+        out.counts[static_cast<std::size_t>(std::countr_zero(m))] +=
+            by_mask[mask];
     return out;
   }
 };

@@ -7,10 +7,12 @@
 // main, and the tool's bit-draw width:
 //  * profile_all()'s single fault-free run, which records the golden
 //    output and length, counts every category over the engine's site
-//    profile, captures the checkpoint snapshots at a doubling stride and,
-//    with propagation tracing on, the golden pc journal,
+//    profile, captures the checkpoint snapshots at a doubling stride and
+//    the marks between them and, with propagation tracing on, the golden
+//    pc journal,
 //  * time-trigger placement and window_of(),
-//  * the restore -> execute -> classify skeleton of one trial,
+//  * the restore -> execute -> classify skeleton of one trial, with the
+//    wake point its injection hook sleeps to,
 //  * the engine's ExecConfig, applied to the profiling run and to every
 //    trial, and
 //  * the checkpoint and phase accounting behind checkpoint_stats() and
@@ -25,6 +27,7 @@
 // protocol.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -43,13 +46,24 @@ namespace faultlab::fault {
 
 /// Where a trial's injection hook starts: what run_trial() hands the
 /// engine's hook factory besides the FaultPlan.
+///
+/// Until its fault fires a trial replays the golden run, so the hook need
+/// not watch the prefix: it sleeps from the resume point `base` to the
+/// wake point `wake`, and the executor runs that stretch on its fast path.
+/// For the access trigger the wake point is the last profiling mark whose
+/// prefix holds fewer than k category instances (CheckpointStore::
+/// mark_before), for the time trigger the instruction before the trigger
+/// point; without a mark past the resume point it is the resume point.
 struct TrialStart {
-  /// Category instances in the skipped golden prefix: primes the hook's
-  /// instance counter so the k-th instance is still the k-th.
+  /// Category instances in the golden prefix up to `wake`: primes the
+  /// hook's instance counter so the k-th instance is still the k-th.
   std::uint64_t seen = 0;
   /// Absolute dynamic-instruction position of the resume point (0 for a
   /// run from main).
   std::uint64_t base = 0;
+  /// Absolute position after which the hook goes live (>= base): it
+  /// observes instruction wake + 1 onward.
+  std::uint64_t wake = 0;
   /// Time-trigger point, or 0 for the access trigger.
   std::uint64_t arm_time = 0;
   /// Golden journal when propagation tracing is on, else null (a non-null
@@ -62,9 +76,11 @@ struct TrialStart {
 /// `Tracer`: the trigger, the record facts run_trial() reads, and the
 /// release protocol that lets the hook leave the slow path.
 ///
-/// A nonzero `start.arm_time` selects the time trigger: the hook starts
-/// dormant (detached with rearm_at = arm_time) and corrupts the first
-/// category instruction at or after that absolute position. A non-null
+/// The hook starts dormant (detached with rearm_at = start.wake + 1) when
+/// its wake point lies past the resume point, and counts instances from
+/// `start.seen` once awake. A nonzero `start.arm_time` selects the time
+/// trigger: the hook wakes just before that absolute position and
+/// corrupts the first category instruction at or after it. A non-null
 /// `start.journal` arms the propagation tracer: once the fault's own work
 /// is done the hook stays attached only until the tracer is quiet (see
 /// release()), so the post-fault suffix runs on the hooked slow path for
@@ -88,17 +104,13 @@ class InjectionHookBase : public Hook {
   /// Corrupts category instance `k`, or the first instance at or after
   /// `start.arm_time` when that is nonzero.
   InjectionHookBase(std::uint64_t k, const TrialStart& start)
-      : tracing_(start.journal != nullptr),
+      : executed_(start.wake),
+        tracing_(start.journal != nullptr),
         tracer_(start.journal),
         target_k_(k),
         seen_(start.seen),
         arm_time_(start.arm_time) {
-    if (arm_time_ != 0 && arm_time_ > start.base + 1) {
-      executed_ = arm_time_ - 1;
-      this->detach(arm_time_);  // sleep until the trigger point
-    } else {
-      executed_ = start.base;
-    }
+    if (start.wake > start.base) this->detach(start.wake + 1);  // sleep
   }
 
   /// Call once per category instruction before injection, with executed_
@@ -161,6 +173,7 @@ class TrialCore : public InjectorEngine {
   using Snapshot = typename Tool::Snapshot;
   using Result = typename Tool::Result;
   using Limits = typename Tool::Limits;
+  using Store = CheckpointStore<Snapshot>;
 
   const char* tool_name() const noexcept override { return Tool::kName; }
   std::unique_ptr<TrialContext> make_context() override {
@@ -187,6 +200,9 @@ class TrialCore : public InjectorEngine {
   CheckpointStats checkpoint_stats() const override;
   PhaseStats phase_stats() const override;
   ExecConfig exec_config() const override { return exec_; }
+  /// The snapshots and marks the profiling run captured; valid after
+  /// profile_all() or make_context().
+  const Store& checkpoint_store() const noexcept { return checkpoints_; }
 
  protected:
   /// The code must outlive the engine. Binds the code, the policies and
@@ -241,9 +257,10 @@ class TrialCore : public InjectorEngine {
   };
 
   /// The fault-free run behind profile_once(): counts every category
-  /// through `sites.hits`, captures the checkpoint snapshots, and records
-  /// golden_output()/golden_instructions() from its own result. It runs
-  /// unhooked on the fast path, unless propagation tracing is on: then
+  /// through `sites.hits`, captures the checkpoint snapshots and marks,
+  /// and records golden_output()/golden_instructions() from its own
+  /// result. It runs unhooked on the fast path, unless propagation
+  /// tracing is on: then
   /// `JournalHook` rides along and captures the golden pc journal in the
   /// same pass (hooked, so on the slow path).
   template <typename JournalHook>
@@ -303,7 +320,7 @@ class TrialCore : public InjectorEngine {
   obs::GoldenJournal journal_;
   /// During the trial phase workers only query the store (thread-safe), so
   /// concurrent trials are safe.
-  CheckpointStore<Snapshot> checkpoints_;
+  Store checkpoints_;
   CategoryCounts profile_counts_;
   std::uint64_t checkpoint_stride_ = 0;  ///< final capture stride
   mutable std::atomic<std::uint64_t> trials_{0};
@@ -313,6 +330,7 @@ class TrialCore : public InjectorEngine {
   mutable std::atomic<std::uint64_t> restored_pages_{0};
   mutable std::atomic<std::uint64_t> converged_trials_{0};
   mutable std::atomic<std::uint64_t> converged_instructions_{0};
+  mutable std::atomic<std::uint64_t> armed_instructions_{0};
   mutable std::atomic<std::uint64_t> restore_nanos_{0};
   mutable std::atomic<std::uint64_t> execute_nanos_{0};
   mutable std::atomic<std::uint64_t> classify_nanos_{0};
@@ -335,18 +353,30 @@ void TrialCore<Tool>::profile_sites(SiteProfile& sites) {
     const bool automatic = checkpoint_policy_.stride == 0;
     checkpoint_stride_ =
         automatic ? CheckpointPolicy::kMinStride : checkpoint_policy_.stride;
-    limits.snapshot_stride = checkpoint_stride_;
-    // The snapshot sink fires between two dynamic instructions, so the
-    // site hits at that moment fold into exactly the per-category instance
-    // counts of the skipped prefix.
-    limits.snapshot_sink = [this, &sites, automatic](Snapshot&& snap) {
-      checkpoints_.add(std::move(snap), sites.counts());
-      if (automatic &&
-          checkpoints_.size() == 2 * CheckpointPolicy::kAutoWindows) {
-        checkpoints_.halve();
-        checkpoint_stride_ *= 2;
+    // A capture boundary falls every mark spacing, and a snapshot is
+    // taken at the first boundary a stride or more past the previous one
+    // (the boundary stride is cut short to land on it). A boundary fires
+    // between two dynamic instructions, so the site hits there fold into
+    // exactly the per-category instance counts of its prefix; every
+    // boundary is a mark.
+    limits.capture_stride = Store::mark_spacing(checkpoint_stride_);
+    limits.capture_sink = [this, &sites, automatic,
+                           next_snapshot = checkpoint_stride_](
+                              std::uint64_t executed,
+                              const typename Limits::Capture& capture) mutable {
+      const CategoryCounts seen = sites.counts();
+      checkpoints_.mark(executed, seen);
+      if (executed >= next_snapshot) {
+        checkpoints_.add(capture(), seen);
+        if (automatic &&
+            checkpoints_.size() == 2 * CheckpointPolicy::kAutoWindows) {
+          checkpoints_.halve();
+          checkpoint_stride_ *= 2;
+        }
+        next_snapshot = executed + checkpoint_stride_;
       }
-      return checkpoint_stride_;
+      return std::min(Store::mark_spacing(checkpoint_stride_),
+                      next_snapshot - executed);
     };
   }
   Result r = Tool::run(exec, limits);
@@ -371,16 +401,27 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   // Restore phase: the snapshot lookup plus, on a hit, the executor's
   // restore of memory, runtime and registers.
   auto phase_t0 = std::chrono::steady_clock::now();
-  const typename CheckpointStore<Snapshot>::Entry* cp =
-      arm_time != 0 ? checkpoints_.before_time(arm_time)
-                    : checkpoints_.before(category, k);
+  const typename Store::Entry* cp = arm_time != 0
+                                        ? checkpoints_.before_time(arm_time)
+                                        : checkpoints_.before(category, k);
   machine::Memory::RestoreStats restore;
   if (cp != nullptr) restore = exec.restore(cp->snapshot);
   const std::uint64_t restore_ns = nanos_since(phase_t0);
-  const std::uint64_t base = cp != nullptr ? cp->snapshot.executed : 0;
-  auto hook = make_hook(
-      plan, TrialStart{cp != nullptr ? cp->seen[category] : 0, base, arm_time,
-                       exec_.trace_prop ? &journal_ : nullptr});
+  TrialStart start;
+  start.base = cp != nullptr ? cp->snapshot.executed : 0;
+  start.wake = start.base;
+  start.seen = cp != nullptr ? cp->seen[category] : 0;
+  start.arm_time = arm_time;
+  start.journal = exec_.trace_prop ? &journal_ : nullptr;
+  if (arm_time != 0) {
+    start.wake = arm_time - 1;  // before_time(): base < arm_time
+  } else if (const typename Store::Mark* mark =
+                 checkpoints_.mark_before(category, k);
+             mark != nullptr && mark->executed > start.base) {
+    start.wake = mark->executed;
+    start.seen = mark->seen[category];
+  }
+  auto hook = make_hook(plan, start);
   exec.set_hook(&hook);
   trials_.fetch_add(1, std::memory_order_relaxed);
   Limits limits = faulty_limits();
@@ -393,7 +434,14 @@ TrialRecord TrialCore<Tool>::run_trial(TrialContext* context,
   Result r = cp != nullptr ? exec.resume(limits) : Tool::run(exec, limits);
   const std::uint64_t execute_ns = nanos_since(phase_t0);
   exec.set_hook(nullptr);  // the hook dies with this call
-  if (cp != nullptr) account_restore(restore, base);
+  if (cp != nullptr) account_restore(restore, start.base);
+  // The armed window: instructions run with the hook live before the
+  // fault fired (to the run's end when it never did).
+  const std::uint64_t armed_end =
+      hook.injected() ? hook.inject_at() : r.dynamic_instructions;
+  if (armed_end > start.wake)
+    armed_instructions_.fetch_add(armed_end - start.wake,
+                                  std::memory_order_relaxed);
   if (r.converged != nullptr) {
     const std::uint64_t suffix =
         complete_converged(r, golden_output_, golden_instructions_);
@@ -465,6 +513,8 @@ CheckpointStats TrialCore<Tool>::checkpoint_stats() const {
   stats.converged_trials = converged_trials_.load(std::memory_order_relaxed);
   stats.converged_instructions =
       converged_instructions_.load(std::memory_order_relaxed);
+  stats.armed_instructions =
+      armed_instructions_.load(std::memory_order_relaxed);
   return stats;
 }
 

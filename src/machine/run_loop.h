@@ -2,8 +2,9 @@
 //
 // Both executors run a program one dynamic instruction at a time on the
 // hooked slow path, or in stretches on a pre-decoded threaded fast path,
-// and both stop at the same boundaries: the timeout, snapshot capture, a
-// dormant hook's re-arm point and golden convergence. This header holds
+// and both stop at the same boundaries: the timeout, a capture boundary
+// (a profiling mark or snapshot), a dormant hook's re-arm point (a
+// trial's wake point among them) and golden convergence. This header holds
 // that boundary logic once:
 //  * HookControl, the detach / re-arm / settle protocol every
 //    instrumentation hook (vm::ExecHook, x86::SimHook) derives from;
@@ -99,11 +100,19 @@ struct RunLimits {
   /// `executed`, so a restored trial times out exactly where a full run
   /// would.
   std::uint64_t max_instructions = kDefaultMaxInstructions;
-  /// When nonzero, capture a Snapshot once `snapshot_stride` more
-  /// instructions have retired and hand it to `snapshot_sink`, which
-  /// returns the stride to the next capture (0 stops capturing).
-  std::uint64_t snapshot_stride = 0;
-  std::function<std::uint64_t(Snapshot&&)> snapshot_sink;
+  /// Takes a Snapshot of the state at a capture boundary.
+  using Capture = std::function<Snapshot()>;
+  /// Capture boundaries. When nonzero, the run stops between two
+  /// instructions once `capture_stride` more have retired and calls
+  /// `capture_sink(executed, capture)` there. The sink takes a Snapshot
+  /// through `capture()` only where it wants one (copy-on-write memory,
+  /// runtime and registers) and returns the stride to the next boundary
+  /// (0 stops). Profiling records a mark (the position and the category
+  /// counts) at every boundary and takes a snapshot at one in
+  /// CheckpointStore::kMarksPerWindow.
+  std::uint64_t capture_stride = 0;
+  std::function<std::uint64_t(std::uint64_t executed, const Capture& capture)>
+      capture_sink;
   /// Golden-convergence early exit. When set, returns the golden run's
   /// snapshot captured at the first position strictly after `executed`
   /// (nullptr when none is left). Once the hook has detached for good or
@@ -117,8 +126,8 @@ struct RunLimits {
   /// site's counter (the interpreter indexes by vm::site_order, the
   /// simulator by code index plus one slot for the fetch-past-the-end
   /// sentinel); the array must cover every site. Counting happens before
-  /// the instruction runs, so when snapshot_sink fires the counters hold
-  /// exactly the snapshot's prefix. Profiling uses this to count category
+  /// the instruction runs, so when capture_sink fires the counters hold
+  /// exactly the boundary's prefix. Profiling uses this to count category
   /// instances without a hook; runs without it take the non-counting fast
   /// loop.
   std::uint64_t* site_hits = nullptr;
@@ -167,13 +176,13 @@ struct RunResult {
 ///  * `exit_value(ret)` and `trap_pc()` for the result.
 ///
 /// Two dispatch paths share the executor's state. The *slow* path
-/// (slow_step) is the hooked switch loop: snapshot capture, timeout
+/// (slow_step) is the hooked switch loop: capture boundaries, timeout
 /// accounting, hook re-arm checks and callbacks at every instruction. The
 /// *fast* path executes pre-decoded micro-op traces with no per-instruction
 /// hook or snapshot machinery at all; exec_loop only enters it while no
 /// hook can observe execution, and fast_eligible pre-computes the
 /// dynamic-instruction index where it must side-exit, so timeouts,
-/// snapshot points, hook re-arms and convergence checks land on exactly
+/// capture boundaries, hook re-arms and convergence checks land on exactly
 /// the same instruction as a pure slow-path run. RunLimits::dispatch =
 /// Switch pins the slow path for A/B equivalence checks.
 template <typename Executor, typename Hook, typename Limits>
@@ -255,7 +264,7 @@ class RunLoop {
   /// ended, with the executor's raw exit value in *ret, or when the run
   /// converged on the golden state (converged_ set).
   bool slow_step(std::uint64_t* ret) {
-    maybe_snapshot();
+    maybe_capture();
     if (golden_next_ != nullptr && converges()) return true;
     const auto fetched = self().fetch();
     bump_instruction_count();
@@ -293,12 +302,12 @@ class RunLoop {
     hook_ = hook;
     live_hook_ = nullptr;
     limits_ = limits;
-    next_snapshot_at_ = 0;
+    next_capture_at_ = 0;
   }
 
   Result drive() {
-    if (limits_.snapshot_stride != 0)
-      next_snapshot_at_ = executed_ + limits_.snapshot_stride;
+    if (limits_.capture_stride != 0)
+      next_capture_at_ = executed_ + limits_.capture_stride;
     golden_next_ =
         limits_.golden_after ? limits_.golden_after(executed_) : nullptr;
     converged_ = nullptr;
@@ -354,9 +363,13 @@ class RunLoop {
   ///  * timeout: the bump of instruction max+1 throws, so the fast loop
   ///    may execute while executed_ < max;
   ///  * hook re-arm: a dormant hook re-arms on the instruction that brings
-  ///    executed_ to rearm_at, which must run hooked → stop at rearm_at-1;
-  ///  * snapshots: captured before the instruction that has
-  ///    executed_ >= next_snapshot_at_ → stop there;
+  ///    executed_ to rearm_at, which must run hooked → stop at rearm_at-1.
+  ///    A trial's injection hook sleeps this way to its wake point (the
+  ///    profiling mark before its target instance, or its time trigger),
+  ///    so the golden prefix up to there runs here;
+  ///  * capture boundaries: the sink is called before the instruction that
+  ///    has executed_ >= next_capture_at_ → stop there. Profiling takes a
+  ///    mark at each and a snapshot at some;
   ///  * golden convergence: checked at the next golden snapshot's position
   ///    once the hook is gone → stop there too.
   /// One slow step at the boundary then performs the actual throw /
@@ -371,24 +384,32 @@ class RunLoop {
         *stop = std::min(*stop, at - 1);
       }
     }
-    if (next_snapshot_at_ != 0 && limits_.snapshot_sink)
-      *stop = std::min(*stop, next_snapshot_at_);
+    if (next_capture_at_ != 0 && limits_.capture_sink)
+      *stop = std::min(*stop, next_capture_at_);
     if (hook_ == nullptr && golden_next_ != nullptr)
       *stop = std::min(*stop, golden_next_->executed);
     return executed_ < *stop;
   }
 
-  void maybe_snapshot() {
-    if (next_snapshot_at_ == 0 || executed_ < next_snapshot_at_ ||
-        !limits_.snapshot_sink)
+  /// A capture boundary: hands the position and a capture of the state
+  /// there to the sink, which returns the stride to the next boundary.
+  void maybe_capture() {
+    if (next_capture_at_ == 0 || executed_ < next_capture_at_ ||
+        !limits_.capture_sink)
       return;
+    const std::uint64_t stride =
+        limits_.capture_sink(executed_, [this] { return snapshot(); });
+    next_capture_at_ = stride != 0 ? executed_ + stride : 0;
+  }
+
+  /// The state between two instructions, memory copy-on-write.
+  Snapshot snapshot() {
     Snapshot snap;
     self().capture(snap);
     snap.executed = executed_;
     snap.memory = memory_.snapshot();
     snap.runtime = runtime_.save();
-    const std::uint64_t stride = limits_.snapshot_sink(std::move(snap));
-    next_snapshot_at_ = stride != 0 ? executed_ + stride : 0;
+    return snap;
   }
 
   /// Golden-convergence check between two instructions (see
@@ -421,7 +442,7 @@ class RunLoop {
     histogram.record(delta);
   }
 
-  std::uint64_t next_snapshot_at_ = 0;
+  std::uint64_t next_capture_at_ = 0;
   const Snapshot* golden_next_ = nullptr;  // next convergence candidate
   const Snapshot* converged_ = nullptr;    // set when converges() matched
   bool loaded_ = false;  // restore() ran and resume() has not consumed it

@@ -23,10 +23,15 @@ using ir::StoreInst;
 using ir::Value;
 
 /// An alloca is promotable when every use is a direct load from it or a
-/// store *to* it (never a store *of* it, a GEP, a call argument, ...).
-bool is_promotable(const AllocaInst& alloca) {
+/// store *to* it (never a store *of* it, a GEP, a call argument, ...), in
+/// a block reachable from the entry: renaming walks the dominator tree,
+/// which holds only those, and a use it never rewrote would outlive the
+/// alloca.
+bool is_promotable(const AllocaInst& alloca,
+                   const std::set<const BasicBlock*>& reachable) {
   if (!alloca.allocated_type()->is_scalar()) return false;
   for (const ir::Use& use : alloca.uses()) {
+    if (!reachable.count(use.user->parent())) return false;
     switch (use.user->opcode()) {
       case Opcode::Load:
         break;
@@ -46,11 +51,12 @@ class Mem2Reg final : public Pass {
 
   bool run(Function& fn) override {
     if (fn.num_blocks() == 0) return false;
+    const std::set<const BasicBlock*> reachable = reachable_blocks(fn);
     std::vector<AllocaInst*> candidates;
     for (const auto& bb : fn.blocks())
       for (const auto& instr : bb->instructions())
         if (auto* al = dynamic_cast<AllocaInst*>(instr.get()))
-          if (is_promotable(*al)) candidates.push_back(al);
+          if (is_promotable(*al, reachable)) candidates.push_back(al);
     if (candidates.empty()) return false;
 
     ir::DominatorTree dom(fn);

@@ -4,6 +4,7 @@
 
 #include "frontend/codegen.h"
 #include "ir/irbuilder.h"
+#include "ir/irparser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "opt/pass.h"
@@ -92,6 +93,37 @@ TEST(Mem2Reg, LoopVariableGetsHeaderPhi) {
   f->renumber();
   ir::verify_or_throw(*m);
   EXPECT_GE(count_op(*f, Opcode::Phi), 2u);  // s and i
+}
+
+TEST(Mem2Reg, LeavesSlotsUsedInUnreachableBlocksForDce) {
+  // Renaming walks the dominator tree, which holds only the blocks
+  // reachable from the entry. A slot loaded and stored in an unreachable
+  // block must stay in memory: promoting it would erase the alloca under
+  // the unreachable load and store, and DCE would then read the dangling
+  // operand.
+  auto m = ir::parse_module(R"(
+define i32 @f(i32 %arg0) {
+bb0:
+  %t0 = alloca i32
+  store i32 %arg0, i32* %t0
+  %t1 = load i32, i32* %t0
+  ret i32 %t1
+bb1:
+  %t2 = load i32, i32* %t0
+  %t3 = add i32 %t2, 1
+  store i32 %t3, i32* %t0
+  br label %bb1
+}
+)");
+  Function* f = m->find_function("f");
+  make_mem2reg()->run(*f);
+  make_dce()->run(*f);
+  f->renumber();
+  ir::verify_or_throw(*m);
+  EXPECT_EQ(count_op(*f, Opcode::Alloca), 1u);
+  EXPECT_EQ(count_op(*f, Opcode::Load), 2u);
+  EXPECT_EQ(count_op(*f, Opcode::Store), 2u);
+  EXPECT_EQ(reachable_blocks(*f).size(), 1u);
 }
 
 TEST(ConstFold, FoldsArithmeticChains) {

@@ -1,8 +1,9 @@
 // Campaign scheduler tests: grid determinism across thread counts,
 // single-pass profiling equivalence (one fault-free run per engine,
-// profiled in parallel), the snapshot stride's doubling rule, exception
-// propagation from profiling and trial workers, manifest contents, and
-// FAULTLAB_TRIALS parsing.
+// profiled in parallel), the snapshot stride's doubling rule, trials at
+// snapshot-window and mark boundaries against checkpoint-free runs,
+// exception propagation from profiling and trial workers, manifest
+// contents, and FAULTLAB_TRIALS parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,6 +327,34 @@ TEST(CheckpointStore, HalveKeepsEverySecondEntry) {
   EXPECT_EQ(odd.after(400), nullptr);
 }
 
+TEST(CheckpointStore, MarkBeforeFindsTheWakePointAndSurvivesHalve) {
+  CheckpointStore<FakeSnapshot> store;
+  // Marks every 25 instructions with seen = executed / 10; a snapshot at
+  // every fourth.
+  for (std::uint64_t at = 25; at <= 400; at += 25) {
+    store.mark(at, seen_all(at / 10));
+    if (at % 100 == 0) store.add({at}, seen_all(at / 10));
+  }
+  // k=25: the marks hold seen {2,5,7,10,12,15,17,20,22,25,...} -> the
+  // latest below 25 is at 225, past the snapshot before() resumes from.
+  const auto* mark = store.mark_before(ir::Category::All, 25);
+  ASSERT_NE(mark, nullptr);
+  EXPECT_EQ(mark->executed, 225u);
+  EXPECT_EQ(mark->seen[ir::Category::All], 22u);
+  EXPECT_EQ(store.before(ir::Category::All, 25)->snapshot.executed, 200u);
+  // No mark holds fewer than one instance; in a category without
+  // instances every mark does, so the last one wins.
+  EXPECT_EQ(store.mark_before(ir::Category::All, 1), nullptr);
+  EXPECT_EQ(store.mark_before(ir::Category::Cmp, 1)->executed, 400u);
+  // halve() thins the snapshots only: marks keep their spacing.
+  store.halve();
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.marks().size(), 16u);
+  EXPECT_EQ(store.mark_before(ir::Category::All, 25)->executed, 225u);
+  EXPECT_EQ(store.mark_spacing(20'000), 2'500u);
+  EXPECT_EQ(store.mark_spacing(5), 1u);  // never zero
+}
+
 class CheckpointEnv : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -537,10 +566,64 @@ void expect_window_boundaries_match(InjectorEngine& checkpointed,
   }
 }
 
+/// Trials k = m.seen, m.seen + 1 and m.seen + 2 of `category` at profiling
+/// marks m that lie inside a snapshot window — one in the stretch before
+/// the first snapshot, one a quarter into the run — must give the records
+/// of a checkpoint-free engine, which takes no marks. The first trial wakes
+/// its hook at an earlier mark, the other two at m (or a later mark with
+/// the same count), with that mark's count primed into the hook's
+/// instance counter; so this pins the counts captured with each mark.
+/// Each trial's hook may run live for at most two mark spacings before
+/// its fault fires: the prefix before the mark runs dormant.
+template <typename Engine>
+void expect_mark_boundaries_match(Engine& checkpointed, InjectorEngine& direct,
+                                  ir::Category category, std::uint64_t n,
+                                  const std::string& label,
+                                  PropCheck prop = PropCheck::Skip) {
+  using Store = typename Engine::Store;
+  const Store& store = checkpointed.checkpoint_store();
+  const std::uint64_t spacing =
+      Store::mark_spacing(checkpointed.checkpoint_stats().stride);
+  std::vector<const typename Store::Mark*> picks;
+  for (const std::uint64_t from :
+       {std::uint64_t{0}, checkpointed.golden_instructions() / 4}) {
+    for (const typename Store::Mark& m : store.marks()) {
+      const auto* next_snapshot = store.after(m.executed - 1);
+      if (m.executed < from || m.seen[category] == 0 ||
+          m.seen[category] + 2 > n ||
+          (next_snapshot != nullptr &&
+           next_snapshot->executed == m.executed))
+        continue;  // need k >= 1, k <= n, and a mark off the snapshot grid
+      picks.push_back(&m);
+      break;
+    }
+  }
+  ASSERT_EQ(picks.size(), 2u) << label;
+  for (const typename Store::Mark* m : picks) {
+    for (std::uint64_t k = m->seen[category]; k <= m->seen[category] + 2;
+         ++k) {
+      Rng r1(k);
+      Rng r2(k);
+      const std::uint64_t armed_before =
+          checkpointed.checkpoint_stats().armed_instructions;
+      const TrialRecord on = checkpointed.inject(category, k, r1);
+      const std::uint64_t armed =
+          checkpointed.checkpoint_stats().armed_instructions - armed_before;
+      const TrialRecord off = direct.inject(category, k, r2);
+      const std::string where =
+          label + " mark@" + std::to_string(m->executed) + " k=" +
+          std::to_string(k);
+      EXPECT_LE(armed, 2 * spacing) << where;
+      expect_same_record(off, on, where, prop);
+    }
+  }
+}
+
 TEST(Scheduler, WindowBoundaryTrialsMatchCheckpointFreeRuns) {
   // The automatic stride doubles on the longer apps (see
   // StrideDoublesOnlyWhenAutomatic), so these boundaries include snapshots
-  // kept by CheckpointStore::halve().
+  // kept by CheckpointStore::halve(). The same engines also check trials
+  // that wake at marks inside the windows.
   CheckpointPolicy direct_policy;
   direct_policy.enabled = false;
   for (const apps::Benchmark& app : apps::all_benchmarks()) {
@@ -559,6 +642,49 @@ TEST(Scheduler, WindowBoundaryTrialsMatchCheckpointFreeRuns) {
                                      cell + " LLFI");
       expect_window_boundaries_match(pinfi, pinfi_direct, c, pcounts[c],
                                      cell + " PINFI");
+      expect_mark_boundaries_match(llfi, llfi_direct, c, lcounts[c],
+                                   cell + " LLFI");
+      expect_mark_boundaries_match(pinfi, pinfi_direct, c, pcounts[c],
+                                   cell + " PINFI");
+    }
+  }
+}
+
+TEST(Scheduler, MarkBoundaryTrialsMatchForStuckAtAndTracedEngines) {
+  // A persistent model wakes at the mark too and then stays armed; a
+  // traced engine's PropSummary must not notice that its hook slept
+  // through the prefix. Both keep their hooks attached long after the
+  // injection, so the shortest app keeps this cheap.
+  const apps::Benchmark& app = apps::benchmark("libquantum");
+  auto prog = driver::compile(app.source, app.name);
+  CheckpointPolicy direct_policy;
+  direct_policy.enabled = false;
+  const ExecConfig traced{machine::DispatchMode::Threaded,
+                          /*trace_prop=*/true};
+  struct Variant {
+    std::string name;
+    Model model;
+    ExecConfig exec;
+    PropCheck prop;
+  };
+  for (const Variant& v :
+       {Variant{"stuck-at-1", Model::parse("stuck-at-1"), ExecConfig{},
+                PropCheck::Skip},
+        Variant{"traced", Model{}, traced, PropCheck::Compare}}) {
+    LlfiEngine llfi(prog.module(), {}, CheckpointPolicy{}, v.model, v.exec);
+    LlfiEngine llfi_direct(prog.module(), {}, direct_policy, v.model, v.exec);
+    PinfiEngine pinfi(prog.program(), {}, CheckpointPolicy{}, v.model, v.exec);
+    PinfiEngine pinfi_direct(prog.program(), {}, direct_policy, v.model,
+                             v.exec);
+    const CategoryCounts lcounts = llfi.profile_all();
+    const CategoryCounts pcounts = pinfi.profile_all();
+    for (ir::Category c : {ir::Category::All, ir::Category::Cmp}) {
+      const std::string cell =
+          v.name + " " + app.name + " " + ir::category_name(c);
+      expect_mark_boundaries_match(llfi, llfi_direct, c, lcounts[c],
+                                   cell + " LLFI", v.prop);
+      expect_mark_boundaries_match(pinfi, pinfi_direct, c, pcounts[c],
+                                   cell + " PINFI", v.prop);
     }
   }
 }

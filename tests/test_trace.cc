@@ -349,10 +349,10 @@ HookedRun<Exec> hooked_run(
   typename Exec::Hook hook(wake, window, settle);
   typename Exec::Limits limits;
   limits.dispatch = mode;
-  limits.snapshot_stride = stride;
+  limits.capture_stride = stride;
   if (stride != 0) {
-    limits.snapshot_sink = [&](typename Exec::Snapshot&& snap) {
-      out.snapshots.push_back(snap.executed);
+    limits.capture_sink = [&](std::uint64_t executed, const auto&) {
+      out.snapshots.push_back(executed);
       return stride;
     };
   }
@@ -444,10 +444,10 @@ void expect_settled_hook_converges(driver::CompiledProgram& prog) {
   // Golden snapshots from an unhooked capture run.
   std::vector<typename Exec::Snapshot> golden;
   typename Exec::Limits capture;
-  capture.snapshot_stride = 3000;
-  capture.snapshot_sink = [&](typename Exec::Snapshot&& snap) {
-    golden.push_back(std::move(snap));
-    return capture.snapshot_stride;
+  capture.capture_stride = 3000;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    golden.push_back(take());
+    return capture.capture_stride;
   };
   const typename Exec::Result full = Exec::run(prog, nullptr, capture);
   ASSERT_TRUE(full.completed());
@@ -483,10 +483,10 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
   // the reference schedule.
   std::vector<vm::Snapshot> snaps;
   vm::RunLimits capture = vm_limits(DispatchMode::Switch);
-  capture.snapshot_stride = 997;
-  capture.snapshot_sink = [&](vm::Snapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 997;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   const vm::RunResult full = prog.run_ir(nullptr, capture);
   ASSERT_TRUE(full.completed());
@@ -496,10 +496,10 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceVm) {
   // snapshot schedule must be position-identical.
   std::vector<std::uint64_t> threaded_at;
   vm::RunLimits recapture;
-  recapture.snapshot_stride = 997;
-  recapture.snapshot_sink = [&](vm::Snapshot&& s) {
-    threaded_at.push_back(s.executed);
-    return recapture.snapshot_stride;
+  recapture.capture_stride = 997;
+  recapture.capture_sink = [&](std::uint64_t executed, const auto&) {
+    threaded_at.push_back(executed);
+    return recapture.capture_stride;
   };
   ASSERT_TRUE(prog.run_ir(nullptr, recapture).completed());
   ASSERT_EQ(threaded_at.size(), snaps.size());
@@ -524,10 +524,10 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
   auto prog = driver::compile(kKernel, "t");
   std::vector<x86::SimSnapshot> snaps;
   x86::SimLimits capture = sim_limits(DispatchMode::Switch);
-  capture.snapshot_stride = 997;
-  capture.snapshot_sink = [&](x86::SimSnapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 997;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   const x86::SimResult full = prog.run_asm(nullptr, capture);
   ASSERT_FALSE(full.trapped);
@@ -535,10 +535,10 @@ TEST(DispatchEquiv, CheckpointResumeMidTraceSim) {
 
   std::vector<std::uint64_t> threaded_at;
   x86::SimLimits recapture;
-  recapture.snapshot_stride = 997;
-  recapture.snapshot_sink = [&](x86::SimSnapshot&& s) {
-    threaded_at.push_back(s.executed);
-    return recapture.snapshot_stride;
+  recapture.capture_stride = 997;
+  recapture.capture_sink = [&](std::uint64_t executed, const auto&) {
+    threaded_at.push_back(executed);
+    return recapture.capture_stride;
   };
   ASSERT_FALSE(prog.run_asm(nullptr, recapture).trapped);
   ASSERT_EQ(threaded_at.size(), snaps.size());

@@ -256,10 +256,10 @@ TEST(VmSnapshot, ResumeReproducesDirectRunFromEverySnapshot) {
 
   std::vector<Snapshot> snaps;
   RunLimits capture;
-  capture.snapshot_stride = 3'000;
-  capture.snapshot_sink = [&](Snapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 3'000;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Interpreter recorder(*m);
   const auto recorded = recorder.run("main", capture);
@@ -298,10 +298,10 @@ TEST(VmSnapshot, ResumePreservesCallFramesAndHeap) {
 
   std::vector<Snapshot> snaps;
   RunLimits capture;
-  capture.snapshot_stride = 500;  // dense: some land mid-recursion
-  capture.snapshot_sink = [&](Snapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 500;  // dense: some land mid-recursion
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Interpreter recorder(*m);
   ASSERT_TRUE(recorder.run("main", capture).completed());
@@ -331,10 +331,10 @@ TEST(VmSnapshot, SnapshotReusableAndIsolatedAcrossResumes) {
     })", "t");
   std::vector<Snapshot> snaps;
   RunLimits capture;
-  capture.snapshot_stride = 2'000;
-  capture.snapshot_sink = [&](Snapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 2'000;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Interpreter recorder(*m);
   const auto golden = recorder.run("main", capture);
@@ -363,11 +363,11 @@ TEST(VmSnapshot, ResumedRunHonoursTotalInstructionBudget) {
   auto m = mc::compile_to_ir("int main() { while (1) {} return 0; }", "t");
   std::vector<Snapshot> snaps;
   RunLimits capture;
-  capture.snapshot_stride = 5'000;
+  capture.capture_stride = 5'000;
   capture.max_instructions = 12'000;
-  capture.snapshot_sink = [&](Snapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Interpreter recorder(*m);
   EXPECT_TRUE(recorder.run("main", capture).timed_out);

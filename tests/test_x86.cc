@@ -310,10 +310,10 @@ TEST(SimSnapshotTest, ResumeReproducesDirectRunFromEverySnapshot) {
 
   std::vector<SimSnapshot> snaps;
   SimLimits capture;
-  capture.snapshot_stride = 7'000;
-  capture.snapshot_sink = [&](SimSnapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 7'000;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Simulator recorder(p);
   const SimResult recorded = recorder.run(capture);
@@ -336,10 +336,10 @@ TEST(SimSnapshotTest, SnapshotReusableAcrossResumes) {
   const Program p = sum_loop_program(5'000);
   std::vector<SimSnapshot> snaps;
   SimLimits capture;
-  capture.snapshot_stride = 4'000;
-  capture.snapshot_sink = [&](SimSnapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_stride = 4'000;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Simulator recorder(p);
   const SimResult golden = recorder.run(capture);
@@ -373,11 +373,11 @@ TEST(SimSnapshotTest, ResumedRunHonoursTotalInstructionBudget) {
 
   std::vector<SimSnapshot> snaps;
   SimLimits capture;
-  capture.snapshot_stride = 500;
+  capture.capture_stride = 500;
   capture.max_instructions = 1'200;
-  capture.snapshot_sink = [&](SimSnapshot&& s) {
-    snaps.push_back(std::move(s));
-    return capture.snapshot_stride;
+  capture.capture_sink = [&](std::uint64_t, const auto& take) {
+    snaps.push_back(take());
+    return capture.capture_stride;
   };
   Simulator recorder(p);
   EXPECT_TRUE(recorder.run(capture).timed_out);

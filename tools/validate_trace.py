@@ -47,8 +47,9 @@ With --metrics M.json --manifest R.manifest.csv, a FAULTLAB_METRICS
 snapshot is checked against the run manifest of the same single-run
 process: the registry's `checkpoint.restores` and
 `checkpoint.delta_restores` must equal the manifest's per-campaign
-`restored` and `delta_restores` summed, and `checkpoint.converged_trials`
-and `checkpoint.converged_instructions` its run-level columns.
+`restored` and `delta_restores` summed, and `checkpoint.converged_trials`,
+`checkpoint.converged_instructions` and `checkpoint.armed_instructions`
+its run-level columns.
 
 Usage:
   tools/validate_trace.py TRACE [--expect-trials N]
@@ -593,7 +594,8 @@ def validate_metrics(metrics, rows):
         "checkpoint.delta_restores":
             sum(int(r["delta_restores"]) for r in rows),
     }
-    for column in ("converged_trials", "converged_instructions"):
+    for column in ("converged_trials", "converged_instructions",
+                   "armed_instructions"):
         values = {r[column] for r in rows}
         if len(values) != 1:
             yield f"manifest: run-level column '{column}' varies by row"
